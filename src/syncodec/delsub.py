@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetError, DecodeFailure, EmptyListError
 from .inner import REP, bits_to_int, int_to_bits, rep_decode, rep_encode
-from .sketches import signed_residue
+from .sketches import signed_residue, vt_sum
 from .words import Word, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
@@ -47,27 +47,6 @@ class DelSubParams:
     @property
     def moduli(self) -> tuple[int, int, int, int, int]:
         return (self.f_mod, self.f1r_mod, self.f2r_mod, self.h_mod, self.hr_mod)
-
-
-@dataclass(frozen=True)
-class ValidPair:
-    """A candidate (insertion, flip) pair the sketch walk cannot rule out.
-
-    `word` is the candidate source; `companion` is the candidate with the
-    reinserted bit removed again, whose run count the validity notion also
-    constrains.
-    """
-
-    insert_at: int
-    flip_at: int
-    word: Word
-    companion: Word
-    f1r: int
-    f2r: int
-
-    @property
-    def flip_follows_insert(self) -> bool:
-        return self.flip_at > self.insert_at
 
 
 @dataclass(frozen=True)
@@ -205,7 +184,7 @@ def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
     stats = _WordStats(word.symbols)
     n = len(word)
-    f = sum(i * b for i, b in enumerate(word.symbols, start=1))
+    f = vt_sum(word.symbols)
     f1r = stats.r1[n]
     f2r = stats.r2[n]
     runs = stats.ranks[n + 1] + 1
@@ -236,9 +215,9 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
 
 def _correct_one_substitution(y: Word, target: DelSubSketches,
                               params: DelSubParams) -> list[Word]:
-    if sketches(y, params) == target:
-        return [y]
     sk_y = sketches(y, params)
+    if sk_y == target:
+        return [y]
     h_diff = signed_residue(target.h - sk_y.h, params.h_mod)
     if h_diff not in (-1, 1):
         raise EmptyListError("no single substitution explains the weight sketch")
@@ -264,19 +243,12 @@ def _candidate_word(y_bits: tuple[int, ...], d: int, u: int,
 
 
 def _scan(y_bits: tuple[int, ...], params: DelSubParams, target: DelSubSketches,
-          b_d: int, b_e: int | None, mid_runs_mod: int | None = None,
-          ) -> list[tuple[int, int | None]]:
-    """All (insert position, flip position) pairs matching the sketch tuple.
-
-    With mid_runs_mod set, the pairs are filtered by the weaker valid-pair
-    notion instead (VT sketch, run count of the candidate, run count of the
-    candidate after undoing the insertion); the run-sum sketches are then not
-    applied, which is what the walk diagnostics need.
-    """
+          b_d: int, b_e: int | None) -> list[tuple[int, int | None]]:
+    """All (insert position, flip position) pairs matching the sketch tuple."""
     n = params.n
     m = len(y_bits)
     stats = _WordStats(y_bits)
-    f_y = sum(i * b for i, b in enumerate(y_bits, start=1))
+    f_y = vt_sum(y_bits)
     total_ones = stats.ones[m]
     hits = []
     for d in range(1, n + 1):
@@ -284,7 +256,7 @@ def _scan(y_bits: tuple[int, ...], params: DelSubParams, target: DelSubSketches,
         if b_e is None:
             if (f_ins - target.f) % params.f_mod:
                 continue
-            pairs = [(d, None, None)]
+            p = None
         else:
             q = ((target.f - f_ins) * (1 if b_e == 1 else -1)) % params.f_mod
             if not 1 <= q <= n or q == d:
@@ -292,22 +264,11 @@ def _scan(y_bits: tuple[int, ...], params: DelSubParams, target: DelSubSketches,
             p = q - 1 if q > d else q
             if y_bits[p - 1] != 1 - b_e:
                 continue
-            pairs = [(d, p, b_e)]
-        for d_, p_, t_ in pairs:
-            f1r, f2r, runs, _ = stats.edited_sums(d_, b_d, p_, t_)
-            if runs % params.hr_mod != target.hr:
-                continue
-            if mid_runs_mod is not None:
-                sp, sq = stats._sigmas(p_)
-                mid_runs = stats._rank_v(m + 1, p_, sp, sq) + 1
-                if mid_runs % params.hr_mod != mid_runs_mod:
-                    continue
-            else:
-                if f1r % params.f1r_mod != target.f1r:
-                    continue
-                if f2r % params.f2r_mod != target.f2r:
-                    continue
-            hits.append((d_, p_))
+        f1r, f2r, runs, _ = stats.edited_sums(d, b_d, p, b_e)
+        if (runs % params.hr_mod == target.hr
+                and f1r % params.f1r_mod == target.f1r
+                and f2r % params.f2r_mod == target.f2r):
+            hits.append((d, p))
     return hits
 
 
@@ -339,22 +300,6 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     if not out:
         raise EmptyListError("no candidate is consistent with the sketches")
     return out
-
-
-def valid_pair_trace(y: Word, target: DelSubSketches, params: DelSubParams,
-                     b_d: int, b_e: int, mid_runs: int) -> list[ValidPair]:
-    """Diagnostic: the valid pairs in scan order with their raw run sums."""
-    require_binary(y)
-    stats = _WordStats(y.symbols)
-    trace = []
-    for d, p in _scan(y.symbols, params, target, b_d, b_e,
-                      mid_runs_mod=mid_runs % params.hr_mod):
-        f1r, f2r, _, _ = stats.edited_sums(d, b_d, p, b_e)
-        q = p + 1 if d <= p else p
-        word = _candidate_word(y.symbols, d, b_d, p, b_e)
-        companion = Word(word.symbols[:d - 1] + word.symbols[d:], 2)
-        trace.append(ValidPair(d, q, word, companion, f1r, f2r))
-    return trace
 
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:

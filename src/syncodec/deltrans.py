@@ -30,18 +30,14 @@ from .errors import (
     RangeExhaustedError,
     SizeGuardError,
 )
-from .inner import bits_to_int, int_to_bits
-from .sketches import signed_residue
-from .words import Word, prefix_parity, prefix_parity_inverse, require_binary
+from .inner import bits_to_int, ceil_log2, int_to_bits
+from .sketches import signed_residue, vt_parity_sums, vt_sum
+from .words import Word, prefix_parity_inverse, require_binary
 
 MARKER = (0, 0, 1, 1)
 MULTISET_SEPARATION = 10
 HASH_DRIFT_BOUND = 4
 GREEDY_HASH_MAX_CAP = 6
-
-
-def _ceil_log2(n: int) -> int:
-    return (max(2, n) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +175,10 @@ class ClosedFormHash:
     def __call__(self, bits: tuple[int, ...]) -> int:
         if len(bits) > 3 * self.cap:
             raise AlphabetError("string longer than the hash domain")
+        total, _, parity_vt = vt_parity_sums(bits)
         weight = sum(bits) % 5
-        vt_sum = sum(i * b for i, b in enumerate(bits, start=1)) % self.modulus
-        acc = 0
-        parity_sum = 0
-        for i, b in enumerate(bits, start=1):
-            acc ^= b
-            parity_sum += i * acc
-        parity_sum %= self.modulus
-        return ((len(bits) * 5 + weight) * self.modulus + vt_sum) \
-            * self.modulus + parity_sum
+        return ((len(bits) * 5 + weight) * self.modulus + total % self.modulus) \
+            * self.modulus + parity_vt % self.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +238,7 @@ class DeltransParams:
 
     @classmethod
     def paper(cls, n: int) -> "DeltransParams":
-        log_n = _ceil_log2(n)
+        log_n = ceil_log2(n)
         delta = 50 + 1000 * log_n
         hash_range = 1000 * delta * delta
         bound = 10 ** 10 * log_n ** 4
@@ -286,9 +276,9 @@ class DeltransSketches:
         }
 
 
-def _segment_terms(segments: list[tuple[int, ...]], h) -> list[int]:
+def _segment_terms(segments: list[tuple[int, ...]], h) -> tuple[int, ...]:
     m = h.hash_range
-    return [len(s) * m + h(s) for s in segments]
+    return tuple(len(s) * m + h(s) for s in segments)
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
@@ -297,10 +287,9 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     segments, residue = segment_lenient(word)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    terms = _segment_terms(segments, h)
-    f = sum(j * t for j, t in enumerate(terms, start=1)) % params.f_mod
+    f = vt_sum(_segment_terms(segments, h)) % params.f_mod
     g1 = len(segments) % 5
-    g2 = sum(prefix_parity(word).symbols) % 3
+    g2 = vt_parity_sums(word.symbols)[1] % 3
     hashes = tuple(sorted(h(s) for s in segments))
     return DeltransSketches(f, g1, g2), hashes
 
@@ -361,7 +350,6 @@ class LocateResult:
     case: str
     window: tuple[int, int] | None
     bound: int
-    stop_index: int | None = None
 
 
 def _multiset_delta(h_x: tuple[int, ...], segments: list[tuple[int, ...]], h,
@@ -373,8 +361,8 @@ def _multiset_delta(h_x: tuple[int, ...], segments: list[tuple[int, ...]], h,
     return extra - missing
 
 
-def _phi_scan(terms: list[int], k: int, fdiff: int, start: int, bound: CaseBound,
-              factor: int, offset: int) -> int:
+def _phi_scan(terms: tuple[int, ...], k: int, fdiff: int, start: int,
+              bound: CaseBound, factor: int, offset: int) -> int:
     """Largest i' <= start with |phi(i') - fdiff| <= threshold.
 
     phi(i') = factor * sum(terms[j] for j > i' + offset) + i' * k, with terms
@@ -411,8 +399,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     ly = len(segments)
     bounds = params.case_bounds
     if not deletion:
-        g2_y = sum(prefix_parity(y).symbols) % 3
-        if g2_y == target.g2:
+        if vt_parity_sums(y.symbols)[1] % 3 == target.g2:
             return LocateResult(True, "clean", None, 0)
     dl = signed_residue(ly - target.g1, 5)
     kind = "del" if deletion else "trans"
@@ -433,7 +420,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
 
     terms = _segment_terms(segments, h)
-    f_y = sum(j * t for j, t in enumerate(terms, start=1)) % params.f_mod
+    f_y = vt_sum(terms) % params.f_mod
     fdiff = signed_residue(target.f - f_y, params.f_mod)
     m = h.hash_range
     hash_delta = _multiset_delta(h_x, segments, h)
@@ -468,7 +455,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         stop = _phi_scan(terms, hash_delta, fdiff, ly - 2, bounds[case], -2, 2)
         lo_seg = max(1, stop - bounds[case].span)
         window = span_of(lo_seg, stop + 2)
-    return LocateResult(False, case, window, bounds[case].window, stop)
+    return LocateResult(False, case, window, bounds[case].window)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +499,9 @@ def inner_sketch(bits: tuple[int, ...], length: int) -> tuple[int, ...]:
     """Fixed-width bits of (VT sum mod length+1, parity VT sum mod 2*length+1)."""
     if len(bits) != length:
         raise AlphabetError(f"inner sketch needs length {length}")
-    vt_sum = sum(i * b for i, b in enumerate(bits, start=1)) % (length + 1)
-    acc = 0
-    parity_sum = 0
-    for i, b in enumerate(bits, start=1):
-        acc ^= b
-        parity_sum += i * acc
-    parity_sum %= 2 * length + 1
-    return int_to_bits(vt_sum, length.bit_length()) + \
-        int_to_bits(parity_sum, (2 * length).bit_length())
+    total, _, parity_vt = vt_parity_sums(bits)
+    return int_to_bits(total % (length + 1), length.bit_length()) + \
+        int_to_bits(parity_vt % (2 * length + 1), (2 * length).bit_length())
 
 
 def inner_sketch_width(length: int) -> int:
@@ -739,6 +720,8 @@ class DeltransDeskCode:
 
     def recover_multiset(self, y: Word) -> tuple[int, ...]:
         segments, _ = segment_lenient(y)
+        if any(len(s) > 3 * self.hash.cap for s in segments):
+            raise DecodeFailure("a segment is longer than the hash domain")
         h_y = tuple(sorted(self.hash(s) for s in segments))
         near = [ms for ms in sorted(set(self.multisets))
                 if multiset_distance(ms, h_y) <= HASH_DRIFT_BOUND]

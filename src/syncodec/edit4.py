@@ -18,6 +18,7 @@ from .inner import (
     REP,
     bits_to_int,
     bits_to_quaternary,
+    ceil_log2,
     int_to_bits,
     quaternary_to_bits,
     rep_decode,
@@ -25,12 +26,6 @@ from .inner import (
 )
 from .sketches import WeightFn, signed_residue, weighted_vt
 from .words import Word
-
-
-def _ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError("length must be positive")
-    return (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class Edit4Params:
 
     @classmethod
     def for_length(cls, n: int) -> "Edit4Params":
-        log_n = _ceil_log2(n)
+        log_n = ceil_log2(n)
         weights = WeightFn((0, 1, 2 * log_n + 11, 2 * log_n + 12))
         modulus = 1 + 2 * n * (2 * log_n + 12)
         return cls(n, log_n, weights, modulus)
@@ -114,11 +109,7 @@ def is_regular(word: Word, params: Edit4Params) -> bool:
 
 def sketches(word: Word, params: Edit4Params) -> Edit4Sketches:
     f = weighted_vt(word, params.weights, params.modulus).value
-    counts = [0, 0, 0]
-    for s in word.symbols:
-        if s < 3:
-            counts[s] += 1
-    return Edit4Sketches(f, counts[0] & 1, counts[1] & 1, counts[2] & 1)
+    return Edit4Sketches(f, *_count_parities(word))
 
 
 def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
@@ -128,11 +119,8 @@ def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
 
 
 def _count_parities(word: Word) -> tuple[int, int, int]:
-    counts = [0, 0, 0]
-    for s in word.symbols:
-        if s < 3:
-            counts[s] += 1
-    return counts[0] & 1, counts[1] & 1, counts[2] & 1
+    s = word.symbols
+    return s.count(0) & 1, s.count(1) & 1, s.count(2) & 1
 
 
 def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
@@ -262,7 +250,8 @@ def _rll_unpack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
     if len(seq) < 2:
         raise MalformedEncodingError("packed projection shorter than its suffix")
     m = len(seq) - 2
-    cap = (m - 1).bit_length() + 2 if m else 0
+    # at m = 0 no marker exists; cap = 3 then exceeds len(seq) and rejects one
+    cap = (m - 1).bit_length() + 2
     width = cap - 2
     out = list(seq)
     for _ in range(len(seq) + 1):
@@ -323,8 +312,12 @@ def rll_decode(x: Word) -> Word:
         raise MalformedEncodingError("projection payloads do not add up")
     out = []
     it_low, it_high = iter(low), iter(high)
-    for s in x.symbols[:m]:
-        out.append(next(it_low) if s in (0, 2) else next(it_high))
+    try:
+        for s in x.symbols[:m]:
+            out.append(next(it_low) if s in (0, 2) else next(it_high))
+    except StopIteration:
+        raise MalformedEncodingError(
+            "projection payloads do not fit the slots") from None
     return Word(tuple(out), 4)
 
 

@@ -17,23 +17,27 @@ class SizeGuardError(SyncodecError):
     """An exhaustive operation was requested beyond its enumeration cap."""
 
 
-class NoCandidateError(SyncodecError):
+class DecodeFailure(SyncodecError):
+    """No consistent source word could be reconstructed.
+
+    The codecs' `decode` methods report every received word they cannot
+    explain with this class or a subclass of it.
+    """
+
+
+class NoCandidateError(DecodeFailure):
     """Sketch arithmetic produced no consistent correction."""
 
 
-class MalformedEncodingError(SyncodecError):
+class MalformedEncodingError(DecodeFailure):
     """A runlength-replacement encoding has an inconsistent suffix structure."""
-
-
-class DecodeFailure(SyncodecError):
-    """No consistent source word could be reconstructed."""
 
 
 class EmptyListError(SyncodecError):
     """The list decoder found no candidate; the input violates its contract."""
 
 
-class MissingTerminalMarkerError(SyncodecError):
+class MissingTerminalMarkerError(DecodeFailure):
     """A word that must end with the segmentation marker does not."""
 
 
@@ -41,7 +45,7 @@ class RangeExhaustedError(SyncodecError):
     """The greedy hash construction ran out of values; the range is too small."""
 
 
-class LocateFailure(SyncodecError):
+class LocateFailure(DecodeFailure):
     """The error-locating decoder could not produce a window."""
 
 

@@ -42,6 +42,13 @@ def rep_decode(window: tuple[int, ...], block_count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def ceil_log2(n: int) -> int:
+    """Bits needed to index n positions, ceil(log2 n)."""
+    if n < 1:
+        raise ValueError("length must be positive")
+    return (n - 1).bit_length()
+
+
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")

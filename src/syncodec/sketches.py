@@ -1,11 +1,12 @@
-"""Integer sketch functions, each with its exact modulus."""
+"""Sketch sums shared by the codecs, and the VT sketches with their moduli."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import AlphabetError
-from .words import Word, prefix_parity, require_binary, run_string
+from .words import Word
 
 
 def signed_residue(value: int, modulus: int) -> int:
@@ -66,10 +67,33 @@ class WeightFn:
         return cls(tuple(range(q)))
 
 
+def vt_sum(symbols: tuple[int, ...]) -> int:
+    """Plain VT sum sum(i * s_i) over positions 1..n."""
+    return sum(map(mul, symbols, range(1, len(symbols) + 1)))
+
+
+def vt_parity_sums(bits: tuple[int, ...]) -> tuple[int, int, int]:
+    """VT sum, prefix-parity sum and prefix-parity VT sum of a binary tuple.
+
+    With p_i = b_1 xor .. xor b_i these are sum(i * b_i), sum(p_i) and
+    sum(i * p_i).  The deltrans hashes and inner sketches call this on every
+    segment and window, so the three sums share one loop.
+    """
+    total = parity_total = parity_vt = 0
+    parity = 0
+    for i, b in enumerate(bits, start=1):
+        if b:
+            total += i
+            parity ^= 1
+        if parity:
+            parity_total += 1
+            parity_vt += i
+    return total, parity_total, parity_vt
+
+
 def vt(word: Word, modulus: int) -> ModularValue:
     """Standard VT sketch sum(i * x_i) mod modulus."""
-    total = sum(i * s for i, s in enumerate(word.symbols, start=1))
-    return ModularValue(total % modulus, modulus)
+    return ModularValue(vt_sum(word.symbols) % modulus, modulus)
 
 
 def weighted_vt(word: Word, weights: WeightFn, modulus: int) -> ModularValue:
@@ -79,52 +103,4 @@ def weighted_vt(word: Word, weights: WeightFn, modulus: int) -> ModularValue:
             f"weight function is over q={weights.q}, word over q={word.q}")
     w = weights.weights
     total = sum(i * w[s] for i, s in enumerate(word.symbols, start=1))
-    return ModularValue(total % modulus, modulus)
-
-
-def count_mod(word: Word, symbol: int, modulus: int) -> ModularValue:
-    """Occurrence count of one symbol, reduced mod modulus."""
-    if not 0 <= symbol < word.q:
-        raise AlphabetError(f"symbol {symbol} outside [0, {word.q})")
-    return ModularValue(word.symbols.count(symbol) % modulus, modulus)
-
-
-def run_sketch_moduli(n: int) -> tuple[int, int, int]:
-    return 12 * n + 1, 16 * n * n + 1, 13
-
-
-@dataclass(frozen=True)
-class RunSketches:
-    f1r: ModularValue  # sum of interior ranks, mod 12n+1
-    f2r: ModularValue  # sum of r(r-1) over interior ranks, mod 16n^2+1
-    hr: ModularValue   # sentinel run count, mod 13
-
-
-def run_sketches(word: Word) -> RunSketches:
-    """Run-based sketches of a binary word."""
-    require_binary(word)
-    n = len(word)
-    m1, m2, m3 = run_sketch_moduli(n)
-    ranks = run_string(word)
-    interior = ranks[:-1]
-    s1 = sum(interior)
-    s2 = sum(r * (r - 1) for r in interior)
-    runs = ranks[-1] + 1
-    return RunSketches(
-        ModularValue(s1 % m1, m1),
-        ModularValue(s2 % m2, m2),
-        ModularValue(runs % m3, m3),
-    )
-
-
-def prefix_parity_sum(word: Word, modulus: int = 3) -> ModularValue:
-    """Sum of the running parities, mod modulus."""
-    total = sum(prefix_parity(word).symbols)
-    return ModularValue(total % modulus, modulus)
-
-
-def prefix_parity_vt(word: Word, modulus: int) -> ModularValue:
-    """Positional sum over the running parities: sum(i * parity_i) mod modulus."""
-    p = prefix_parity(word).symbols
-    total = sum(i * b for i, b in enumerate(p, start=1))
     return ModularValue(total % modulus, modulus)

@@ -15,9 +15,9 @@ from syncodec.delsub import (
     list_decode,
     search_best_target,
     sketches,
-    valid_pair_trace,
 )
 from syncodec.errors import DecodeFailure, EmptyListError
+from syncodec.sketches import vt_sum
 from syncodec.words import (
     DelAndSub,
     Deletion,
@@ -190,6 +190,34 @@ def _case_instances(n, want_run_delta, want_xd, want_xe, rng, count):
     return out
 
 
+def _valid_pairs(y, target, params, b_d, b_e, mid_runs):
+    """The (insertion, flip) pairs the sketch walk cannot rule out, in scan
+    order, as (insert_at, flip_at, raw f1r of the candidate).
+
+    A pair is valid when it matches the VT sketch, the candidate's run count,
+    and the run count of the candidate with the reinserted bit removed again;
+    the run-sum sketches are not applied.
+    """
+    n = params.n
+    stats = _WordStats(y.symbols)
+    f_y = vt_sum(y.symbols)
+    pairs = []
+    for d in range(1, n + 1):
+        f_ins = f_y + d * b_d + sum(y.symbols[d - 1:])
+        q = ((target.f - f_ins) * (2 * b_e - 1)) % params.f_mod
+        if not 1 <= q <= n or q == d:
+            continue
+        p = q - 1 if q > d else q
+        if y.symbols[p - 1] != 1 - b_e:
+            continue
+        f1r, _, runs, _ = stats.edited_sums(d, b_d, p, b_e)
+        companion = apply(y, Substitution(p, b_e))
+        if (runs - target.hr) % params.hr_mod == 0 \
+                and (run_count(companion) - mid_runs) % params.hr_mod == 0:
+            pairs.append((d, q, f1r))
+    return pairs
+
+
 def test_valid_pair_walk_is_monotone_when_runs_increase():
     """When the corruption raised the run count, the first run sum moves one
     way along the walk: downward if the deleted and flipped bits agree,
@@ -201,9 +229,9 @@ def test_valid_pair_walk_is_monotone_when_runs_increase():
         for b_e in (0, 1):
             for x, y, target, mid_runs in _case_instances(
                     12, -2, b_d, b_e, rng, 25):
-                trace = valid_pair_trace(y, target, params, b_d, b_e, mid_runs)
+                trace = _valid_pairs(y, target, params, b_d, b_e, mid_runs)
                 assert trace, "the true pair must appear in its own trace"
-                values = [pair.f1r for pair in trace]
+                values = [f1r for _, _, f1r in trace]
                 if b_d == b_e:
                     assert all(a >= b_ for a, b_ in zip(values, values[1:]))
                 else:
@@ -217,8 +245,8 @@ def test_valid_pair_walk_descends_when_runs_drop_by_four():
         for b_e in (0, 1):
             for x, y, target, mid_runs in _case_instances(
                     12, 4, b_d, b_e, rng, 15):
-                trace = valid_pair_trace(y, target, params, b_d, b_e, mid_runs)
-                values = [pair.f1r for pair in trace]
+                trace = _valid_pairs(y, target, params, b_d, b_e, mid_runs)
+                values = [f1r for _, _, f1r in trace]
                 assert all(a >= b_ for a, b_ in zip(values, values[1:]))
 
 
@@ -230,9 +258,8 @@ def test_take_over_happens_at_most_once():
             for b_e in (0, 1):
                 for x, y, target, mid_runs in _case_instances(
                         12, run_delta, b_d, b_e, rng, 8):
-                    trace = valid_pair_trace(y, target, params, b_d, b_e,
-                                             mid_runs)
-                    signs = [pair.flip_follows_insert for pair in trace]
+                    trace = _valid_pairs(y, target, params, b_d, b_e, mid_runs)
+                    signs = [flip_at > insert_at for insert_at, flip_at, _ in trace]
                     changes = sum(1 for a, b_ in zip(signs, signs[1:])
                                   if a != b_)
                     assert changes <= 1

@@ -330,6 +330,18 @@ def test_desk_code_corrects_everything(desk_code):
             assert code.decode(apply(x, Transposition(k))) == x
 
 
+def test_desk_decode_of_random_words_raises_only_decode_failure(desk_code):
+    rng = random.Random(29)
+    n = desk_code.params.n
+    for _ in range(1000):
+        length = rng.choice((n - 1, n))
+        y = Word(tuple(rng.getrandbits(1) for _ in range(length)), 2)
+        try:
+            desk_code.decode(y)
+        except DecodeFailure:
+            pass
+
+
 def test_desk_code_unique_decodability(desk_code):
     report = verify_code(desk_code.codewords,
                          ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION, 1)

@@ -23,7 +23,7 @@ from syncodec.edit4 import (
     size_lower_bound,
     sketches,
 )
-from syncodec.errors import MalformedEncodingError, NoCandidateError
+from syncodec.errors import DecodeFailure, MalformedEncodingError, NoCandidateError
 from syncodec.inner import rep_decode, rep_encode
 from syncodec.words import ErrorModel, Word, apply, patterns
 
@@ -125,6 +125,17 @@ def test_rll_round_trip_randomized():
 def test_rll_decode_rejects_malformed():
     with pytest.raises(MalformedEncodingError):
         rll_decode(Word.parse("2222", 4))
+    # an empty projection with a marker suffix, and slots that do not match
+    # the projection lengths
+    for text in ("1120", "10203"):
+        with pytest.raises(MalformedEncodingError):
+            rll_decode(Word.parse(text, 4))
+    for n in range(4, 7):
+        for word in quaternary_words(n):
+            try:
+                rll_decode(word)
+            except MalformedEncodingError:
+                pass
 
 
 def test_rep_guard_all_single_edits():
@@ -163,6 +174,18 @@ def test_pipeline_larger_message_sampled():
         pats = list(patterns(x, ErrorModel.SINGLE_EDIT))
         for p in rng.sample(pats, 20):
             assert codec.decode(apply(x, p)) == z
+
+
+def test_decode_of_random_words_raises_only_decode_failure():
+    rng = random.Random(23)
+    codec = Edit4Code(16)
+    for _ in range(1000):
+        n = codec.n_total + rng.choice((-1, 0, 1))
+        y = Word(tuple(rng.randrange(4) for _ in range(n)), 4)
+        try:
+            codec.decode(y)
+        except DecodeFailure:
+            pass
 
 
 def test_search_best_target_matches_slow_enumeration():

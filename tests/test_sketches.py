@@ -4,19 +4,32 @@ import random
 import pytest
 
 from conftest import binary_words
+from syncodec import delsub, edit4
 from syncodec.errors import AlphabetError
 from syncodec.sketches import (
     ModularValue,
     WeightFn,
-    count_mod,
-    prefix_parity_sum,
-    prefix_parity_vt,
-    run_sketches,
     signed_residue,
     vt,
+    vt_parity_sums,
+    vt_sum,
     weighted_vt,
 )
-from syncodec.words import DelAndSub, Deletion, Transposition, Word, apply, run_string
+from syncodec.words import (
+    DelAndSub,
+    Deletion,
+    Transposition,
+    Word,
+    apply,
+    prefix_parity,
+    run_string,
+)
+
+
+def _run_sketches(word):
+    """The run-based fields (f1r, f2r, hr) of the delsub sketch of word."""
+    sk = delsub.sketches(word, delsub.DelSubParams(len(word)))
+    return sk.f1r, sk.f2r, sk.hr
 
 
 def test_vt_examples():
@@ -47,9 +60,13 @@ def test_weight_fn_must_increase():
 
 
 def test_count_mod_examples():
-    assert count_mod(Word.parse("1203", 4), 0, 2).value == 1
-    assert count_mod(Word.parse("0000"), 1, 2).value == 0
-    assert count_mod(Word.parse("110101"), 1, 5).value == 4
+    """Symbol counts mod 2 (edit4's h0..h2) and the weight mod 5 (delsub's h)."""
+    word = Word.parse("1203", 4)
+    sk = edit4.sketches(word, edit4.Edit4Params.for_length(len(word)))
+    assert (sk.h0, sk.h1, sk.h2) == (1, 1, 1)
+    word = Word.parse("0000", 4)
+    assert edit4.sketches(word, edit4.Edit4Params.for_length(4)).h1 == 0
+    assert delsub.sketches(Word.parse("110101"), delsub.DelSubParams(6)).h == 4
 
 
 def test_vt_linear_in_position_weight_products():
@@ -77,18 +94,15 @@ def test_transposition_drops_vt_by_one():
 
 
 def test_run_sketches_worked_example():
-    sk = run_sketches(Word.parse("011101000"))
-    assert (sk.f1r.value, sk.f1r.modulus) == (20, 109)
-    assert (sk.f2r.value, sk.f2r.modulus) == (44, 1297)
-    assert (sk.hr.value, sk.hr.modulus) == (6, 13)
+    params = delsub.DelSubParams(9)
+    assert (params.f1r_mod, params.f2r_mod, params.hr_mod) == (109, 1297, 13)
+    assert _run_sketches(Word.parse("011101000")) == (20, 44, 6)
 
 
 def test_run_sketches_constant_words():
     n = 7
-    zeros = run_sketches(Word((0,) * n, 2))
-    assert (zeros.f1r.value, zeros.f2r.value, zeros.hr.value) == (0, 0, 2)
-    ones = run_sketches(Word((1,) * n, 2))
-    assert (ones.f1r.value, ones.f2r.value, ones.hr.value) == (n, 0, 2)
+    assert _run_sketches(Word((0,) * n, 2)) == (0, 0, 2)
+    assert _run_sketches(Word((1,) * n, 2)) == (n, 0, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -97,9 +111,9 @@ def test_run_sketches_match_run_string(n):
     for _ in range(40):
         word = Word(tuple(rng.randrange(2) for _ in range(n)), 2)
         ranks = run_string(word)[:-1]
-        sk = run_sketches(word)
-        assert sk.f1r.value == sum(ranks) % (12 * n + 1)
-        assert sk.f2r.value == sum(r * (r - 1) for r in ranks) % (16 * n * n + 1)
+        f1r, f2r, _ = _run_sketches(word)
+        assert f1r == sum(ranks) % (12 * n + 1)
+        assert f2r == sum(r * (r - 1) for r in ranks) % (16 * n * n + 1)
 
 
 def test_rank_sum_difference_bounds():
@@ -120,12 +134,34 @@ def test_rank_sum_difference_bounds():
 
 
 def test_prefix_parity_sum_examples():
-    assert prefix_parity_sum(Word.parse("0011")).value == 1
-    assert prefix_parity_sum(Word.parse("0000")).value == 0
+    assert vt_parity_sums((0, 0, 1, 1))[1] % 3 == 1
+    assert vt_parity_sums((0, 0, 0, 0))[1] % 3 == 0
 
 
 def test_prefix_parity_vt_example():
-    assert prefix_parity_vt(Word.parse("0101"), 9).value == 5
+    assert vt_parity_sums((0, 1, 0, 1))[2] % 9 == 5
+
+
+def _reference_sums(bits):
+    """The three sums by their definitions over the Word-level prefix parity."""
+    parity = prefix_parity(Word(bits, 2)).symbols
+    return (sum(i * b for i, b in enumerate(bits, start=1)),
+            sum(parity),
+            sum(i * p for i, p in enumerate(parity, start=1)))
+
+
+def test_sketch_primitives_match_reference():
+    cases = [w.symbols for n in range(11) for w in binary_words(n)]
+    rng = random.Random(17)
+    cases += [tuple(rng.getrandbits(1) for _ in range(n))
+              for n in [rng.randrange(11, 2002) for _ in range(150)] + [2001]]
+    for bits in cases:
+        expected = _reference_sums(bits)
+        assert vt_parity_sums(bits) == expected
+        assert vt_sum(bits) == expected[0]
+    for _ in range(100):
+        symbols = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 300)))
+        assert vt_sum(symbols) == sum(i * s for i, s in enumerate(symbols, start=1))
 
 
 def test_signed_residue_range():
