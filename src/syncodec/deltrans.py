@@ -510,21 +510,31 @@ def inner_sketch_width(length: int) -> int:
 
 def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
                   length: int) -> tuple[int, ...]:
-    """Invert one deletion or one adjacent transposition given the sketch."""
+    """Invert one deletion or one adjacent transposition given the sketch.
+
+    A deletion is undone in O(L) by Levenshtein's VT decoder ("Binary codes
+    capable of correcting deletions, insertions, and reversals", 1966): a
+    word of length L-1 has at most one supersequence of length L in each VT
+    class mod L+1, so the sketch's VT field names the only insertion that can
+    match, and one full sketch check accepts or rejects it.  With
+    D = (VT target - sum(i * y_i)) mod (L+1) and w the weight of y, the
+    insertion is a 0 with D ones to its right when D <= w, else a 1 with
+    D - w - 1 zeros to its left.
+    """
     w1 = length.bit_length()
     vt_target = bits_to_int(sketch[:w1])
     parity_target = bits_to_int(sketch[w1:])
     if len(window) == length - 1:
-        found: set[tuple[int, ...]] = set()
-        for i in range(length):
-            for b in (0, 1):
-                cand = window[:i] + (b,) + window[i:]
-                if inner_sketch(cand, length) == sketch:
-                    found.add(cand)
-        if len(found) != 1:
-            raise DecodeFailure(
-                f"deletion repair admits {len(found)} candidates")
-        return found.pop()
+        weight = window.count(1)
+        d = (vt_target - vt_sum(window)) % (length + 1)
+        if d <= weight:
+            bit, pos = 0, _after_nth(window, 1, weight - d)
+        else:
+            bit, pos = 1, _after_nth(window, 0, d - weight - 1)
+        cand = window[:pos] + (bit,) + window[pos:]
+        if inner_sketch(cand, length) != sketch:
+            raise DecodeFailure("no single insertion matches the inner sketch")
+        return cand
     if len(window) != length:
         raise DecodeFailure("window length fits neither error type")
     acc = 0
@@ -548,6 +558,14 @@ def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
     if inner_sketch(cand, length) != sketch:
         raise DecodeFailure("transposition repair contradicts the inner sketch")
     return cand
+
+
+def _after_nth(bits: tuple[int, ...], symbol: int, count: int) -> int:
+    """Index just past the count-th occurrence of symbol in bits (0 for none)."""
+    pos = 0
+    for _ in range(count):
+        pos = bits.index(symbol, pos) + 1
+    return pos
 
 
 def _padded_slice(bits: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:

@@ -222,15 +222,23 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
 # digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).
 
 def _rll_pack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
+    """Replace runs of cap zero_digits until none is left; O(m) scanning.
+
+    Each pass deletes the first run and appends a marker: its start in
+    width bits and two one_digits.  The prefix before that start is
+    unchanged, held no run and does not end in zero_digit (or the run would
+    have started earlier), so no run can start before it and the next
+    search resumes there: the scans together read each symbol O(1) times.
+    """
     m = len(seq)
     out = list(seq) + [one_digit, zero_digit]
     if m == 0:
         return out
     cap = (m - 1).bit_length() + 2
     width = cap - 2
-    run = [zero_digit] * cap
+    start = 0
     while True:
-        start = _find_run(out, run)
+        start = _find_run(out, zero_digit, cap, start)
         if start is None:
             return out
         del out[start:start + cap]
@@ -238,22 +246,31 @@ def _rll_pack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
         out.extend([one_digit, one_digit])
 
 
-def _find_run(seq: list[int], run: list[int]) -> int | None:
-    cap = len(run)
-    for i in range(len(seq) - cap + 1):
-        if seq[i:i + cap] == run:
-            return i
+def _find_run(seq: list[int], digit: int, cap: int, begin: int) -> int | None:
+    """Start of the first run of cap digits that starts at or after begin."""
+    count = 0
+    for i in range(begin, len(seq)):
+        if seq[i] == digit:
+            count += 1
+            if count == cap:
+                return i - cap + 1
+        else:
+            count = 0
     return None
 
 
-def _rll_unpack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
+def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> list[int]:
+    """Invert _rll_pack, rejecting every seq that _rll_pack cannot output."""
     if len(seq) < 2:
         raise MalformedEncodingError("packed projection shorter than its suffix")
     m = len(seq) - 2
     # at m = 0 no marker exists; cap = 3 then exceeds len(seq) and rejects one
     cap = (m - 1).bit_length() + 2
     width = cap - 2
+    if seq.find(bytes((zero_digit,)) * cap) >= 0:
+        raise MalformedEncodingError("packed projection still holds a long run")
     out = list(seq)
+    later = len(seq)  # start of the marker unwound before, i.e. packed after
     for _ in range(len(seq) + 1):
         if out[-1] == zero_digit:
             if out[-2] != one_digit:
@@ -273,12 +290,17 @@ def _rll_unpack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
         del out[-cap:]
         if start > len(out):
             raise MalformedEncodingError("marker index outside the string")
+        # _rll_pack replaces the first run each time, so its runs start left
+        # to right and none starts right after a zero_digit
+        if start > later or start and out[start - 1] == zero_digit:
+            raise MalformedEncodingError("markers are not in packing order")
+        later = start
         out[start:start] = [zero_digit] * cap
     raise MalformedEncodingError("marker unwinding did not terminate")
 
 
 def rll_encode(z: Word) -> Word:
-    """Encode z into a regular word of length len(z) + 4."""
+    """Encode z into a regular word of length len(z) + 4, in O(m)."""
     if z.q != 4:
         raise AlphabetError("runlength replacement operates on 4-ary words")
     low_positions = [i for i, s in enumerate(z.symbols) if s in (0, 2)]
@@ -289,7 +311,8 @@ def rll_encode(z: Word) -> Word:
     m = len(z)
     out = [0] * (m + 4)
     low_slots = low_positions + [m, m + 1]
-    high_slots = [i for i in range(m + 4) if i not in set(low_slots)]
+    low_set = set(low_slots)
+    high_slots = [i for i in range(m + 4) if i not in low_set]
     for slot, s in zip(low_slots, packed_low):
         out[slot] = s
     for slot, s in zip(high_slots, packed_high):
@@ -298,26 +321,22 @@ def rll_encode(z: Word) -> Word:
 
 
 def rll_decode(x: Word) -> Word:
-    """Invert rll_encode."""
+    """Invert rll_encode; a word that rll_encode cannot output is rejected."""
     if x.q != 4:
         raise AlphabetError("runlength replacement operates on 4-ary words")
     if len(x) < 4:
         raise MalformedEncodingError("encoded word shorter than the fixed overhead")
     m = len(x) - 4
-    packed_low = [s for s in x.symbols if s in (0, 2)]
-    packed_high = [s for s in x.symbols if s in (1, 3)]
-    low = _rll_unpack(packed_low, 0, 2)
-    high = _rll_unpack(packed_high, 3, 1)
-    if len(low) + len(high) != m:
-        raise MalformedEncodingError("projection payloads do not add up")
-    out = []
-    it_low, it_high = iter(low), iter(high)
-    try:
-        for s in x.symbols[:m]:
-            out.append(next(it_low) if s in (0, 2) else next(it_high))
-    except StopIteration:
-        raise MalformedEncodingError(
-            "projection payloads do not fit the slots") from None
+    # rll_encode puts the low suffix in slots m, m+1 and the high one after it
+    if x.symbols[m] % 2 or x.symbols[m + 1] % 2 or \
+            not x.symbols[m + 2] % 2 or not x.symbols[m + 3] % 2:
+        raise MalformedEncodingError("suffix slots do not hold low, low, high, high")
+    # unpacking keeps each projection's length, so with the suffix slots in
+    # place the payloads fill the first m slots exactly
+    word = bytes(x.symbols)
+    it_low = iter(_rll_unpack(word.translate(None, b"\x01\x03"), 0, 2))
+    it_high = iter(_rll_unpack(word.translate(None, b"\x00\x02"), 3, 1))
+    out = [next(it_low) if s in (0, 2) else next(it_high) for s in x.symbols[:m]]
     return Word(tuple(out), 4)
 
 

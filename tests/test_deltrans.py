@@ -5,6 +5,7 @@ import pytest
 
 from conftest import binary_words
 from syncodec.deltrans import (
+    _segment_options,
     ClosedFormHash,
     DeltransDeskCode,
     DeltransParams,
@@ -17,6 +18,7 @@ from syncodec.deltrans import (
     expurgate,
     inner_correct,
     inner_sketch,
+    inner_sketch_width,
     locate,
     multiset_distance,
     segment,
@@ -270,6 +272,55 @@ def test_inner_sketch_pins_down_the_source(length):
         assert inner_correct(z.symbols, sk, length) == z.symbols
 
 
+def _brute_force_inner_correct(window, sketch, length):
+    """Reference deletion repair: all 2L insertions, each checked with a
+    full inner sketch."""
+    found = set()
+    for i in range(length):
+        for b in (0, 1):
+            cand = window[:i] + (b,) + window[i:]
+            if inner_sketch(cand, length) == sketch:
+                found.add(cand)
+    if len(found) != 1:
+        raise DecodeFailure(f"deletion repair admits {len(found)} candidates")
+    return found.pop()
+
+
+def _repair_or_failure(repair, window, sketch, length):
+    try:
+        return repair(window, sketch, length)
+    except DecodeFailure:
+        return DecodeFailure
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_deletion_repair_matches_brute_force_exhaustively(length):
+    for z in binary_words(length):
+        sk = inner_sketch(z.symbols, length)
+        for y in {apply(z, Deletion(d)).symbols for d in range(1, length + 1)}:
+            assert inner_correct(y, sk, length) == \
+                _brute_force_inner_correct(y, sk, length) == z.symbols
+
+
+def test_deletion_repair_matches_brute_force_on_unrelated_sketches():
+    """A sketch of some other word, or arbitrary sketch bits, usually admits
+    no insertion; both repairs must then fail alike."""
+    rng = random.Random(37)
+    failures = 0
+    for _ in range(3000):
+        length = rng.randrange(2, 40)
+        y = tuple(rng.getrandbits(1) for _ in range(length - 1))
+        if rng.random() < 0.5:
+            other = tuple(rng.getrandbits(1) for _ in range(length))
+            sk = inner_sketch(other, length)
+        else:
+            sk = tuple(rng.getrandbits(1) for _ in range(inner_sketch_width(length)))
+        got = _repair_or_failure(inner_correct, y, sk, length)
+        assert got == _repair_or_failure(_brute_force_inner_correct, y, sk, length)
+        failures += got is DecodeFailure
+    assert 1000 <= failures < 3000
+
+
 def test_window_sketches_degenerate_plan():
     plan = WindowPlan(10, 10)
     assert plan.t == 1
@@ -497,6 +548,81 @@ def test_big_profile_boundary_errors_use_shifted_family(big_profile):
         families.add(plan.interval_for(loc.window)[0])
         assert correct(y, sk, hx, hats, plan, params, h) == x
     assert 2 in families
+
+
+def _random_marker_word(rng, options, n):
+    """Marker-terminal word of about n bits, one random segment at a time."""
+    bits = []
+    while len(bits) < n - 4:
+        bits.extend(rng.choice(options[rng.randint(4, BIG_DELTA)]))
+    return Word(tuple(bits), 2)
+
+
+def _run_around(bits, d):
+    """Positions (1-based, inclusive) of the run holding position d: deleting
+    any of them gives the same word."""
+    lo = hi = d
+    while lo > 1 and bits[lo - 2] == bits[d - 1]:
+        lo -= 1
+    while hi < len(bits) and bits[hi] == bits[d - 1]:
+        hi += 1
+    return lo, hi
+
+
+def _random_error(rng, bits, first):
+    """A deletion or an adjacent transposition at position first or later."""
+    if rng.random() < 0.5:
+        return Deletion(rng.randint(first, len(bits)))
+    while True:
+        k = rng.randint(first, len(bits) - 1)
+        if bits[k - 1] != bits[k]:
+            return Transposition(k)
+
+
+def _marker_forming_deletions(bits):
+    """Deletions that close up 01011 or 00101 into a new marker 0011."""
+    out = []
+    for i in range(len(bits) - 4):
+        if bits[i:i + 5] == (0, 1, 0, 1, 1):
+            out.append(i + 2)
+        elif bits[i:i + 5] == (0, 0, 1, 0, 1):
+            out.append(i + 4)
+    return out
+
+
+def test_big_sweep_random_words():
+    """Random n ~ 2000 words from segments of at most BIG_DELTA bits.  Per
+    word: two errors among its last 9 bits, one deletion that forms a new
+    marker, and uniform deletions and adjacent transpositions.  locate keeps
+    every error inside its window and correct() restores the word, across
+    every locate case but split2-trans (test_big_profile_split_cases)."""
+    rng = random.Random(47)
+    h = ClosedFormHash(BIG_DELTA)
+    options = {length: _segment_options(length) for length in range(4, BIG_DELTA + 1)}
+    cases = set()
+    for _ in range(6):
+        x = _random_marker_word(rng, options, 2000)
+        n = len(x)
+        params = DeltransParams.desk(n, BIG_DELTA, h.hash_range)
+        plan = WindowPlan(n, params.locate_bound)
+        sk, hx = segment_sketches(x, params, h)
+        hats = window_sketches(x, plan)
+        errors = [_random_error(rng, x.symbols, n - 8) for _ in range(2)]
+        errors.append(Deletion(rng.choice(_marker_forming_deletions(x.symbols))))
+        errors += [_random_error(rng, x.symbols, 1) for _ in range(87)]
+        for e in errors:
+            y = apply(x, e)
+            if isinstance(e, Deletion):
+                lo, hi = _run_around(x.symbols, e.position)
+            else:
+                lo = hi = e.position
+            loc = locate(y, sk, hx, params, h)
+            cases.add(loc.case)
+            assert loc.window[0] <= hi and lo <= loc.window[1]
+            assert loc.window[1] - loc.window[0] + 1 <= loc.bound
+            assert correct(y, sk, hx, hats, plan, params, h) == x
+    assert cases == {"same", "merge-del", "merge-trans", "split-del",
+                     "split-trans", "merge2-trans", "terminal"}
 
 
 def test_segment_cap_probability_paper_profile():

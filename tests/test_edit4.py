@@ -24,7 +24,7 @@ from syncodec.edit4 import (
     sketches,
 )
 from syncodec.errors import DecodeFailure, MalformedEncodingError, NoCandidateError
-from syncodec.inner import rep_decode, rep_encode
+from syncodec.inner import int_to_bits, rep_decode, rep_encode
 from syncodec.words import ErrorModel, Word, apply, patterns
 
 
@@ -122,20 +122,102 @@ def test_rll_round_trip_randomized():
         assert is_regular(x, Edit4Params.for_length(m + 4))
 
 
+def _quadratic_rll_pack(seq, zero_digit, one_digit):
+    """Reference packer: the same replacements, but every search restarts
+    at index 0 (quadratic).  Returns the packed list and the number of runs
+    it replaced.
+    """
+    m = len(seq)
+    out = list(seq) + [one_digit, zero_digit]
+    if m == 0:
+        return out, 0
+    cap = (m - 1).bit_length() + 2
+    run = [zero_digit] * cap
+    replaced = 0
+    while True:
+        start = next((i for i in range(len(out) - cap + 1)
+                      if out[i:i + cap] == run), None)
+        if start is None:
+            return out, replaced
+        del out[start:start + cap]
+        out.extend(one_digit if b else zero_digit for b in int_to_bits(start, cap - 2))
+        out.extend([one_digit, one_digit])
+        replaced += 1
+
+
+def _reference_rll_encode(z):
+    """rll_encode over the reference packer."""
+    m = len(z)
+    low_slots = [i for i, s in enumerate(z.symbols) if s in (0, 2)] + [m, m + 1]
+    packed_low, low_runs = _quadratic_rll_pack(
+        [s for s in z.symbols if s in (0, 2)], 0, 2)
+    packed_high, high_runs = _quadratic_rll_pack(
+        [s for s in z.symbols if s in (1, 3)], 3, 1)
+    out = [0] * (m + 4)
+    high_slots = sorted(set(range(m + 4)) - set(low_slots))
+    for slot, s in zip(low_slots, packed_low):
+        out[slot] = s
+    for slot, s in zip(high_slots, packed_high):
+        out[slot] = s
+    return Word(tuple(out), 4), low_runs + high_runs
+
+
+def _run_heavy_message(rng, m):
+    return Word(tuple(rng.choices((0, 3, 1, 2), weights=(9, 9, 1, 1), k=m)), 4)
+
+
+def test_rll_encode_matches_quadratic_packer_on_run_heavy_messages():
+    """Long 0- and 3-runs force several replacements per projection,
+    including runs that re-form across a deleted span."""
+    rng = random.Random(41)
+    most_runs = 0
+    for m in range(0, 201):
+        for _ in range(3):
+            z = _run_heavy_message(rng, m)
+            expected, runs = _reference_rll_encode(z)
+            assert rll_encode(z) == expected
+            most_runs = max(most_runs, runs)
+    assert most_runs >= 10
+
+
 def test_rll_decode_rejects_malformed():
     with pytest.raises(MalformedEncodingError):
         rll_decode(Word.parse("2222", 4))
-    # an empty projection with a marker suffix, and slots that do not match
-    # the projection lengths
-    for text in ("1120", "10203"):
+    # an empty projection with a marker suffix, slots that do not match the
+    # projection lengths, a suffix out of place, and a 0/2 projection that
+    # still holds a run of cap = 3 zeros
+    for text in ("1120", "10203", "1203", "00002013"):
         with pytest.raises(MalformedEncodingError):
             rll_decode(Word.parse(text, 4))
-    for n in range(4, 7):
+    # every word rll_decode accepts is the encoding of what it returns
+    for n in range(4, 10):
         for word in quaternary_words(n):
             try:
-                rll_decode(word)
+                z = rll_decode(word)
             except MalformedEncodingError:
-                pass
+                continue
+            assert rll_encode(z) == word
+
+
+def test_rll_decode_rejects_markers_out_of_packing_order():
+    """Above length 10 a projection holds two markers.  Flipping digits of
+    encodings of run-heavy messages yields marker chains that _rll_pack
+    never emits; rll_decode must reject each one it cannot re-encode."""
+    rng = random.Random(43)
+    accepted = 0
+    for _ in range(3000):
+        x = rll_encode(_run_heavy_message(rng, rng.randrange(8, 80)))
+        symbols = list(x.symbols)
+        for i in rng.sample(range(len(symbols)), 3):
+            symbols[i] ^= 2  # 0 <-> 2 and 1 <-> 3 keep both projections' lengths
+        y = Word(tuple(symbols), 4)
+        try:
+            z = rll_decode(y)
+        except MalformedEncodingError:
+            continue
+        accepted += 1
+        assert rll_encode(z) == y
+    assert accepted >= 500
 
 
 def test_rep_guard_all_single_edits():
