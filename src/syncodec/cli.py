@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -24,36 +25,71 @@ from .words import (
 )
 
 
-def _read_word(args) -> Word:
+# --code -> (codec class, sketch-class module, its params at length n).  A
+# codec declares its alphabet q, error model and list bound; the module's
+# largest sketch class at length n (search_best_target, codewords_for_target)
+# is the desk code that verify-code checks.
+CODES = {
+    "edit4": (edit4.Edit4Code, edit4, edit4.Edit4Params.for_length),
+    "delsub": (delsub.DelSubCode, delsub, delsub.DelSubParams),
+    "deltrans": (deltrans.DeltransDeskCode, None, None),
+}
+# the codes with a sketch-class module; their codecs take the message length
+_SKETCH_CODES = [name for name, (_, module, _) in CODES.items() if module]
+
+# pattern kind -> (constructor, fewest and most integer fields)
+_PATTERNS = {
+    "del": (Deletion, 1, 1),
+    "ins": (Insertion, 2, 2),
+    "sub": (Substitution, 2, 2),
+    "trans": (Transposition, 1, 1),
+    "delsub": (DelAndSub, 2, 3),
+}
+
+
+def _read_word(args, q: int = 2) -> Word:
+    """The input word, widened to alphabet q if it was parsed over a smaller one."""
     text = args.word if args.word is not None else sys.stdin.read().strip()
-    return Word.parse(text, q=args.q)
+    word = Word.parse(text, q=args.q)
+    return Word(word.symbols, q) if word.q < q else word
 
 
 def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
+def _sketch_record(sketch, moduli: tuple[int, ...]) -> dict:
+    return {f.name: {"value": getattr(sketch, f.name), "modulus": mod}
+            for f, mod in zip(dataclasses.fields(sketch), moduli)}
+
+
 def _pattern_from_text(text: str) -> object:
     kind, _, rest = text.partition(":")
-    parts = [int(p) for p in rest.split(":") if p != ""] if rest else []
-    if kind == "del":
-        return Deletion(parts[0])
-    if kind == "ins":
-        return Insertion(parts[0], parts[1])
-    if kind == "sub":
-        return Substitution(parts[0], parts[1])
-    if kind == "trans":
-        return Transposition(parts[0])
-    if kind == "delsub":
-        new = parts[2] if len(parts) > 2 else None
-        return DelAndSub(parts[0], parts[1], new)
-    raise SyncodecError(f"unknown pattern {text!r}")
+    if kind not in _PATTERNS:
+        raise SyncodecError(f"unknown pattern {text!r}")
+    make, fewest, most = _PATTERNS[kind]
+    try:
+        parts = [int(p) for p in rest.split(":") if p != ""]
+    except ValueError:
+        raise SyncodecError(f"pattern {text!r} has a non-integer field") from None
+    if len(parts) < fewest:
+        raise SyncodecError(f"too few integer fields in pattern {text!r}")
+    return make(*parts[:most])
 
 
 def _pattern_to_dict(pattern) -> dict:
     out = {"kind": type(pattern).__name__.lower()}
     out.update({k: v for k, v in vars(pattern).items() if v is not None})
     return out
+
+
+def _largest_vt_class(n: int) -> list[Word]:
+    """The first largest VT class mod 2n+1 among the binary words of length n."""
+    modulus = 2 * n + 1
+    classes: list[list[Word]] = [[] for _ in range(modulus)]
+    for w in oracle.all_words(n, 2):
+        classes[vt(w, modulus).value].append(w)
+    return max(classes, key=len)
 
 
 def _cmd_corrupt(args) -> int:
@@ -75,98 +111,76 @@ def _cmd_corrupt(args) -> int:
 def _cmd_sketch(args) -> int:
     word = _read_word(args)
     if args.code == "vt":
-        modulus = args.modulus or 2 * len(word) + 1
+        modulus = 2 * len(word) + 1 if args.modulus is None else args.modulus
+        if modulus < 1:
+            raise SyncodecError(f"--modulus must be positive, got {modulus}")
         value = vt(word, modulus)
         _emit({"f": {"value": value.value, "modulus": value.modulus}})
-    elif args.code == "edit4":
-        params = edit4.Edit4Params.for_length(len(word))
-        _emit(edit4.sketches(word, params).as_dict(params))
-    elif args.code == "delsub":
-        params = delsub.DelSubParams(len(word))
-        _emit(delsub.sketches(word, params).as_dict(params))
-    else:
+    elif args.code == "deltrans":
         h = deltrans.desk_hash(args.delta)
         params = deltrans.DeltransParams.desk(len(word), args.delta, h.hash_range)
         sk, hashes = deltrans.segment_sketches(word, params, h)
-        payload = sk.as_dict(params)
-        payload["hash_multiset"] = list(hashes)
-        _emit(payload)
+        _emit({**_sketch_record(sk, params.moduli), "hash_multiset": list(hashes)})
+    else:
+        _, module, params_for = CODES[args.code]
+        params = params_for(len(word))
+        _emit(_sketch_record(module.sketches(word, params), params.moduli))
     return 0
 
 
 def _cmd_encode(args) -> int:
-    if args.code == "edit4":
-        word = _read_word(args)
-        print(edit4.Edit4Code(len(word)).encode(Word(word.symbols, 4)))
-    elif args.code == "delsub":
-        word = _read_word(args)
-        print(delsub.DelSubCode(len(word)).encode(word))
-    else:
+    if args.code == "deltrans":
         if args.profile == "paper":
             raise SyncodecError(
                 "the paper profile proves existence only; encoding is desk-scale")
         code = deltrans.DeltransDeskCode.build(args.n, args.delta)
         print(code.encode(args.index))
+    else:
+        codec = CODES[args.code][0]
+        word = _read_word(args, codec.q)
+        print(codec(len(word)).encode(word))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    word = _read_word(args)
-    if args.code in ("edit4", "delsub") and args.m is None:
+    codec_class = CODES[args.code][0]
+    word = _read_word(args, codec_class.q)
+    if args.code == "deltrans":
+        codec = codec_class.build(args.n, args.delta)
+    elif args.m is None:
         raise SyncodecError(f"decoding {args.code} needs --m (message length)")
-    if args.code == "edit4":
-        print(edit4.Edit4Code(args.m).decode(Word(word.symbols, 4)))
-    elif args.code == "delsub":
-        candidates = delsub.DelSubCode(args.m).decode(word)
-        _emit([str(c) for c in candidates])
     else:
-        code = deltrans.DeltransDeskCode.build(args.n, args.delta)
-        print(code.decode(word))
+        codec = codec_class(args.m)
+    decoded = codec.decode(word)
+    if codec.list_bound > 1:
+        _emit([str(c) for c in decoded])
+    else:
+        print(decoded)
     return 0
 
 
 def _cmd_verify_code(args) -> int:
-    model = {
-        "vt": ErrorModel.SINGLE_EDIT,
-        "edit4": ErrorModel.SINGLE_EDIT,
-        "delsub": ErrorModel.ONE_DEL_ONE_SUB,
-        "deltrans": ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION,
-    }[args.code]
     if args.code == "vt":
-        modulus = 2 * args.n + 1
-        best, size = None, -1
-        for a in range(modulus):
-            members = [w for w in oracle.all_words(args.n, 2)
-                       if vt(w, modulus).value == a]
-            if len(members) > size:
-                best, size = members, len(members)
-        report = oracle.verify_code(best, model, 1)
-    elif args.code == "edit4":
-        target, _ = edit4.search_best_target(args.n)
-        members = edit4.codewords_for_target(args.n, target)
-        report = oracle.verify_code(members, model, 1)
-    elif args.code == "delsub":
-        target, _ = delsub.search_best_target(args.n)
-        params = delsub.DelSubParams(args.n)
-        members = [w for w in oracle.all_words(args.n, 2)
-                   if delsub.sketches(w, params) == target]
-        report = oracle.verify_code(members, model, 2)
+        report = oracle.verify_code(
+            _largest_vt_class(args.n), ErrorModel.SINGLE_EDIT, 1)
     else:
-        code = deltrans.DeltransDeskCode.build(args.n, args.delta)
-        report = oracle.verify_code(code.codewords, model, 1)
+        codec, module, _ = CODES[args.code]
+        if module is None:
+            members = codec.build(args.n, args.delta).codewords
+        else:
+            target, _ = module.search_best_target(args.n)
+            members = module.codewords_for_target(args.n, target)
+        report = oracle.verify_code(members, codec.model, codec.list_bound)
     print(report.to_json())
     return 0 if report.ok else 1
 
 
 def _cmd_search_params(args) -> int:
-    if args.code == "edit4":
-        target, size = edit4.search_best_target(args.n)
-        _emit({"n": args.n, "target": target.as_dict(
-            edit4.Edit4Params.for_length(args.n)), "bucket_size": size})
-    else:
-        target, size = delsub.search_best_target(args.n)
-        _emit({"n": args.n, "target": target.as_dict(
-            delsub.DelSubParams(args.n)), "bucket_size": size})
+    _, module, params_for = CODES[args.code]
+    target, size = module.search_best_target(args.n)
+    _emit({"n": args.n,
+           "target": _sketch_record(target, params_for(args.n).moduli),
+           "bucket_size": size})
     return 0
 
 
@@ -185,27 +199,19 @@ def _cmd_search_inner(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    if args.code == "delsub":
-        sizes = {}
-        for m in args.m:
-            sizes[str(m)] = delsub.DelSubCode(m).redundancy
-        _emit({"code": "delsub", "tail_bits": sizes})
-    elif args.code == "edit4":
-        if args.m:
-            sizes = {str(m): edit4.Edit4Code(m).redundancy for m in args.m}
-            _emit({"code": "edit4", "tail_symbols": sizes})
-        else:
-            target, size = edit4.search_best_target(args.n)
-            _emit({"code": "edit4", "n": args.n, "bucket_size": size,
-                   "redundancy_bits": oracle.measure_redundancy(size, args.n, 4)})
+    if args.code == "vt":
+        size, q = len(_largest_vt_class(args.n)), 2
     else:
-        modulus = 2 * args.n + 1
-        size = max(
-            sum(1 for w in oracle.all_words(args.n, 2)
-                if vt(w, modulus).value == a)
-            for a in range(modulus))
-        _emit({"code": "vt", "n": args.n, "bucket_size": size,
-               "redundancy_bits": oracle.measure_redundancy(size, args.n, 2)})
+        codec, module, _ = CODES[args.code]
+        # delsub reports tail lengths only, with or without --m
+        if args.m or args.code == "delsub":
+            unit = "tail_bits" if codec.q == 2 else "tail_symbols"
+            _emit({"code": args.code,
+                   unit: {str(m): codec(m).redundancy for m in args.m}})
+            return 0
+        size, q = module.search_best_target(args.n)[1], codec.q
+    _emit({"code": args.code, "n": args.n, "bucket_size": size,
+           "redundancy_bits": oracle.measure_redundancy(size, args.n, q)})
     return 0
 
 
@@ -222,12 +228,8 @@ def _cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     rows = []
     for m in args.sizes:
-        if args.code == "edit4":
-            codec = edit4.Edit4Code(m)
-            z = Word(tuple(rng.randrange(4) for _ in range(m)), 4)
-        else:
-            codec = delsub.DelSubCode(m)
-            z = Word(tuple(rng.randrange(2) for _ in range(m)), 2)
+        codec = CODES[args.code][0](m)
+        z = Word(tuple(rng.randrange(codec.q) for _ in range(m)), codec.q)
         t0 = time.perf_counter()
         x = codec.encode(z)
         t1 = time.perf_counter()
@@ -235,7 +237,7 @@ def _cmd_bench(args) -> int:
         t2 = time.perf_counter()
         decoded = codec.decode(y)
         t3 = time.perf_counter()
-        ok = decoded == z if args.code == "edit4" else z in decoded
+        ok = z in decoded if codec.list_bound > 1 else decoded == z
         rows.append({"m": m, "n": len(x), "encode_s": t1 - t0,
                      "decode_s": t3 - t2, "ok": ok})
     _emit({"code": args.code, "seed": args.seed, "rows": rows})
@@ -262,15 +264,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sketch", help="print the sketches of a word")
     add_word_args(p)
-    p.add_argument("--code", required=True,
-                   choices=["vt", "edit4", "delsub", "deltrans"])
+    p.add_argument("--code", required=True, choices=["vt", *CODES])
     p.add_argument("--modulus", type=int)
     p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("encode", help="encode a message word")
     add_word_args(p)
-    p.add_argument("--code", required=True, choices=["edit4", "delsub", "deltrans"])
+    p.add_argument("--code", required=True, choices=list(CODES))
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--delta", type=int, default=5)
     p.add_argument("--index", type=int, default=0)
@@ -279,21 +280,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a corrupted word")
     add_word_args(p)
-    p.add_argument("--code", required=True, choices=["edit4", "delsub", "deltrans"])
+    p.add_argument("--code", required=True, choices=list(CODES))
     p.add_argument("--m", type=int, help="message length (edit4, delsub)")
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("verify-code", help="exhaustive decodability check")
-    p.add_argument("--code", required=True,
-                   choices=["vt", "edit4", "delsub", "deltrans"])
+    p.add_argument("--code", required=True, choices=["vt", *CODES])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_verify_code)
 
     p = sub.add_parser("search-params", help="best sketch target at small n")
-    p.add_argument("--code", required=True, choices=["edit4", "delsub"])
+    p.add_argument("--code", required=True, choices=_SKETCH_CODES)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_search_params)
 
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search_inner)
 
     p = sub.add_parser("measure", help="redundancy measurements")
-    p.add_argument("--code", required=True, choices=["vt", "edit4", "delsub"])
+    p.add_argument("--code", required=True, choices=["vt", *_SKETCH_CODES])
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--m", type=int, nargs="*", default=[])
     p.set_defaults(func=_cmd_measure)
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_hash)
 
     p = sub.add_parser("bench", help="encode/decode wall time across sizes")
-    p.add_argument("--code", required=True, choices=["edit4", "delsub"])
+    p.add_argument("--code", required=True, choices=_SKETCH_CODES)
     p.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256, 512])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

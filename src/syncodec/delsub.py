@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetError, DecodeFailure, EmptyListError
-from .inner import REP, bits_to_int, int_to_bits, rep_decode, rep_encode
+from .inner import REP, SketchFields, rep_decode, rep_encode
+from .oracle import all_words
 from .sketches import signed_residue, vt_sum
-from .words import Word, require_binary
+from .words import ErrorModel, Word, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
 _PATTERN_TABLE = {-1: (0, 0), 1: (0, 1), 0: (1, 0), 2: (1, 1)}
@@ -59,13 +60,6 @@ class DelSubSketches:
 
     def astuple(self) -> tuple[int, int, int, int, int]:
         return (self.f, self.f1r, self.f2r, self.h, self.hr)
-
-    def as_dict(self, params: DelSubParams) -> dict:
-        names = ("f", "f1r", "f2r", "h", "hr")
-        return {
-            name: {"value": value, "modulus": modulus}
-            for name, value, modulus in zip(names, self.astuple(), params.moduli)
-        }
 
 
 class _WordStats:
@@ -317,31 +311,12 @@ def search_best_target(n: int) -> tuple[DelSubSketches, int]:
     return DelSubSketches(*best), best_size
 
 
+def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
+    params = DelSubParams(n)
+    return [w for w in all_words(n, 2) if sketches(w, params) == target]
+
+
 INNER_CAPACITY = 96
-
-
-def _field_widths(params: DelSubParams) -> tuple[int, ...]:
-    return tuple((mod - 1).bit_length() for mod in params.moduli)
-
-
-def _serialize_sketches(sk: DelSubSketches, params: DelSubParams) -> tuple[int, ...]:
-    bits: tuple[int, ...] = ()
-    for value, width in zip(sk.astuple(), _field_widths(params)):
-        bits += int_to_bits(value, width)
-    return bits
-
-
-def _deserialize_sketches(bits: tuple[int, ...], params: DelSubParams,
-                          ) -> DelSubSketches:
-    values = []
-    at = 0
-    for width, modulus in zip(_field_widths(params), params.moduli):
-        value = bits_to_int(bits[at:at + width])
-        if value >= modulus:
-            raise DecodeFailure("recovered sketch field exceeds its modulus")
-        values.append(value)
-        at += width
-    return DelSubSketches(*values)
 
 
 def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
@@ -364,18 +339,23 @@ class DelSubCode:
     """Systematic encoder: message, its sketch fields, then a repetition guard
     protecting the sketch fields' own sketches at a fixed inner capacity."""
 
+    q = 2
+    model = ErrorModel.ONE_DEL_ONE_SUB
+    list_bound = 2
+
     def __init__(self, m: int):
         if m < 1:
             raise AlphabetError("message length must be positive")
         self.m = m
         self.params = DelSubParams(m)
-        self.v_bits = sum(_field_widths(self.params))
+        self.fields = SketchFields(self.params.moduli)
+        self.v_bits = self.fields.width
         if self.v_bits > INNER_CAPACITY:
             raise AlphabetError(
                 f"message length {m} needs more than {INNER_CAPACITY} sketch bits")
         self.inner_params = DelSubParams(INNER_CAPACITY)
-        self.t_bits = sum(_field_widths(self.inner_params))
-        self.guard_len = REP * self.t_bits
+        self.inner_fields = SketchFields(self.inner_params.moduli)
+        self.guard_len = REP * self.inner_fields.width
         self.redundancy = self.v_bits + self.guard_len
         self.n_total = m + self.redundancy
 
@@ -386,9 +366,9 @@ class DelSubCode:
         require_binary(z)
         if len(z) != self.m:
             raise AlphabetError(f"message must have length {self.m}")
-        v = _serialize_sketches(sketches(z, self.params), self.params)
-        t = _serialize_sketches(
-            sketches(self._pad(v), self.inner_params), self.inner_params)
+        v = self.fields.pack(sketches(z, self.params).astuple())
+        t = self.inner_fields.pack(
+            sketches(self._pad(v), self.inner_params).astuple())
         return Word(z.symbols + v + rep_encode(t), 2)
 
     def decode(self, y: Word) -> list[Word]:
@@ -398,8 +378,8 @@ class DelSubCode:
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
         guard_at = len(y) - (self.guard_len + delta)
-        t = rep_decode(y.symbols[guard_at:], self.t_bits)
-        inner_target = _deserialize_sketches(t, self.inner_params)
+        t = rep_decode(y.symbols[guard_at:], self.inner_fields.width)
+        inner_target = DelSubSketches(*self.inner_fields.unpack(t))
         # within the whole-tail window (the last |v| + |guard| + delta bits),
         # the first |v| + delta bits are always v under exactly -delta
         # deletions and at most one substitution
@@ -416,8 +396,7 @@ class DelSubCode:
             if hit.symbols[self.v_bits:] != pad:
                 continue
             try:
-                target = _deserialize_sketches(hit.symbols[:self.v_bits],
-                                               self.params)
+                target = DelSubSketches(*self.fields.unpack(hit.symbols))
             except DecodeFailure:
                 continue
             payload_window = Word(y.symbols[:self.m + delta], 2)

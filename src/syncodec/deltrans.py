@@ -30,9 +30,9 @@ from .errors import (
     RangeExhaustedError,
     SizeGuardError,
 )
-from .inner import bits_to_int, ceil_log2, int_to_bits
+from .inner import SketchFields, ceil_log2
 from .sketches import signed_residue, vt_parity_sums, vt_sum
-from .words import Word, prefix_parity_inverse, require_binary
+from .words import ErrorModel, Word, prefix_parity_inverse, require_binary
 
 MARKER = (0, 0, 1, 1)
 MULTISET_SEPARATION = 10
@@ -226,6 +226,10 @@ class DeltransParams:
         return 10 * self.n * self.delta * self.hash_range + 1
 
     @property
+    def moduli(self) -> tuple[int, int, int]:
+        return (self.f_mod, 5, 3)
+
+    @property
     def case_bounds(self) -> dict[str, CaseBound]:
         return _case_bounds(self.delta, self.hash_range)
 
@@ -268,17 +272,12 @@ class DeltransSketches:
     g1: int  # segment count, mod 5
     g2: int  # prefix-parity sum, mod 3
 
-    def as_dict(self, params: DeltransParams) -> dict:
-        return {
-            "f": {"value": self.f, "modulus": params.f_mod},
-            "g1": {"value": self.g1, "modulus": 5},
-            "g2": {"value": self.g2, "modulus": 3},
-        }
 
-
-def _segment_terms(segments: list[tuple[int, ...]], h) -> tuple[int, ...]:
+def _hash_segments(segments: list[tuple[int, ...]], h,
+                   ) -> tuple[list[int], tuple[int, ...]]:
+    hashes = [h(s) for s in segments]
     m = h.hash_range
-    return tuple(len(s) * m + h(s) for s in segments)
+    return hashes, tuple(len(s) * m + v for s, v in zip(segments, hashes))
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
@@ -287,11 +286,11 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     segments, residue = segment_lenient(word)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    f = vt_sum(_segment_terms(segments, h)) % params.f_mod
+    hashes, terms = _hash_segments(segments, h)
+    f = vt_sum(terms) % params.f_mod
     g1 = len(segments) % 5
     g2 = vt_parity_sums(word.symbols)[1] % 3
-    hashes = tuple(sorted(h(s) for s in segments))
-    return DeltransSketches(f, g1, g2), hashes
+    return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
 
 
 def is_codeword(word: Word, params: DeltransParams, h,
@@ -352,10 +351,9 @@ class LocateResult:
     bound: int
 
 
-def _multiset_delta(h_x: tuple[int, ...], segments: list[tuple[int, ...]], h,
-                    ) -> int:
+def _multiset_delta(h_x: tuple[int, ...], h_y: list[int]) -> int:
     cx = Counter(h_x)
-    cy = Counter(h(s) for s in segments)
+    cy = Counter(h_y)
     extra = sum(v * (cx[v] - cy[v]) for v in cx if cx[v] > cy[v])
     missing = sum(v * (cy[v] - cx[v]) for v in cy if cy[v] > cx[v])
     return extra - missing
@@ -419,11 +417,11 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     def span_of(first: int, last: int) -> tuple[int, int]:
         return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
 
-    terms = _segment_terms(segments, h)
+    hashes, terms = _hash_segments(segments, h)
     f_y = vt_sum(terms) % params.f_mod
     fdiff = signed_residue(target.f - f_y, params.f_mod)
     m = h.hash_range
-    hash_delta = _multiset_delta(h_x, segments, h)
+    hash_delta = _multiset_delta(h_x, hashes)
     if dl == 0:
         k = (m if deletion else 0) + hash_delta
         if k == 0 or fdiff % k:
@@ -495,17 +493,17 @@ class WindowPlan:
         raise LocateFailure(f"window {window} fits no interval of the plan")
 
 
+def inner_fields(length: int) -> SketchFields:
+    """Inner sketch layout: VT sum mod length+1, parity VT sum mod 2*length+1."""
+    return SketchFields((length + 1, 2 * length + 1))
+
+
 def inner_sketch(bits: tuple[int, ...], length: int) -> tuple[int, ...]:
-    """Fixed-width bits of (VT sum mod length+1, parity VT sum mod 2*length+1)."""
     if len(bits) != length:
         raise AlphabetError(f"inner sketch needs length {length}")
     total, _, parity_vt = vt_parity_sums(bits)
-    return int_to_bits(total % (length + 1), length.bit_length()) + \
-        int_to_bits(parity_vt % (2 * length + 1), (2 * length).bit_length())
-
-
-def inner_sketch_width(length: int) -> int:
-    return length.bit_length() + (2 * length).bit_length()
+    return inner_fields(length).pack(
+        (total % (length + 1), parity_vt % (2 * length + 1)))
 
 
 def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
@@ -521,9 +519,7 @@ def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
     insertion is a 0 with D ones to its right when D <= w, else a 1 with
     D - w - 1 zeros to its left.
     """
-    w1 = length.bit_length()
-    vt_target = bits_to_int(sketch[:w1])
-    parity_target = bits_to_int(sketch[w1:])
+    vt_target, parity_target = inner_fields(length).unpack(sketch)
     if len(window) == length - 1:
         weight = window.count(1)
         d = (vt_target - vt_sum(window)) % (length + 1)
@@ -578,7 +574,7 @@ def window_sketches(word: Word, plan: WindowPlan,
     """XOR-folded inner sketches over the primary and shifted interval families."""
     require_binary(word)
     length = plan.block
-    width = inner_sketch_width(length)
+    width = inner_fields(length).width
 
     def fold(intervals: list[tuple[int, int]]) -> tuple[int, ...]:
         acc = (0,) * width
@@ -618,7 +614,7 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             return y.symbols[p - 1]
         return y.symbols[p - 1 - shift]
 
-    width = inner_sketch_width(length)
+    width = inner_fields(length).width
     acc = hats[0] if family == 1 else hats[1]
     if acc is None:
         raise DecodeFailure("the shifted family has no sketch at this size")
@@ -686,6 +682,10 @@ def desk_hash(delta: int) -> GreedyHash:
 
 class DeltransDeskCode:
     """Exhaustively built desk-scale code: membership, table encoder, decoder."""
+
+    q = 2
+    model = ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION
+    list_bound = 1
 
     def __init__(self, params: DeltransParams, h: GreedyHash,
                  target: DeltransSketches,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import AlphabetError, DecodeFailure, MalformedEncodingError, NoCandidateError
 from .inner import (
     REP,
+    SketchFields,
     bits_to_int,
     bits_to_quaternary,
     ceil_log2,
@@ -25,7 +26,7 @@ from .inner import (
     rep_encode,
 )
 from .sketches import WeightFn, signed_residue, weighted_vt
-from .words import Word
+from .words import ErrorModel, Word
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,16 @@ class Edit4Params:
 
     @classmethod
     def for_length(cls, n: int) -> "Edit4Params":
+        if n < 1:
+            raise AlphabetError("word length must be positive")
         log_n = ceil_log2(n)
         weights = WeightFn((0, 1, 2 * log_n + 11, 2 * log_n + 12))
         modulus = 1 + 2 * n * (2 * log_n + 12)
         return cls(n, log_n, weights, modulus)
+
+    @property
+    def moduli(self) -> tuple[int, int, int, int]:
+        return (self.modulus, 2, 2, 2)
 
     @property
     def run_cap(self) -> int:
@@ -54,14 +61,6 @@ class Edit4Sketches:
     h0: int  # count parities, mod 2
     h1: int
     h2: int
-
-    def as_dict(self, params: Edit4Params) -> dict:
-        return {
-            "f": {"value": self.f, "modulus": params.modulus},
-            "h0": {"value": self.h0, "modulus": 2},
-            "h1": {"value": self.h1, "modulus": 2},
-            "h2": {"value": self.h2, "modulus": 2},
-        }
 
     def astuple(self) -> tuple[int, int, int, int]:
         return (self.f, self.h0, self.h1, self.h2)
@@ -347,25 +346,21 @@ class Edit4Code:
     guards them with 5-fold repetition, which is single-edit proof.
     """
 
+    q = 4
+    model = ErrorModel.SINGLE_EDIT
+    list_bound = 1
+
     def __init__(self, m: int):
         self.m = m
         self.params = Edit4Params.for_length(m + 4)
-        self.f_bits = (self.params.modulus - 1).bit_length()
-        self.field_bits = self.f_bits + 3
-        self.tail_blocks = -(-self.field_bits // 2)
+        self.fields = SketchFields(self.params.moduli)
+        self.tail_blocks = -(-self.fields.width // 2)
         self.tail_len = REP * self.tail_blocks
         self.n_total = m + 4 + self.tail_len
+        self.redundancy = self.n_total - m
 
     def _serialize(self, sk: Edit4Sketches) -> tuple[int, ...]:
-        bits = int_to_bits(sk.f, self.f_bits) + (sk.h0, sk.h1, sk.h2)
-        return bits_to_quaternary(bits)
-
-    def _deserialize(self, symbols: tuple[int, ...]) -> Edit4Sketches:
-        bits = quaternary_to_bits(symbols)[:self.field_bits]
-        f = bits_to_int(bits[:self.f_bits])
-        if f >= self.params.modulus:
-            raise DecodeFailure("recovered sketch value exceeds its modulus")
-        return Edit4Sketches(f, bits[-3], bits[-2], bits[-1])
+        return bits_to_quaternary(self.fields.pack(sk.astuple()))
 
     def encode(self, z: Word) -> Word:
         if z.q != 4 or len(z) != self.m:
@@ -380,7 +375,8 @@ class Edit4Code:
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
         window = y.symbols[len(y) - (self.tail_len + delta):]
-        target = self._deserialize(rep_decode(window, self.tail_blocks))
+        bits = quaternary_to_bits(rep_decode(window, self.tail_blocks))
+        target = Edit4Sketches(*self.fields.unpack(bits))
         expected_tail = rep_encode(self._serialize(target))
         if y.symbols[len(y) - self.tail_len:] != expected_tail:
             # the edit hit the tail, so the payload part is intact
@@ -389,10 +385,6 @@ class Edit4Code:
         payload_window = Word(y.symbols[:len(y) - self.tail_len], 4)
         x = correct_edit(payload_window, target, self.params)
         return rll_decode(x)
-
-    @property
-    def redundancy(self) -> int:
-        return self.n_total - self.m
 
 
 def enumerate_sketch_space(n: int) -> tuple[np.ndarray, np.ndarray]:

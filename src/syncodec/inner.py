@@ -1,4 +1,4 @@
-"""Repetition guard for short metadata fields, plus bit packing helpers.
+"""Repetition guard and sketch-field layout for short metadata, bit packing.
 
 Each symbol is repeated REP times.  Decoding samples the three middle positions
 of every block and takes their majority.  Any single edit (and likewise one
@@ -40,6 +40,32 @@ def rep_decode(window: tuple[int, ...], block_count: int) -> tuple[int, ...]:
         else:
             raise DecodeFailure("no majority in repetition block")
     return tuple(out)
+
+
+class SketchFields:
+    """Fixed-width big-endian bit fields, one per modulus: a field for values
+    mod `mod` takes (mod - 1).bit_length() bits, so a mod-2 parity is one bit."""
+
+    def __init__(self, moduli: tuple[int, ...]):
+        self.moduli = moduli
+        self.widths = tuple((mod - 1).bit_length() for mod in moduli)
+        self.width = sum(self.widths)
+
+    def pack(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(bit for value, width in zip(values, self.widths)
+                     for bit in int_to_bits(value, width))
+
+    def unpack(self, bits: tuple[int, ...]) -> tuple[int, ...]:
+        """Field values from the first `width` bits; the rest is padding."""
+        values = []
+        at = 0
+        for width, modulus in zip(self.widths, self.moduli):
+            value = bits_to_int(bits[at:at + width])
+            if value >= modulus:
+                raise DecodeFailure("recovered sketch field exceeds its modulus")
+            values.append(value)
+            at += width
+        return tuple(values)
 
 
 def ceil_log2(n: int) -> int:

@@ -33,6 +33,8 @@ class Word:
     @classmethod
     def parse(cls, text: str, q: int | None = None) -> "Word":
         """Parse an ASCII digit string; q is inferred from the symbols if omitted."""
+        if not all(c in "0123456789" for c in text):
+            raise AlphabetError(f"{text!r} is not a digit string")
         symbols = tuple(int(c) for c in text)
         if q is None:
             q = max(2, max(symbols) + 1 if symbols else 2)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,9 @@ def test_measure_delsub_tail(capsys):
     sizes = json.loads(out)["tail_bits"]
     assert sizes["64"] == DelSubCode(64).redundancy
     assert sizes["128"] == DelSubCode(128).redundancy
+    code, out = run_cli(capsys, "measure", "--code", "delsub")
+    assert code == 0
+    assert out == '{"code": "delsub", "tail_bits": {}}'
 
 
 def test_build_hash_writes_table(capsys, tmp_path):
@@ -154,3 +159,99 @@ def test_decode_failure_is_a_json_error(capsys):
                         "--word", "23103000202122110021012101331300302")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "MalformedEncodingError"
+
+
+@pytest.mark.parametrize("argv, error_type", [
+    (["corrupt", "--word", "0101", "--pattern", "del"], "SyncodecError"),
+    (["corrupt", "--word", "0101", "--pattern", "ins:2"], "SyncodecError"),
+    (["corrupt", "--word", "0101", "--pattern", "delsub:1"], "SyncodecError"),
+    (["corrupt", "--word", "0101", "--pattern", "del:x"], "SyncodecError"),
+    (["corrupt", "--word", "01a1", "--pattern", "del:1"], "AlphabetError"),
+    (["sketch", "--code", "vt", "--word", "0101", "--modulus", "-3"], "SyncodecError"),
+    (["sketch", "--code", "vt", "--word", "0101", "--modulus", "0"], "SyncodecError"),
+    (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
+    (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
+    (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_malformed_input_is_a_json_error(capsys, argv, error_type):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error_type
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_lines() -> list[str]:
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line.split("#", 1)[0].strip() for line in lines if line.strip()]
+
+
+# stdout and exit code of every README CLI line, with timings masked; each
+# <corrupted> word is its code's README encoding with the 4th symbol deleted
+README_GOLDEN = {
+    "syncodec corrupt --word 010101 --model single-edit --seed 7": (0, (
+        '{"model": "single-edit", "input": "010101", "output": "0100101", '
+        '"pattern": {"kind": "insertion", "position": 3, "symbol": 0}}\n')),
+    "syncodec sketch --code delsub --word 110101": (0, (
+        '{"f": {"value": 13, "modulus": 19}, "f1r": {"value": 16, "modulus": 73}, '
+        '"f2r": {"value": 40, "modulus": 577}, "h": {"value": 4, "modulus": 5}, '
+        '"hr": {"value": 6, "modulus": 13}}\n')),
+    "syncodec encode --code edit4 --word 0213102 --q 4": (0, (
+        "02131022013111112222211111000001111133333\n")),
+    "syncodec decode --code edit4 --m 7 --word <corrupted>": (0, "0213102\n"),
+    "syncodec encode --code delsub --word 110100101": (0, (
+        "110100101101110100001000011111000001000000001111100000000001111111"
+        "111000001111100000000001111111111111111111111111111111111100000111"
+        "110000000000000000000000000111110000011111000000000000000111111111"
+        "111111000000000000000111110000000000111110000000000000000000011111\n")),
+    "syncodec decode --code delsub --m 9 --word <corrupted>": (0, (
+        '["110100101"]\n')),
+    "syncodec encode --code deltrans --n 28 --index 0": (0, (
+        "0001100011001100110001100011\n")),
+    "syncodec decode --code deltrans --n 28 --word <corrupted>": (0, (
+        "0001100011001100110001100011\n")),
+    "syncodec verify-code --code delsub --n 10": (0, (
+        '{"schema_version": 1, "model": "del-sub", "n": 10, "q": 2, '
+        '"code_size": 2, "redundancy_bits": 9.0, "list_bound": 2, '
+        '"max_list_size": 1, "ok": true, "witnesses": [], '
+        '"runtime_seconds": X}\n')),
+    "syncodec search-params --code edit4 --n 8": (0, (
+        '{"n": 8, "target": {"f": {"value": 35, "modulus": 289}, '
+        '"h0": {"value": 0, "modulus": 2}, "h1": {"value": 0, "modulus": 2}, '
+        '"h2": {"value": 0, "modulus": 2}}, "bucket_size": 64}\n')),
+    "syncodec search-inner --model single-edit --length 4": (0, (
+        '{"model": "single-edit", "length": 4, "code": ["0000", "0111"], '
+        '"size": 2, "verified_list_bound": 1}\n')),
+    "syncodec measure --code delsub --m 64 128 256": (0, (
+        '{"code": "delsub", "tail_bits": {"64": 267, "128": 271, "256": 275}}\n')),
+    "syncodec build-hash --cap 3 --out hash.json": (0, (
+        '{"cap": 3, "range": 31, "entries": 1023, "out": "hash.json"}\n')),
+    "syncodec bench --code delsub --sizes 64 128 256 512": (0, (
+        '{"code": "delsub", "seed": 0, "rows": ['
+        '{"m": 64, "n": 331, "encode_s": X, "decode_s": X, "ok": true}, '
+        '{"m": 128, "n": 399, "encode_s": X, "decode_s": X, "ok": true}, '
+        '{"m": 256, "n": 531, "encode_s": X, "decode_s": X, "ok": true}, '
+        '{"m": 512, "n": 791, "encode_s": X, "decode_s": X, "ok": true}]}\n')),
+}
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_are_byte_identical(line, capsys, tmp_path, request):
+    argv = line.split()[1:]
+    if "deltrans" in argv:
+        request.getfixturevalue("desk_code")  # builds and caches the desk hash
+    if "<corrupted>" in argv:
+        code_name = argv[argv.index("--code") + 1]
+        encode_line = next(l for l in _readme_cli_lines()
+                           if l.startswith(f"syncodec encode --code {code_name} "))
+        main(encode_line.split()[1:])
+        encoded = capsys.readouterr().out.strip()
+        argv[argv.index("<corrupted>")] = encoded[:3] + encoded[4:]
+    out_file = str(tmp_path / "hash.json")
+    argv = [out_file if a == "hash.json" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out.replace(out_file, "hash.json")
+    out = re.sub(r'"(runtime_seconds|encode_s|decode_s)": [^,}]+', r'"\1": X', out)
+    assert (code, out) == README_GOLDEN[line]

@@ -17,8 +17,8 @@ from syncodec.deltrans import (
     enumerate_candidates,
     expurgate,
     inner_correct,
+    inner_fields,
     inner_sketch,
-    inner_sketch_width,
     locate,
     multiset_distance,
     segment,
@@ -314,7 +314,7 @@ def test_deletion_repair_matches_brute_force_on_unrelated_sketches():
             other = tuple(rng.getrandbits(1) for _ in range(length))
             sk = inner_sketch(other, length)
         else:
-            sk = tuple(rng.getrandbits(1) for _ in range(inner_sketch_width(length)))
+            sk = tuple(rng.getrandbits(1) for _ in range(inner_fields(length).width))
         got = _repair_or_failure(inner_correct, y, sk, length)
         assert got == _repair_or_failure(_brute_force_inner_correct, y, sk, length)
         failures += got is DecodeFailure
@@ -445,9 +445,9 @@ def test_phi_scan_steps_are_large(desk_code):
         segs, residue = segment_lenient(y)
         if residue or len(segs) != len(hx) - 1:
             continue
-        from syncodec.deltrans import _multiset_delta, _segment_terms
-        terms = _segment_terms(segs, h)
-        k = m + _multiset_delta(hx, segs, h)
+        from syncodec.deltrans import _hash_segments, _multiset_delta
+        hashes, terms = _hash_segments(segs, h)
+        k = m + _multiset_delta(hx, hashes)
         values = _phi_steps(terms, k, 1, 0)
         for a, b in zip(values, values[1:]):
             assert b - a >= m

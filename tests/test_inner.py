@@ -1,0 +1,45 @@
+import itertools
+
+import pytest
+
+from syncodec.delsub import DelSubCode
+from syncodec.edit4 import Edit4Code
+from syncodec.errors import DecodeFailure
+from syncodec.inner import SketchFields
+from syncodec.words import Word
+
+
+def test_sketch_fields_widths_and_bits():
+    fields = SketchFields((253, 2, 2, 2))
+    assert fields.widths == (8, 1, 1, 1) and fields.width == 11
+    assert fields.pack((5, 1, 0, 1)) == (0, 0, 0, 0, 0, 1, 0, 1) + (1, 0, 1)
+    # a field mod 1 only holds 0 and takes no bits
+    assert SketchFields((1, 3)).widths == (0, 2)
+
+
+def test_sketch_fields_round_trip():
+    fields = SketchFields((1, 2, 3, 5, 8, 9))
+    for values in itertools.product(*(range(mod) for mod in fields.moduli)):
+        bits = fields.pack(values)
+        assert len(bits) == fields.width
+        assert fields.unpack(bits) == values
+        assert fields.unpack(bits + (1, 0)) == values  # padding is ignored
+
+
+def test_sketch_fields_reject_a_field_at_its_modulus():
+    fields = SketchFields((5, 2))
+    assert fields.unpack((1, 0, 0, 1)) == (4, 1)
+    for bits in [(1, 0, 1, 0), (1, 1, 1, 1)]:  # first field reads 5, then 7
+        with pytest.raises(DecodeFailure):
+            fields.unpack(bits)
+
+
+def test_codec_tail_layouts_are_pinned():
+    """Pinned encodings: any change to either tail layout changes them."""
+    assert str(Edit4Code(7).encode(Word.parse("0213102", q=4))) == (
+        "02131022013111112222211111000001111133333")
+    assert str(DelSubCode(9).encode(Word.parse("110100101"))) == (
+        "110100101101110100001000011111000001000000001111100000000001111111"
+        "111000001111100000000001111111111111111111111111111111111100000111"
+        "110000000000000000000000000111110000011111000000000000000111111111"
+        "111111000000000000000111110000000000111110000000000000000000011111")
