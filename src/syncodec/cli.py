@@ -109,7 +109,7 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_sketch(args) -> int:
-    word = _read_word(args)
+    word = _read_word(args, CODES[args.code][0].q if args.code in CODES else 2)
     if args.code == "vt":
         modulus = 2 * len(word) + 1 if args.modulus is None else args.modulus
         if modulus < 1:

@@ -2,17 +2,24 @@
 
 Membership pins five sketches: the VT sum mod 3n+1, two run-based sums mod
 12n+1 and 16n^2+1, the weight mod 5 and the run count mod 13.  The decoder
-re-expresses the corruption as "insert one bit, flip one bit", walks every
-insertion position with the flip position forced by the VT sketch, and keeps
-the candidates matching all five sketches.  Each candidate check is O(1) via
-rank prefix sums of the received word, so a decode is O(n) overall, and the
-survivors are exactly the sketch-consistent members of the error ball, which
-the exhaustive oracle bounds by two.
+re-expresses the corruption as "insert one bit, flip one bit" and builds one
+table of the received word's run ranks and their prefix sums.  The weight and
+run-count sketches classify the error from that table; then a scan walks
+every insertion position, with the flip position forced by the VT sketch.
+At each position the run count and the first run sum are O(1) tests on the
+table, and the survivors get the second run sum, also O(1) from the table,
+as the one exact check.  A decode is O(n) overall, and its hits are exactly
+the sketch-consistent members of the error ball, which the exhaustive oracle
+bounds by two.  `DelSubCode.decode` builds each candidate's codeword from the
+recovered sketch fields and guard, which are what `encode` writes, and keeps
+the candidates whose codeword reaches the received word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import mul, ne
 
 from .errors import AlphabetError, DecodeFailure, EmptyListError
 from .inner import REP, SketchFields, rep_decode, rep_encode
@@ -63,128 +70,81 @@ class DelSubSketches:
 
 
 class _WordStats:
-    """Prefix statistics of a binary word, with O(1) rank sums after edits.
+    """Rank tables of a received word y_1 .. y_m, built once per list decode.
 
-    Ranks use the sentinel convention (x_0 = 0, x_{M+1} = 1).  Queries describe
-    the word obtained by flipping one position and then inserting one bit, and
-    return raw (unreduced) sketch sums of the result.
+    Queries describe the word obtained by flipping y_p to t and then inserting
+    the bit u before position d, and return raw (unreduced) sketch sums of the
+    result in O(1).  A flip moves the ranks by e1 at p and by e2 after p.
     """
 
     def __init__(self, bits: tuple[int, ...]):
-        self.bits = bits
         m = len(bits)
         self.m = m
-        boundaries = [0] * (m + 2)
-        ranks = [0] * (m + 2)
-        prev = 0
-        rank = 0
-        for i in range(1, m + 1):
-            b = 1 if bits[i - 1] != prev else 0
-            boundaries[i] = b
-            rank += b
-            ranks[i] = rank
-            prev = bits[i - 1]
-        boundaries[m + 1] = 1 if prev != 1 else 0
-        ranks[m + 1] = rank + boundaries[m + 1]
+        self.ext = (0,) + bits + (1,)  # y_0 .. y_{m+1} with the sentinels
+        # ranks r_0 .. r_{m+1}: r_i counts the boundaries y_{j-1} != y_j, j <= i
+        ranks = list(accumulate(map(ne, bits, (0,) + bits), initial=0))
+        ranks.append(ranks[-1] + (0 if bits and bits[-1] else 1))
         self.ranks = ranks
-        r1 = [0] * (m + 1)
-        r2 = [0] * (m + 1)
-        ones = [0] * (m + 1)
-        for i in range(1, m + 1):
-            r = ranks[i]
-            r1[i] = r1[i - 1] + r
-            r2[i] = r2[i - 1] + r * (r - 1)
-            ones[i] = ones[i - 1] + bits[i - 1]
-        self.r1 = r1
-        self.r2 = r2
-        self.ones = ones
+        self.r1 = list(accumulate(islice(ranks, m + 1)))  # sum of r_j, j <= i
+        self.s2 = list(accumulate(map(mul, ranks, ranks)))  # sum of r_j^2, j <= i
+        self.weight = sum(bits)
+        self.vt = vt_sum(bits)
+        self.runs = ranks[m + 1] + 1
 
-    def _sigmas(self, p: int | None) -> tuple[int, int]:
-        if p is None:
-            return 0, 0
-        # flipping position p toggles the boundaries at p and p+1
-        bnd = self.ranks
-        sp = 1 - 2 * (bnd[p] - bnd[p - 1])
-        sq = 1 - 2 * (bnd[p + 1] - bnd[p])
-        return sp, sq
-
-    def _rank_v(self, i: int, p: int | None, sp: int, sq: int) -> int:
-        r = self.ranks[i]
-        if p is not None:
-            if i >= p:
-                r += sp
-            if i >= p + 1:
-                r += sq
-        return r
-
-    def _sum1_v(self, a: int, c: int, p: int | None, sp: int, sq: int) -> int:
-        if a > c:
-            return 0
-        total = self.r1[c] - self.r1[a - 1]
-        if p is not None:
-            total += sp * max(0, c - max(a, p) + 1)
-            total += sq * max(0, c - max(a, p + 1) + 1)
-        return total
-
-    def _sum2_v(self, a: int, c: int, p: int | None, sp: int, sq: int) -> int:
-        if a > c:
-            return 0
-        if p is None:
-            return self.r2[c] - self.r2[a - 1]
-        total = 0
-        zones = ((a, min(c, p - 1), 0), (max(a, p), min(c, p), sp),
-                 (max(a, p + 1), c, sp + sq))
-        for lo, hi, delta in zones:
-            if lo > hi:
-                continue
-            s2 = self.r2[hi] - self.r2[lo - 1]
-            s1 = self.r1[hi] - self.r1[lo - 1]
-            total += s2 + 2 * delta * s1 + (delta * delta - delta) * (hi - lo + 1)
-        return total
+    def flip_steps(self, p: int) -> tuple[int, int]:
+        """Rank changes (e1 at p, e2 after p) of flipping y_p."""
+        ranks = self.ranks
+        e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
+        return e1, e1 + 1 - 2 * (ranks[p + 1] - ranks[p])
 
     def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
                     ) -> tuple[int, int, int, int]:
         """Raw (f1r, f2r, run count, weight) of flip(p -> t) then insert u at d."""
-        m = self.m
-        sp, sq = self._sigmas(p)
-
-        def bit_v(j: int) -> int:
-            if j == 0:
-                return 0
-            if j == m + 1:
-                return 1
-            if p is not None and j == p:
-                return t
-            return self.bits[j - 1]
-
-        c1 = 1 if u != bit_v(d - 1) else 0
-        c2 = 1 if bit_v(d) != u else 0
-        bv_d = self._rank_v(d, p, sp, sq) - self._rank_v(d - 1, p, sp, sq)
-        delta = c1 + c2 - bv_d
-        rank_d = self._rank_v(d - 1, p, sp, sq) + c1
-        f1r = (self._sum1_v(1, d - 1, p, sp, sq) + rank_d
-               + self._sum1_v(d, m, p, sp, sq) + delta * (m - d + 1))
-        tail1 = self._sum1_v(d, m, p, sp, sq)
-        tail2 = self._sum2_v(d, m, p, sp, sq)
-        f2r = (self._sum2_v(1, d - 1, p, sp, sq) + rank_d * (rank_d - 1)
-               + tail2 + 2 * delta * tail1
-               + (delta * delta - delta) * (m - d + 1))
-        runs = self._rank_v(m + 1, p, sp, sq) + 1 + delta
-        weight = self.ones[m] + u + (2 * t - 1 if p is not None else 0)
-        return f1r, f2r, runs, weight
+        m, ext, ranks, r1 = self.m, self.ext, self.ranks, self.r1
+        if p is None:
+            e1 = e2 = 0
+            p = m  # no flip: every zone below is empty or moves by 0
+            a, b = ext[d - 1], ext[d]
+            weight = self.weight + u
+        else:
+            e1, e2 = self.flip_steps(p)
+            a = t if d - 1 == p else ext[d - 1]
+            b = t if d == p else ext[d]
+            weight = self.weight + u + 2 * t - 1
+        # ranks of the flipped word, summed over 1..m, and their squares
+        sum1 = r1[m] + e1 + e2 * (m - p)
+        sum2 = (self.s2[m] + 2 * e1 * ranks[p] + e1 * e1
+                + 2 * e2 * (r1[m] - r1[p]) + e2 * e2 * (m - p))
+        # the inserted bit takes rank r(d-1) + c1; the m - d + 1 bits after it
+        # move by delta; tail is their flipped-word rank sum
+        c1 = u != a
+        delta = c1 + (b != u) - (a != b)
+        rank_d = ranks[d - 1] + (e2 if d - 1 > p else e1 if d - 1 == p else 0) + c1
+        after = m - d + 1
+        tail = (r1[m] - r1[d - 1] + (e1 if d <= p else 0)
+                + e2 * (m - max(d - 1, p)))
+        f1r = sum1 + rank_d + delta * after
+        squares = sum2 + rank_d * rank_d + 2 * delta * tail + delta * delta * after
+        runs = ranks[m + 1] + e2 + delta + 1
+        return f1r, squares - f1r, runs, weight
 
 
 def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
-    stats = _WordStats(word.symbols)
-    n = len(word)
-    f = vt_sum(word.symbols)
-    f1r = stats.r1[n]
-    f2r = stats.r2[n]
-    runs = stats.ranks[n + 1] + 1
+    f = weight = f1r = squares = rank = prev = 0
+    for i, b in enumerate(word.symbols, 1):
+        if b != prev:
+            rank += 1
+            prev = b
+        f1r += rank
+        squares += rank * rank
+        if b:
+            f += i
+            weight += 1
+    runs = rank + (prev == 0) + 1  # the sentinel 1 closes a last run of 0s
     return DelSubSketches(
-        f % params.f_mod, f1r % params.f1r_mod, f2r % params.f2r_mod,
-        stats.ones[n] % params.h_mod, runs % params.hr_mod)
+        f % params.f_mod, f1r % params.f1r_mod, (squares - f1r) % params.f2r_mod,
+        weight % params.h_mod, runs % params.hr_mod)
 
 
 def is_codeword(word: Word, params: DelSubParams, target: DelSubSketches) -> bool:
@@ -192,15 +152,19 @@ def is_codeword(word: Word, params: DelSubParams, target: DelSubSketches) -> boo
 
 
 def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
-                   ) -> tuple[int, int, int]:
-    """Deleted bit value, flipped bit value, and the run-count change."""
+                   stats: _WordStats | None = None) -> tuple[int, int, int]:
+    """Deleted bit value, flipped bit value, and the run-count change.
+
+    `stats` are y's rank tables when the caller has built them already.
+    """
     if len(y) != params.n - 1:
         raise EmptyListError(f"classification needs |y| = {params.n - 1}")
-    sk_y = sketches(y, DelSubParams(len(y)))
-    h_diff = signed_residue(target.h - sk_y.h, params.h_mod)
+    if stats is None:
+        stats = _WordStats(y.symbols)
+    h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
         raise EmptyListError(f"weight difference {h_diff} matches no error pattern")
-    run_delta = signed_residue(target.hr - sk_y.hr, params.hr_mod)
+    run_delta = signed_residue(target.hr - stats.runs, params.hr_mod)
     if run_delta not in _VALID_RUN_DELTAS:
         raise EmptyListError(f"run-count difference {run_delta} matches no pattern")
     x_d, x_e = _PATTERN_TABLE[h_diff]
@@ -227,73 +191,102 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     return [x]
 
 
-def _candidate_word(y_bits: tuple[int, ...], d: int, u: int,
-                    p: int | None, t: int | None) -> Word:
+def _candidate_bits(y_bits: tuple[int, ...], d: int, u: int,
+                    p: int | None, t: int | None) -> tuple[int, ...]:
     bits = list(y_bits)
     if p is not None:
         bits[p - 1] = t
     bits.insert(d - 1, u)
-    return Word(tuple(bits), 2)
+    return tuple(bits)
 
 
-def _scan(y_bits: tuple[int, ...], params: DelSubParams, target: DelSubSketches,
-          b_d: int, b_e: int | None) -> list[tuple[int, int | None]]:
-    """All (insert position, flip position) pairs matching the sketch tuple."""
-    n = params.n
-    m = len(y_bits)
-    stats = _WordStats(y_bits)
-    f_y = vt_sum(y_bits)
-    total_ones = stats.ones[m]
+def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
+          b_d: int, b_e: int | None, run_delta: int,
+          ) -> list[tuple[int, int | None]]:
+    """All (insert position, flip position) pairs matching the sketch tuple.
+
+    Insert b_d before position d of y and, unless b_e is None, flip one bit to
+    b_e.  The weight sketch holds by the classification, and the VT sketch
+    forces the flip position.  The run count and f1r are then O(1) tests, and
+    only their survivors pay for the full f2r sum; a hit matches all five
+    sketches exactly.
+    """
+    n, m = params.n, stats.m
+    ext, ranks = stats.ext, stats.ranks
+    f_mod, f1r_mod, f2r_mod = params.f_mod, params.f1r_mod, params.f2r_mod
+    f_want, f1r_want, f2r_want = target.f, target.f1r, target.f2r
+    sign = 1 if b_e == 1 else -1
+    sum1 = stats.r1[m]  # rank sum over 1..m of the word after the flip
+    e1 = e2 = 0
+    p, t = 0, None  # no flip: position 0 is never d, and its steps are 0
     hits = []
-    for d in range(1, n + 1):
-        f_ins = f_y + d * b_d + (total_ones - stats.ones[d - 1])
+    # VT sum after the insertion, less the target: stats.vt + d * b_d +
+    # (y_d + .. + y_m) - f_want, updated as d grows
+    f_ins = stats.vt + stats.weight - f_want
+    for d, a in enumerate(islice(ext, n), 1):
+        f_ins += b_d - a
         if b_e is None:
-            if (f_ins - target.f) % params.f_mod:
+            if f_ins % f_mod:
                 continue
-            p = None
         else:
-            q = ((target.f - f_ins) * (1 if b_e == 1 else -1)) % params.f_mod
+            q = -f_ins * sign % f_mod
             if not 1 <= q <= n or q == d:
                 continue
             p = q - 1 if q > d else q
-            if y_bits[p - 1] != 1 - b_e:
+            if ext[p] == b_e:
                 continue
-        f1r, f2r, runs, _ = stats.edited_sums(d, b_d, p, b_e)
-        if (runs % params.hr_mod == target.hr
-                and f1r % params.f1r_mod == target.f1r
-                and f2r % params.f2r_mod == target.f2r):
-            hits.append((d, p))
+            t = b_e
+            e1, e2 = stats.flip_steps(p)
+            sum1 = stats.r1[m] + e1 + e2 * (m - p)
+            if d - 1 == p:
+                a = t
+        b = t if d == p else ext[d]
+        c1 = b_d != a
+        delta = c1 + (b != b_d) - (a != b)
+        # |e2 + delta| <= 4 and run_delta is a signed residue mod 13, so the run
+        # sketch holds exactly when they are equal
+        if e2 + delta != run_delta:
+            continue
+        rank_d = ranks[d - 1] + (e2 if d - 1 > p else e1 if d - 1 == p else 0) + c1
+        if (sum1 + rank_d + delta * (m - d + 1) - f1r_want) % f1r_mod:
+            continue
+        flip = None if b_e is None else p
+        if stats.edited_sums(d, b_d, flip, t)[1] % f2r_mod == f2r_want:
+            hits.append((d, flip))
     return hits
 
 
 def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
                 ) -> list[Word]:
-    """Candidates matching all five sketches that one deletion plus at most one
-    substitution maps to y; at most two exist and the true codeword is among
-    them."""
+    """Every word matching all five sketches that one deletion plus at most one
+    substitution maps to y, sorted; at most two exist.
+
+    A word of length n is corrected as one substitution.  For length n - 1,
+    one table of y's ranks serves the whole decode: the classification reads
+    the weight and run count from it, and each scan reads the rank sums of
+    every candidate from it in O(1).  A scan's hits match the sketches
+    exactly, so no candidate is checked again.
+    """
     require_binary(y)
     n = params.n
     if len(y) == n:
         return _correct_one_substitution(y, target, params)
     if len(y) != n - 1:
         raise DecodeFailure(f"length {len(y)} incompatible with n = {n}")
-    x_d, x_e, _run_delta = classify_error(target, y, params)
+    stats = _WordStats(y.symbols)
+    x_d, x_e, run_delta = classify_error(target, y, params, stats)
+    scans = [(x_d, x_e)]
     h_diff = x_d + 2 * x_e - 1
-    words = {}
-    for d, p in _scan(y.symbols, params, target, x_d, x_e):
-        w = _candidate_word(y.symbols, d, x_d, p, x_e)
-        if sketches(w, params) == target:
-            words[w.symbols] = w
     if h_diff in (0, 1):
         # the same weight difference also admits a lone deletion of h_diff
-        for d, _ in _scan(y.symbols, params, target, h_diff, None):
-            w = _candidate_word(y.symbols, d, h_diff, None, None)
-            if sketches(w, params) == target:
-                words[w.symbols] = w
-    out = [words[k] for k in sorted(words)]
-    if not out:
+        scans.append((h_diff, None))
+    words = set()
+    for b_d, b_e in scans:
+        for d, p in _scan(stats, params, target, b_d, b_e, run_delta):
+            words.add(_candidate_bits(y.symbols, d, b_d, p, b_e))
+    if not words:
         raise EmptyListError("no candidate is consistent with the sketches")
-    return out
+    return [Word(bits, 2) for bits in sorted(words)]
 
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
@@ -321,18 +314,26 @@ INNER_CAPACITY = 96
 
 def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
                                y_bits: tuple[int, ...]) -> bool:
+    """Whether one deletion plus at most one substitution maps x to y (or at
+    most one substitution, when the lengths are equal)."""
     n, m = len(x_bits), len(y_bits)
     if m == n:
-        return sum(a != b for a, b in zip(x_bits, y_bits)) <= 1
+        return sum(map(ne, x_bits, y_bits)) <= 1
     if m != n - 1:
         return False
-    prefix = [0] * (n + 1)  # mismatches of x[1..i] vs y[1..i]
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] + (x_bits[i - 1] != y_bits[i - 1])
-    suffix = [0] * (n + 2)  # mismatches of x[i..n] vs y[i-1..m]
-    for i in range(n, 1, -1):
-        suffix[i] = suffix[i + 1] + (x_bits[i - 1] != y_bits[i - 2])
-    return any(prefix[d - 1] + suffix[d + 1] <= 1 for d in range(1, n + 1))
+    # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
+    # head and tail mark the mismatches of those two alignments (0-based), and
+    # head gets two sentinel mismatches at m and m + 1
+    head = bytes(map(ne, x_bits, y_bits)) + b"\x01\x01"
+    tail = bytes(map(ne, x_bits[1:], y_bits))
+    first = head.find(1)
+    second = head.find(1, first + 1)
+    last = tail.rfind(1)
+    before_last = tail.rfind(1, 0, max(last, 0))
+    # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
+    # remains for some c when the second head mismatch lies past the last tail
+    # one, or the first head mismatch past the one before the last tail one
+    return second > last or first > before_last
 
 
 class DelSubCode:
@@ -391,25 +392,27 @@ class DelSubCode:
         except EmptyListError as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
         pad = (0,) * (INNER_CAPACITY - self.v_bits)
-        candidates: dict[tuple[int, ...], Word] = {}
+        guard = rep_encode(t)
+        payload_window = Word(y.symbols[:self.m + delta], 2)
+        # every inner hit matches inner_target exactly, so its fields v and
+        # the guard t are what encode() writes for any payload z whose
+        # sketches are the target v holds, and list_decode returns only such z
+        codewords: dict[tuple[int, ...], tuple[Word, tuple[int, ...]]] = {}
         for hit in inner_hits:
+            v = hit.symbols[:self.v_bits]
             if hit.symbols[self.v_bits:] != pad:
                 continue
             try:
-                target = DelSubSketches(*self.fields.unpack(hit.symbols))
+                target = DelSubSketches(*self.fields.unpack(v))
             except DecodeFailure:
                 continue
-            payload_window = Word(y.symbols[:self.m + delta], 2)
             try:
                 for z in list_decode(payload_window, target, self.params):
-                    candidates[z.symbols] = z
+                    codewords[z.symbols] = z, z.symbols + v + guard
             except EmptyListError:
                 continue
-        out = [
-            candidates[k] for k in sorted(candidates)
-            if _reachable_one_del_one_sub(self.encode(candidates[k]).symbols,
-                                          y.symbols)
-        ]
+        out = [z for _, (z, x_bits) in sorted(codewords.items())
+               if _reachable_one_del_one_sub(x_bits, y.symbols)]
         if not out:
             raise DecodeFailure("no payload candidate is consistent with y")
         return out

@@ -35,6 +35,7 @@ from .sketches import signed_residue, vt_parity_sums, vt_sum
 from .words import ErrorModel, Word, prefix_parity_inverse, require_binary
 
 MARKER = (0, 0, 1, 1)
+_MARKER_BYTES = bytes(MARKER)
 MULTISET_SEPARATION = 10
 HASH_DRIFT_BOUND = 4
 GREEDY_HASH_MAX_CAP = 6
@@ -48,16 +49,12 @@ def segment_lenient(word: Word) -> tuple[list[tuple[int, ...]], tuple[int, ...]]
     """Split after each marker occurrence; the trailing residue may be empty."""
     require_binary(word)
     bits = word.symbols
+    data = bytes(bits)
     segments = []
     start = 0
-    i = 0
-    while i + 4 <= len(bits):
-        if bits[i:i + 4] == MARKER:
-            segments.append(bits[start:i + 4])
-            start = i + 4
-            i = start
-        else:
-            i += 1
+    while (at := data.find(_MARKER_BYTES, start)) >= 0:
+        segments.append(bits[start:at + 4])
+        start = at + 4
     return segments, bits[start:]
 
 
@@ -274,8 +271,11 @@ class DeltransSketches:
 
 
 def _hash_segments(segments: list[tuple[int, ...]], h,
+                   hashes: list[int] | None = None,
                    ) -> tuple[list[int], tuple[int, ...]]:
-    hashes = [h(s) for s in segments]
+    """The segments' hashes (unless given) and their terms len * range + hash."""
+    if hashes is None:
+        hashes = [h(s) for s in segments]
     m = h.hash_range
     return hashes, tuple(len(s) * m + v for s, v in zip(segments, hashes))
 
@@ -382,11 +382,13 @@ def _phi_scan(terms: tuple[int, ...], k: int, fdiff: int, start: int,
 
 
 def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
-           params: DeltransParams, h) -> LocateResult:
+           params: DeltransParams, h,
+           y_hashes: list[int] | None = None) -> LocateResult:
     """Window (1-based, inclusive, in source coordinates) containing the error.
 
     For a transposition the error position is the smaller affected index; a
-    clean word reports an empty window.
+    clean word reports an empty window.  `y_hashes` are the hashes of y's
+    segments in order, when the caller has them already.
     """
     require_binary(y)
     n = params.n
@@ -417,7 +419,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     def span_of(first: int, last: int) -> tuple[int, int]:
         return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
 
-    hashes, terms = _hash_segments(segments, h)
+    hashes, terms = _hash_segments(segments, h, y_hashes)
     f_y = vt_sum(terms) % params.f_mod
     fdiff = signed_residue(target.f - f_y, params.f_mod)
     m = h.hash_range
@@ -590,9 +592,13 @@ def window_sketches(word: Word, plan: WindowPlan,
 
 def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             hats: tuple[tuple[int, ...], tuple[int, ...] | None],
-            plan: WindowPlan, params: DeltransParams, h) -> Word:
-    """Full repair: locate, pick the covering interval, repair it, splice."""
-    loc = locate(y, target, h_x, params, h)
+            plan: WindowPlan, params: DeltransParams, h,
+            y_hashes: list[int] | None = None) -> Word:
+    """Full repair: locate, pick the covering interval, repair it, splice.
+
+    `y_hashes` are passed on to `locate`.
+    """
+    loc = locate(y, target, h_x, params, h, y_hashes)
     n = params.n
     if loc.clean:
         sk, hashes = segment_sketches(y, params, h)
@@ -697,6 +703,7 @@ class DeltransDeskCode:
         self.hats = hats
         self.codewords = codewords
         self.multisets = multisets
+        self.distinct_multisets = sorted(set(multisets))
         self.plan = WindowPlan(params.n, params.locate_bound)
 
     @classmethod
@@ -736,22 +743,25 @@ class DeltransDeskCode:
                 f"message index outside [0, {len(self.codewords)})")
         return self.codewords[index]
 
-    def recover_multiset(self, y: Word) -> tuple[int, ...]:
+    def recover_multiset(self, y: Word) -> tuple[tuple[int, ...], list[int]]:
+        """The one code multiset within drift of y's segment hashes, and those
+        hashes in segment order."""
         segments, _ = segment_lenient(y)
         if any(len(s) > 3 * self.hash.cap for s in segments):
             raise DecodeFailure("a segment is longer than the hash domain")
-        h_y = tuple(sorted(self.hash(s) for s in segments))
-        near = [ms for ms in sorted(set(self.multisets))
+        hashes = [self.hash(s) for s in segments]
+        h_y = tuple(sorted(hashes))
+        near = [ms for ms in self.distinct_multisets
                 if multiset_distance(ms, h_y) <= HASH_DRIFT_BOUND]
         if len(near) != 1:
             raise DecodeFailure(
                 f"{len(near)} code multisets within drift of the received word")
-        return near[0]
+        return near[0], hashes
 
     def decode(self, y: Word) -> Word:
-        h_x = self.recover_multiset(y)
+        h_x, h_y = self.recover_multiset(y)
         return correct(y, self.target, h_x, self.hats, self.plan,
-                       self.params, self.hash)
+                       self.params, self.hash, h_y)
 
 
 def segment_cap_probability(n: int, delta: int, trials: int, seed: int) -> float:

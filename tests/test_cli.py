@@ -44,6 +44,16 @@ def test_sketch_outputs_json(capsys):
     assert record["h"]["value"] == 4
 
 
+def test_edit4_sketch_widens_a_binary_looking_word(capsys):
+    # the same word encode accepts, read over the code's alphabet q = 4
+    code, out = run_cli(capsys, "sketch", "--code", "edit4", "--word", "0101")
+    assert code == 0
+    widened = run_cli(capsys, "sketch", "--code", "edit4", "--word", "0101",
+                      "--q", "4")
+    assert widened == (0, out)
+    assert set(json.loads(out)) == {"f", "h0", "h1", "h2"}
+
+
 def test_vt_sketch_default_modulus(capsys):
     code, out = run_cli(capsys, "sketch", "--code", "vt", "--word", "0101")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import binary_words
+import syncodec.delsub as delsub_module
 from syncodec.delsub import (
     DelSubCode,
     DelSubParams,
@@ -21,9 +22,12 @@ from syncodec.sketches import vt_sum
 from syncodec.words import (
     DelAndSub,
     Deletion,
+    ErrorModel,
     Substitution,
     Word,
     apply,
+    error_ball,
+    forward_images,
     run_count,
     run_string,
 )
@@ -106,11 +110,34 @@ def test_edited_sums_match_brute_force():
         if p is not None:
             built[p - 1] = t
         built.insert(d - 1, u)
-        word = Word(tuple(built), 2)
-        ranks = run_string(word)[:-1]
-        expected = (sum(ranks), sum(r * (r - 1) for r in ranks),
-                    run_count(word), sum(built))
-        assert stats.edited_sums(d, u, p, t) == expected
+        assert stats.edited_sums(d, u, p, t) == _raw_sums(built)
+
+
+def _raw_sums(bits):
+    """(f1r, f2r, run count, weight) of a bit list, unreduced, from the rank
+    sequence itself."""
+    word = Word(tuple(bits), 2)
+    ranks = run_string(word)[:-1]
+    return (sum(ranks), sum(r * (r - 1) for r in ranks), run_count(word),
+            sum(bits))
+
+
+def test_edited_sums_match_brute_force_exhaustively():
+    """Every word of length m <= 8, every flip (or none), every inserted bit
+    and every insertion position."""
+    for m in range(9):
+        for bits in itertools.product((0, 1), repeat=m):
+            stats = _WordStats(bits)
+            for p in [None, *range(1, m + 1)]:
+                flipped = list(bits)
+                t = None
+                if p is not None:
+                    t = 1 - bits[p - 1]
+                    flipped[p - 1] = t
+                for d in range(1, m + 2):
+                    for u in (0, 1):
+                        built = flipped[:d - 1] + [u] + flipped[d - 1:]
+                        assert stats.edited_sums(d, u, p, t) == _raw_sums(built)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -156,6 +183,133 @@ def test_list_decode_returns_exactly_the_ball_intersection():
             except EmptyListError:
                 got = set()
             assert got == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_list_decode_is_the_sketch_consistent_ball_for_every_word(n):
+    """For every y of length n - 1 or n, list_decode(y) returns exactly the
+    words of a sketch class whose one-deletion-one-substitution ball holds y,
+    sorted, for every class that has one.  Up to n = 7 every other class is
+    tried too, and must raise EmptyListError."""
+    params = DelSubParams(n)
+    sources = {}  # y -> target -> sorted words of that class reaching y
+    for x in binary_words(n):
+        target = sketches(x, params)
+        for y in forward_images(x, ErrorModel.ONE_DEL_ONE_SUB):
+            sources.setdefault(y.symbols, {}).setdefault(target, []).append(x)
+    targets = {t for by_target in sources.values() for t in by_target}
+    for y in itertools.chain(binary_words(n - 1), binary_words(n)):
+        expected = sources.get(y.symbols, {})
+        for target in targets if n <= 7 else expected:
+            if target in expected:
+                assert list_decode(y, target, params) == expected[target]
+            else:
+                with pytest.raises(EmptyListError):
+                    list_decode(y, target, params)
+
+
+def _reference_scan(y, target, params, b_d, b_e):
+    """_scan as it was before the one-table scan: the full edited_sums filter
+    at every VT-forced position, then each candidate's full sketches checked
+    again."""
+    n = params.n
+    y_bits = y.symbols
+    stats = _WordStats(y_bits)
+    ones = list(itertools.accumulate(y_bits, initial=0))
+    f_y = vt_sum(y_bits)
+    hits = []
+    for d in range(1, n + 1):
+        f_ins = f_y + d * b_d + (ones[-1] - ones[d - 1])
+        if b_e is None:
+            if (f_ins - target.f) % params.f_mod:
+                continue
+            p = None
+        else:
+            q = ((target.f - f_ins) * (1 if b_e == 1 else -1)) % params.f_mod
+            if not 1 <= q <= n or q == d:
+                continue
+            p = q - 1 if q > d else q
+            if y_bits[p - 1] != 1 - b_e:
+                continue
+        f1r, f2r, runs, _ = stats.edited_sums(d, b_d, p, b_e)
+        if (runs % params.hr_mod != target.hr
+                or f1r % params.f1r_mod != target.f1r
+                or f2r % params.f2r_mod != target.f2r):
+            continue
+        if sketches(_candidate(y_bits, d, b_d, p, b_e), params) == target:
+            hits.append((d, p))
+    return hits
+
+
+def _candidate(y_bits, d, u, p, t):
+    bits = list(y_bits)
+    if p is not None:
+        bits[p - 1] = t
+    bits.insert(d - 1, u)
+    return Word(tuple(bits), 2)
+
+
+def _scans(target, y, params):
+    """The (deleted bit, flipped bit or None) scans list_decode runs for y."""
+    x_d, x_e, _ = classify_error(target, y, params)
+    h_diff = x_d + 2 * x_e - 1
+    return [(x_d, x_e)] + ([(h_diff, None)] if h_diff in (0, 1) else [])
+
+
+def _reference_list_decode(y, target, params):
+    words = {_candidate(y.symbols, d, b_d, p, b_e).symbols
+             for b_d, b_e in _scans(target, y, params)
+             for d, p in _reference_scan(y, target, params, b_d, b_e)}
+    if not words:
+        raise EmptyListError("no candidate is consistent with the sketches")
+    return [Word(bits, 2) for bits in sorted(words)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scan_hits_are_the_reference_pairs(n):
+    """Every (insertion, flip) pair, not just every word: a word may have
+    several descriptions, and each must be found on its own.  Every x of
+    length n, every deletion plus at most one substitution, its own target."""
+    params = DelSubParams(n)
+    for x in binary_words(n):
+        target = sketches(x, params)
+        for y in forward_images(x, ErrorModel.ONE_DEL_ONE_SUB):
+            if len(y) != n - 1:
+                continue
+            stats = _WordStats(y.symbols)
+            run_delta = classify_error(target, y, params)[2]
+            for b_d, b_e in _scans(target, y, params):
+                hits = delsub_module._scan(stats, params, target, b_d, b_e,
+                                           run_delta)
+                assert hits == _reference_scan(y, target, params, b_d, b_e)
+
+
+def _decode_or_error(decoder, *args):
+    try:
+        return decoder(*args)
+    except EmptyListError:
+        return "EmptyListError"
+
+
+@pytest.mark.parametrize("n,trials", [(12, 400), (97, 200), (1000, 30),
+                                      (16384, 2)])
+def test_list_decode_matches_the_reference_scan(n, trials):
+    """Seeded words with one deletion and at most one substitution, decoded
+    against their own target and against an unrelated word's target."""
+    rng = random.Random(n)
+    params = DelSubParams(n)
+    sizes = []
+    for _ in range(trials):
+        x = Word(tuple(rng.getrandbits(1) for _ in range(n)), 2)
+        d, e = rng.randint(1, n), rng.randint(1, n)
+        y = apply(x, Deletion(d)) if d == e else apply(x, DelAndSub(d, e))
+        other = Word(tuple(rng.getrandbits(1) for _ in range(n)), 2)
+        for target in (sketches(x, params), sketches(other, params)):
+            got = _decode_or_error(list_decode, y, target, params)
+            assert got == _decode_or_error(_reference_list_decode, y, target,
+                                           params)
+            sizes.append(len(got) if isinstance(got, list) else 0)
+    assert max(sizes) >= 1
 
 
 def test_list_decode_rejects_junk():
@@ -349,6 +503,56 @@ def test_redundancy_grows_with_fixed_offset():
         codec = DelSubCode(2 ** k)
         offsets.add(codec.redundancy - 4 * k)
     assert len(offsets) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_reachability_matches_the_error_ball(n):
+    """Every pair of words of length n and n - 1 or n.  error_ball(y) is the
+    set of x whose forward images hold y; its own filtration over all 2^n
+    words is run where it is cheap (n <= 6)."""
+    sources = list(binary_words(n))
+    received = list(itertools.chain(binary_words(n - 1), binary_words(n)))
+    for x in sources:
+        images = forward_images(x, ErrorModel.ONE_DEL_ONE_SUB)
+        for y in received:
+            assert _reachable_one_del_one_sub(x.symbols, y.symbols) == (y in images)
+    if n <= 6:
+        for y in received:
+            ball = error_ball(y, ErrorModel.ONE_DEL_ONE_SUB, n)
+            assert ball == {x for x in sources
+                            if _reachable_one_del_one_sub(x.symbols, y.symbols)}
+
+
+def test_decode_checks_reachability_from_the_encoded_candidates(monkeypatch):
+    """decode builds each candidate's codeword from the recovered sketch
+    fields and guard, not by encoding it again; that word is encode(z)."""
+    seen = []
+    reachable = delsub_module._reachable_one_del_one_sub
+
+    def spy(x_bits, y_bits):
+        seen.append(x_bits)
+        return reachable(x_bits, y_bits)
+
+    monkeypatch.setattr(delsub_module, "_reachable_one_del_one_sub", spy)
+    rng = random.Random(33)
+    codec = DelSubCode(40)
+    n = codec.n_total
+    in_model = 0
+    for _ in range(150):
+        z = Word(tuple(rng.getrandbits(1) for _ in range(codec.m)), 2)
+        x = codec.encode(z)
+        flips = rng.randrange(3)  # a second flip leaves the model
+        y = apply(x, Deletion(rng.randint(1, n)))
+        for e in rng.sample(range(1, n), flips):
+            y = apply(y, Substitution(e, 1 - y.symbols[e - 1]))
+        try:
+            assert z in codec.decode(y) or flips == 2
+        except DecodeFailure:
+            assert flips == 2
+        in_model += flips < 2
+    assert len(seen) >= in_model > 0
+    for x_bits in seen:
+        assert x_bits == codec.encode(Word(x_bits[:codec.m], 2)).symbols
 
 
 def test_reachability_filter():

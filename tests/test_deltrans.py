@@ -82,6 +82,57 @@ def test_segments_concatenate_back():
         assert all(s.symbols[-4:] == (0, 0, 1, 1) for s in segs)
 
 
+def _sliding_segments(bits):
+    """segment_lenient as a slice comparison at every position."""
+    segments = []
+    start = i = 0
+    while i + 4 <= len(bits):
+        if bits[i:i + 4] == (0, 0, 1, 1):
+            segments.append(bits[start:i + 4])
+            start = i = i + 4
+        else:
+            i += 1
+    return segments, bits[start:]
+
+
+def test_segment_lenient_matches_the_sliding_scan():
+    """Exhaustive up to length 12, then seeded words up to length 2001, some
+    uniform and some built from pieces that make markers and near-markers."""
+    for n in range(13):
+        for w in binary_words(n):
+            assert segment_lenient(w) == _sliding_segments(w.symbols)
+    rng = random.Random(41)
+    pieces = [(0, 0, 1, 1), (0,), (1,), (0, 0), (1, 1), (0, 0, 1), (0, 1, 1)]
+    for _ in range(300):
+        n = rng.choice((20, 100, 2001))
+        if rng.random() < 0.5:
+            bits = tuple(rng.getrandbits(1) for _ in range(n))
+        else:
+            bits = ()
+            while len(bits) < n:
+                bits += rng.choice(pieces)
+        assert segment_lenient(Word(bits, 2)) == _sliding_segments(bits)
+
+
+def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
+    """One deletion decode hashes y's segments once (shared by the multiset
+    recovery and locate) and the repaired word's segments once."""
+    calls = []
+    lookup = GreedyHash.__call__
+
+    def counting(self, bits):
+        calls.append(bits)
+        return lookup(self, bits)
+
+    monkeypatch.setattr(GreedyHash, "__call__", counting)
+    x = desk_code.codewords[0]
+    y = apply(x, Deletion(1))
+    assert desk_code.decode(y) == x
+    segments_y, _ = segment_lenient(y)
+    segments_x, _ = segment_lenient(x)
+    assert calls == segments_y + segments_x
+
+
 def test_greedy_hash_tiny_example():
     # the domain spans lengths up to 3*cap, so even cap=1 needs several values
     h = GreedyHash.build(1)
