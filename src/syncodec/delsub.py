@@ -4,27 +4,30 @@ Membership pins five sketches: the VT sum mod 3n+1, two run-based sums mod
 12n+1 and 16n^2+1, the weight mod 5 and the run count mod 13.  The decoder
 re-expresses the corruption as "insert one bit, flip one bit" and builds one
 table of the received word's run ranks and their prefix sums.  The weight and
-run-count sketches classify the error from that table; then a scan walks
-every insertion position, with the flip position forced by the VT sketch.
-At each position the run count and the first run sum are O(1) tests on the
-table, and the survivors get the second run sum, also O(1) from the table,
-as the one exact check.  A decode is O(n) overall, and its hits are exactly
-the sketch-consistent members of the error ball, which the exhaustive oracle
-bounds by two.  `DelSubCode.decode` builds each candidate's codeword from the
-recovered sketch fields and guard, which are what `encode` writes, and keeps
-the candidates whose codeword reaches the received word.
+run-count sketches classify the error from that table.  Inserting a bit
+anywhere in a run of equal bits gives one word, so a scan visits one
+insertion position per run, and along them the VT sum is affine with slope
++-1: a lone deletion is solved in O(1), and with a flip the VT sketch forces
+the flip position.  At each position the run count and the first run sum are
+O(1) tests on the table, and the survivors get the second run sum, also O(1)
+from the table, as the one exact check.  A decode is O(n) overall, and its
+hits are exactly the sketch-consistent members of the error ball, which the
+exhaustive oracle bounds by two; one tuple is built per distinct word.
+`DelSubCode.decode` builds each candidate's codeword from the recovered
+sketch fields and guard, which are what `encode` writes, and keeps the
+candidates whose codeword reaches the received word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import mul, ne
+from itertools import accumulate, compress, count, islice
+from operator import mul, ne, not_
 
 from .errors import AlphabetError, DecodeFailure, EmptyListError
 from .inner import REP, SketchFields, rep_decode, rep_encode
 from .oracle import all_words
-from .sketches import signed_residue, vt_sum
+from .sketches import signed_residue
 from .words import ErrorModel, Word, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
@@ -80,16 +83,25 @@ class _WordStats:
     def __init__(self, bits: tuple[int, ...]):
         m = len(bits)
         self.m = m
-        self.ext = (0,) + bits + (1,)  # y_0 .. y_{m+1} with the sentinels
+        self.bits = bits
+        self.ext = ext = (0,) + bits + (1,)  # y_0 .. y_{m+1} with the sentinels
         # ranks r_0 .. r_{m+1}: r_i counts the boundaries y_{j-1} != y_j, j <= i
-        ranks = list(accumulate(map(ne, bits, (0,) + bits), initial=0))
+        ranks = list(accumulate(map(ne, bits, ext), initial=0))
         ranks.append(ranks[-1] + (0 if bits and bits[-1] else 1))
         self.ranks = ranks
         self.r1 = list(accumulate(islice(ranks, m + 1)))  # sum of r_j, j <= i
-        self.s2 = list(accumulate(map(mul, ranks, ranks)))  # sum of r_j^2, j <= i
+        self.squares = sum(map(mul, islice(ranks, m + 1), ranks))  # r_j^2, j <= m
         self.weight = sum(bits)
-        self.vt = vt_sum(bits)
+        self.vt = sum(compress(range(1, m + 1), bits))  # positions of the 1s
         self.runs = ranks[m + 1] + 1
+
+    def reps(self, u: int) -> list[int]:
+        """One insertion position per word that inserting u can give: d = 1
+        and every d with y_{d-1} != u.  Inserting u anywhere in a run of u's
+        gives one word, so d stands for itself and every position after it
+        up to the next one."""
+        marks = self.bits if u == 0 else map(not_, self.bits)
+        return [1, *compress(range(2, self.m + 2), marks)]
 
     def flip_steps(self, p: int) -> tuple[int, int]:
         """Rank changes (e1 at p, e2 after p) of flipping y_p."""
@@ -113,7 +125,7 @@ class _WordStats:
             weight = self.weight + u + 2 * t - 1
         # ranks of the flipped word, summed over 1..m, and their squares
         sum1 = r1[m] + e1 + e2 * (m - p)
-        sum2 = (self.s2[m] + 2 * e1 * ranks[p] + e1 * e1
+        sum2 = (self.squares + 2 * e1 * ranks[p] + e1 * e1
                 + 2 * e2 * (r1[m] - r1[p]) + e2 * e2 * (m - p))
         # the inserted bit takes rank r(d-1) + c1; the m - d + 1 bits after it
         # move by delta; tail is their flipped-word rank sum
@@ -173,19 +185,22 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
 
 def _correct_one_substitution(y: Word, target: DelSubSketches,
                               params: DelSubParams) -> list[Word]:
-    sk_y = sketches(y, params)
-    if sk_y == target:
+    """y itself, or the one word that flipping a bit of y gives.  The weight
+    and VT sums of y are C-level sums, so one sketch pass, over y or over
+    the corrected word, decides."""
+    bits = y.symbols
+    h_diff = signed_residue(target.h - sum(bits), params.h_mod)
+    if h_diff == 0 and sketches(y, params) == target:
         return [y]
-    h_diff = signed_residue(target.h - sk_y.h, params.h_mod)
     if h_diff not in (-1, 1):
         raise EmptyListError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
-    f_diff = (target.f - sk_y.f) % params.f_mod  # = e(2 x_e - 1) mod f_mod
+    vt = sum(compress(range(1, len(bits) + 1), bits))
+    f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
-    if not 1 <= e <= params.n or y.symbols[e - 1] != 1 - x_e:
+    if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
         raise EmptyListError("no position matches the VT sketch")
-    bits = y.symbols[:e - 1] + (x_e,) + y.symbols[e:]
-    x = Word(bits, 2)
+    x = Word._trusted(bits[:e - 1] + (x_e,) + bits[e:])
     if sketches(x, params) != target:
         raise EmptyListError("substitution candidate fails the run sketches")
     return [x]
@@ -206,54 +221,89 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     """All (insert position, flip position) pairs matching the sketch tuple.
 
     Insert b_d before position d of y and, unless b_e is None, flip one bit to
-    b_e.  The weight sketch holds by the classification, and the VT sketch
-    forces the flip position.  The run count and f1r are then O(1) tests, and
-    only their survivors pay for the full f2r sum; a hit matches all five
-    sketches exactly.
+    b_e.  The weight sketch holds by the classification.  Inserting b_d
+    anywhere in a run of b_d's gives one word, so the scan visits one
+    representative per run (`_WordStats.reps`), and at the k-th one the VT
+    sum after the insertion is affine in k with slope +-1.  Without a flip at
+    most one k matches the VT sketch, found in O(1).  With a flip the VT
+    sketch forces the flip's position q in the word after the insertion, also
+    affine in k, and the k with 1 <= q <= n form at most two stretches.  At
+    each of their representatives the bit and run-count tests and f1r are
+    O(1) on the table, and only the survivors pay for the exact f2r sum; a
+    hit matches all five sketches exactly.  Each hit is then expanded over
+    the insertion positions of its run, less q itself, which give the same
+    word.
     """
     n, m = params.n, stats.m
     ext, ranks = stats.ext, stats.ranks
-    f_mod, f1r_mod, f2r_mod = params.f_mod, params.f1r_mod, params.f2r_mod
-    f_want, f1r_want, f2r_want = target.f, target.f1r, target.f2r
-    sign = 1 if b_e == 1 else -1
-    sum1 = stats.r1[m]  # rank sum over 1..m of the word after the flip
-    e1 = e2 = 0
-    p, t = 0, None  # no flip: position 0 is never d, and its steps are 0
-    hits = []
-    # VT sum after the insertion, less the target: stats.vt + d * b_d +
-    # (y_d + .. + y_m) - f_want, updated as d grows
-    f_ins = stats.vt + stats.weight - f_want
-    for d, a in enumerate(islice(ext, n), 1):
-        f_ins += b_d - a
-        if b_e is None:
-            if f_ins % f_mod:
+    f_mod = params.f_mod
+    f1r_mod, f2r_mod = params.f1r_mod, params.f2r_mod
+    f1r_want, f2r_want = target.f1r, target.f2r
+    # the VT sum after inserting b_d at the k-th representative, less the
+    # target: inserting within a run of b_d's moves no 1, and each later
+    # representative lies past one more bit 1 - b_d
+    f0 = stats.vt + stats.weight + b_d - target.f
+    step = 2 * b_d - 1
+    hits = []  # (representative, q or None)
+    if b_e is None:
+        k = -f0 * step % f_mod
+        if k <= (stats.weight if b_d == 0 else m - stats.weight):
+            d = stats.reps(b_d)[k]
+            f1r, f2r, runs, _ = stats.edited_sums(d, b_d, None, None)
+            if (runs - stats.runs == run_delta and f1r % f1r_mod == f1r_want
+                    and f2r % f2r_mod == f2r_want):
+                hits.append((d, None))
+    else:
+        reps = stats.reps(b_d)
+        r1m = stats.r1[m]
+        # q = -(f0 + step * k) * sign mod f_mod moves by slope per k; from
+        # the k where q = q_first, the next n values of k keep 1 <= q <= n
+        sign = 2 * b_e - 1
+        slope = -step * sign
+        q_first = 1 if slope == 1 else n
+        first = (q_first + f0 * sign) * slope % f_mod
+        for start in (first - f_mod, first):
+            lo, hi = max(start, 0), min(start + n, len(reps))
+            if lo >= hi:
                 continue
-        else:
-            q = -f_ins * sign % f_mod
-            if not 1 <= q <= n or q == d:
-                continue
-            p = q - 1 if q > d else q
-            if ext[p] == b_e:
-                continue
-            t = b_e
-            e1, e2 = stats.flip_steps(p)
-            sum1 = stats.r1[m] + e1 + e2 * (m - p)
-            if d - 1 == p:
-                a = t
-        b = t if d == p else ext[d]
-        c1 = b_d != a
-        delta = c1 + (b != b_d) - (a != b)
-        # |e2 + delta| <= 4 and run_delta is a signed residue mod 13, so the run
-        # sketch holds exactly when they are equal
-        if e2 + delta != run_delta:
-            continue
-        rank_d = ranks[d - 1] + (e2 if d - 1 > p else e1 if d - 1 == p else 0) + c1
-        if (sum1 + rank_d + delta * (m - d + 1) - f1r_want) % f1r_mod:
-            continue
-        flip = None if b_e is None else p
-        if stats.edited_sums(d, b_d, flip, t)[1] % f2r_mod == f2r_want:
-            hits.append((d, flip))
-    return hits
+            for rep, q in zip(islice(reps, lo, hi),
+                              count(q_first + slope * (lo - start), slope)):
+                d = rep
+                if q == d:
+                    # q is the inserted bit itself: the run's next position,
+                    # if it has one, gives the word of this representative
+                    d += 1
+                    if d > n or ext[rep] != b_d:
+                        continue
+                p = q - 1 if q > d else q
+                if ext[p] == b_e:
+                    continue
+                a = b_e if p == d - 1 else ext[d - 1]
+                b = b_e if p == d else ext[d]
+                c1 = b_d != a
+                delta = c1 + (b != b_d) - (a != b)
+                e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
+                # |e2 + delta| <= 4 and run_delta is a signed residue mod 13,
+                # so the run sketch holds exactly when they are equal
+                if e2 + delta != run_delta:
+                    continue
+                e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
+                rank_d = ranks[d - 1] + c1 + (
+                    e2 if d - 1 > p else e1 if d - 1 == p else 0)
+                if (r1m + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
+                        - f1r_want) % f1r_mod:
+                    continue
+                if stats.edited_sums(d, b_d, p, b_e)[1] % f2r_mod == f2r_want:
+                    hits.append((rep, q))
+    pairs = []
+    for d, q in hits:
+        while True:
+            if d != q:
+                pairs.append((d, None if q is None else q - 1 if q > d else q))
+            d += 1
+            if d > n or ext[d - 1] != b_d:
+                break
+    return pairs
 
 
 def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
@@ -265,7 +315,9 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     one table of y's ranks serves the whole decode: the classification reads
     the weight and run count from it, and each scan reads the rank sums of
     every candidate from it in O(1).  A scan's hits match the sketches
-    exactly, so no candidate is checked again.
+    exactly, so no candidate is checked again, and one tuple is built per
+    distinct word: the pairs of one hit share the flip's position q in the
+    word, and a few hits describe a word another hit describes too.
     """
     require_binary(y)
     n = params.n
@@ -280,13 +332,26 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     if h_diff in (0, 1):
         # the same weight difference also admits a lone deletion of h_diff
         scans.append((h_diff, None))
-    words = set()
+    ranks = stats.ranks
+    words = []
     for b_d, b_e in scans:
+        found = set()
         for d, p in _scan(stats, params, target, b_d, b_e, run_delta):
-            words.add(_candidate_bits(y.symbols, d, b_d, p, b_e))
+            q = p if p is None or p < d else p + 1
+            if q in found:
+                continue
+            found.add(q)
+            # a flip that only a run of y separates from the insertion: for
+            # b_d != b_e the word is y with b_e inserted, which the lone
+            # deletion scan finds; for b_d == b_e the same word has the flip
+            # on the insertion's right as well, and is built from that hit
+            if p is not None and ranks[p] == ranks[d if p >= d else d - 1] \
+                    and (b_d != b_e or p < d):
+                continue
+            words.append(_candidate_bits(y.symbols, d, b_d, p, b_e))
     if not words:
         raise EmptyListError("no candidate is consistent with the sketches")
-    return [Word(bits, 2) for bits in sorted(words)]
+    return [Word._trusted(bits) for bits in sorted(words)]
 
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
@@ -361,7 +426,7 @@ class DelSubCode:
         self.n_total = m + self.redundancy
 
     def _pad(self, v_bits: tuple[int, ...], short: int = 0) -> Word:
-        return Word(v_bits + (0,) * (INNER_CAPACITY - short - len(v_bits)), 2)
+        return Word._trusted(v_bits + (0,) * (INNER_CAPACITY - short - len(v_bits)))
 
     def encode(self, z: Word) -> Word:
         require_binary(z)
@@ -393,7 +458,7 @@ class DelSubCode:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
         pad = (0,) * (INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
-        payload_window = Word(y.symbols[:self.m + delta], 2)
+        payload_window = Word._trusted(y.symbols[:self.m + delta])
         # every inner hit matches inner_target exactly, so its fields v and
         # the guard t are what encode() writes for any payload z whose
         # sketches are the target v holds, and list_decode returns only such z

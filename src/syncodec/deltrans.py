@@ -281,12 +281,17 @@ def _hash_segments(segments: list[tuple[int, ...]], h,
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
+                     hashes: list[int] | None = None,
                      ) -> tuple[DeltransSketches, tuple[int, ...]]:
-    """Sketch triple and the hash multiset (sorted) of a marker-terminal word."""
+    """Sketch triple and the hash multiset (sorted) of a marker-terminal word.
+
+    `hashes` are the hashes of the word's segments in order, when the caller
+    has them already.
+    """
     segments, residue = segment_lenient(word)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    hashes, terms = _hash_segments(segments, h)
+    hashes, terms = _hash_segments(segments, h, hashes)
     f = vt_sum(terms) % params.f_mod
     g1 = len(segments) % 5
     g2 = vt_parity_sums(word.symbols)[1] % 3
@@ -596,12 +601,12 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             y_hashes: list[int] | None = None) -> Word:
     """Full repair: locate, pick the covering interval, repair it, splice.
 
-    `y_hashes` are passed on to `locate`.
+    `y_hashes` are passed on to `locate` and to the check of a clean word.
     """
     loc = locate(y, target, h_x, params, h, y_hashes)
     n = params.n
     if loc.clean:
-        sk, hashes = segment_sketches(y, params, h)
+        sk, hashes = segment_sketches(y, params, h, y_hashes)
         if sk != target or hashes != h_x:
             raise DecodeFailure("unchanged word contradicts the sketches")
         return y
@@ -609,29 +614,23 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     family, idx = plan.interval_for(loc.window)
     intervals = plan.primary if family == 1 else plan.shifted
     a, b = intervals[idx]
-    lo, hi = loc.window
+    lo = loc.window[0]
     length = plan.block
     shift = 1 if deletion else 0
-
-    def source_bit(p: int) -> int:
-        if p > n:
-            return 0
-        if p < lo:
-            return y.symbols[p - 1]
-        return y.symbols[p - 1 - shift]
-
-    width = inner_fields(length).width
     acc = hats[0] if family == 1 else hats[1]
     if acc is None:
         raise DecodeFailure("the shifted family has no sketch at this size")
     for j, (c, d) in enumerate(intervals):
         if j == idx:
             continue
-        chunk = tuple(source_bit(p) for p in range(c, d + 1))
+        # the family's other intervals lie wholly before the window, where y
+        # is the source, or wholly after it, where y lags by the deletion;
+        # the source is 0 past n
+        lag = shift if c > lo else 0
+        chunk = _padded_slice(y.symbols, c - lag, d - lag)
         sk = inner_sketch(chunk, length)
         acc = tuple(x ^ s for x, s in zip(acc, sk))
-    chunk = y.symbols[a - 1:min(b - shift, len(y))]
-    window_bits = chunk + (0,) * (b - a + 1 - shift - len(chunk))
+    window_bits = _padded_slice(y.symbols, a, b - shift)
     repaired = inner_correct(window_bits, acc, length)
     keep = min(b, n) - a + 1
     tail = y.symbols[b - shift:] if b < n else ()

@@ -31,6 +31,15 @@ class Word:
                 raise AlphabetError(f"symbol {s} outside [0, {self.q})")
 
     @classmethod
+    def _trusted(cls, symbols: tuple[int, ...], q: int = 2) -> "Word":
+        """A Word over symbols already known to lie in [0, q), such as bits
+        taken from a validated Word; the per-symbol check is skipped."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "symbols", symbols)
+        object.__setattr__(word, "q", q)
+        return word
+
+    @classmethod
     def parse(cls, text: str, q: int | None = None) -> "Word":
         """Parse an ASCII digit string; q is inferred from the symbols if omitted."""
         if not all(c in "0123456789" for c in text):

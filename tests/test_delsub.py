@@ -18,7 +18,7 @@ from syncodec.delsub import (
     sketches,
 )
 from syncodec.errors import DecodeFailure, EmptyListError
-from syncodec.sketches import vt_sum
+from syncodec.sketches import signed_residue, vt_sum
 from syncodec.words import (
     DelAndSub,
     Deletion,
@@ -310,6 +310,88 @@ def test_list_decode_matches_the_reference_scan(n, trials):
                                            params)
             sizes.append(len(got) if isinstance(got, list) else 0)
     assert max(sizes) >= 1
+
+
+def _run_heavy_word(rng, n, kind):
+    """Bits that are 1 with probability 0.1 or 0.9, or long runs: up to
+    n / 2 bits each, at most 300, so a few at n = 97 and 1000.  (The
+    reference sketches every pair of a hit, and a hit has a pair for each
+    position of its run.)"""
+    if kind == "runs":
+        bits = []
+        bit = rng.getrandbits(1)
+        while len(bits) < n:
+            bits += [bit] * rng.randint(1, min(n // 2, 300))
+            bit ^= 1
+        return tuple(bits[:n])
+    return tuple(int(rng.random() < kind) for _ in range(n))
+
+
+@pytest.mark.parametrize("n,trials", [(97, 12), (1000, 4), (16384, 1)])
+@pytest.mark.parametrize("kind", [0.1, 0.9, "runs"])
+def test_scan_matches_the_reference_on_run_heavy_words(n, trials, kind):
+    """Long runs put the flip next to or inside the insertion's own run,
+    which uniform words rarely do.  Every (b_d, b_e) scan runs against the
+    word's own target and an unrelated word's, with the weight field set to
+    the value that scan assumes; list_decode runs against both targets."""
+    rng = random.Random(f"{n}-{kind}")
+    params = DelSubParams(n)
+    hits = 0
+    for _ in range(trials):
+        x = _run_heavy_word(rng, n, kind)
+        d, e = rng.randint(1, n), rng.randint(1, n)
+        y = Word(x, 2)
+        y = apply(y, Deletion(d)) if d == e else apply(y, DelAndSub(d, e))
+        stats = _WordStats(y.symbols)
+        other = _run_heavy_word(rng, n, kind)
+        for source in (x, other):
+            target = sketches(Word(source, 2), params)
+            for b_d in (0, 1):
+                for b_e in (0, 1, None):
+                    shift = b_d + (0 if b_e is None else 2 * b_e - 1)
+                    scan_target = DelSubSketches(
+                        target.f, target.f1r, target.f2r,
+                        (stats.weight + shift) % params.h_mod, target.hr)
+                    run_delta = signed_residue(scan_target.hr - stats.runs,
+                                               params.hr_mod)
+                    got = delsub_module._scan(stats, params, scan_target, b_d,
+                                              b_e, run_delta)
+                    assert got == _reference_scan(y, scan_target, params, b_d,
+                                                  b_e)
+                    hits += bool(got)
+            assert (_decode_or_error(list_decode, y, target, params)
+                    == _decode_or_error(_reference_list_decode, y, target,
+                                        params))
+    assert hits >= trials
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_list_decode_builds_one_tuple_per_distinct_word(n, monkeypatch):
+    """Every y of length n - 1 against every sketch class: list_decode builds
+    exactly one candidate tuple per word it returns, although a word has a
+    scan hit at each insertion point of its run and may have several
+    descriptions."""
+    calls = []
+    build = delsub_module._candidate_bits
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(delsub_module, "_candidate_bits", counting)
+    params = DelSubParams(n)
+    targets = {sketches(x, params) for x in binary_words(n)}
+    decoded = 0
+    for y in binary_words(n - 1):
+        for target in targets:
+            calls.clear()
+            try:
+                out = list_decode(y, target, params)
+            except EmptyListError:
+                out = []
+            assert len(calls) == len(out)
+            decoded += len(out)
+    assert decoded > 0
 
 
 def test_list_decode_rejects_junk():

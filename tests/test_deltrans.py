@@ -114,9 +114,7 @@ def test_segment_lenient_matches_the_sliding_scan():
         assert segment_lenient(Word(bits, 2)) == _sliding_segments(bits)
 
 
-def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
-    """One deletion decode hashes y's segments once (shared by the multiset
-    recovery and locate) and the repaired word's segments once."""
+def _count_hash_calls(monkeypatch) -> list:
     calls = []
     lookup = GreedyHash.__call__
 
@@ -125,12 +123,29 @@ def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
         return lookup(self, bits)
 
     monkeypatch.setattr(GreedyHash, "__call__", counting)
+    return calls
+
+
+def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
+    """One deletion decode hashes y's segments once (shared by the multiset
+    recovery and locate) and the repaired word's segments once."""
+    calls = _count_hash_calls(monkeypatch)
     x = desk_code.codewords[0]
     y = apply(x, Deletion(1))
     assert desk_code.decode(y) == x
     segments_y, _ = segment_lenient(y)
     segments_x, _ = segment_lenient(x)
     assert calls == segments_y + segments_x
+
+
+def test_desk_clean_decode_hashes_each_segment_once(desk_code, monkeypatch):
+    """An unchanged codeword's segments are hashed once, by the multiset
+    recovery; the clean check reuses those hashes."""
+    calls = _count_hash_calls(monkeypatch)
+    for x in desk_code.codewords[:8]:
+        calls.clear()
+        assert desk_code.decode(x) == x
+        assert calls == segment_lenient(x)[0]
 
 
 def test_greedy_hash_tiny_example():
