@@ -435,7 +435,8 @@ class DelSubCode:
         v = self.fields.pack(sketches(z, self.params).astuple())
         t = self.inner_fields.pack(
             sketches(self._pad(v), self.inner_params).astuple())
-        return Word(z.symbols + v + rep_encode(t), 2)
+        # z is a validated binary Word; v, t and the guard are packed bits
+        return Word._trusted(z.symbols + v + rep_encode(t), 2)
 
     def decode(self, y: Word) -> list[Word]:
         require_binary(y)

@@ -5,11 +5,23 @@ and keeps the words whose weighted VT sketch and symbol-count parities hit a
 chosen target, intersected with the regular words.  Regularity (no long 0-runs
 in the 0/2-projection, no long 3-runs in the 1/3-projection) is what makes the
 deletion/insertion scans unambiguous.
+
+Each public function reads its word once into bytes, one per symbol, and does
+its per-symbol work at array speed: numpy reads the bytes as one uint8 array,
+the weighted VT sum is the int64 dot product of w(x) with the positions, the
+count parities are `bytes.count`s, and each corrector scan is one cumulative
+sum and one equality search (the offsets stay below the modulus, so matching
+them mod the modulus is exact equality; see `correct_deletion`).  Every sum is
+at most (n+1)(n+2)/2 max(w), which fits in int64 for n up to 2^28.  The
+runlength code packs each projection as bytes and interleaves the two by the
+parity mask of the symbols.  Words built from validated symbols skip the
+per-symbol check (`Word._trusted`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +37,7 @@ from .inner import (
     rep_decode,
     rep_encode,
 )
-from .sketches import WeightFn, signed_residue, weighted_vt
+from .sketches import WeightFn, signed_residue, weighted_vt_sum
 from .words import ErrorModel, Word
 
 
@@ -44,6 +56,11 @@ class Edit4Params:
         weights = WeightFn((0, 1, 2 * log_n + 11, 2 * log_n + 12))
         modulus = 1 + 2 * n * (2 * log_n + 12)
         return cls(n, log_n, weights, modulus)
+
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        """w as an int64 array, indexed by a word's uint8 symbol array."""
+        return np.array(self.weights.weights, dtype=np.int64)
 
     @property
     def moduli(self) -> tuple[int, int, int, int]:
@@ -106,9 +123,24 @@ def is_regular(word: Word, params: Edit4Params) -> bool:
     return regularity(word, params).ok
 
 
+def _word_bytes(word: Word) -> bytes:
+    """One byte per symbol of a 4-ary word: np.frombuffer reads it as the
+    word's uint8 array without a copy, and bytes.count counts its symbols."""
+    if word.q != 4:
+        raise AlphabetError(f"edit4 works on 4-ary words, got alphabet size {word.q}")
+    # bytearray() converts a tuple of small ints about twice as fast as bytes()
+    return bytes(bytearray(word.symbols))
+
+
+def _weights_of(raw: bytes, params: Edit4Params) -> np.ndarray:
+    """w(x_i) at each position, as one int64 array."""
+    return params.weight_array.take(np.frombuffer(raw, dtype=np.uint8))
+
+
 def sketches(word: Word, params: Edit4Params) -> Edit4Sketches:
-    f = weighted_vt(word, params.weights, params.modulus).value
-    return Edit4Sketches(f, *_count_parities(word))
+    raw = _word_bytes(word)
+    f = weighted_vt_sum(_weights_of(raw, params)) % params.modulus
+    return Edit4Sketches(f, *_count_parities(raw))
 
 
 def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
@@ -117,18 +149,23 @@ def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
     return is_regular(word, params) and sketches(word, params) == target
 
 
-def _count_parities(word: Word) -> tuple[int, int, int]:
-    s = word.symbols
-    return s.count(0) & 1, s.count(1) & 1, s.count(2) & 1
+def _count_parities(raw: bytes) -> tuple[int, int, int]:
+    return raw.count(0) & 1, raw.count(1) & 1, raw.count(2) & 1
+
+
+def _flipped(raw: bytes, target: Edit4Sketches) -> list[int]:
+    """The symbols whose count parity in y differs from the target's."""
+    hy = _count_parities(raw)
+    return [c for c, h in enumerate((target.h0, target.h1, target.h2)) if hy[c] != h]
 
 
 def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
     """Recover the codeword from y differing in at most one position."""
     if len(y) != params.n:
         raise NoCandidateError(f"expected length {params.n}, got {len(y)}")
-    hy = _count_parities(y)
-    flipped = [c for c in range(3) if hy[c] != (target.h0, target.h1, target.h2)[c]]
-    f_y = weighted_vt(y, params.weights, params.modulus).value
+    raw = _word_bytes(y)
+    flipped = _flipped(raw, target)
+    f_y = weighted_vt_sum(_weights_of(raw, params))
     diff = signed_residue(target.f - f_y, params.modulus)  # f(x) - f(y)
     if not flipped:
         if diff != 0:
@@ -149,61 +186,76 @@ def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) ->
     i = abs(diff) // step
     if not 1 <= i <= params.n or y.symbols[i - 1] != b:
         raise NoCandidateError("recovered position is inconsistent with y")
-    x = y.replace(y.symbols[:i - 1] + (a,) + y.symbols[i:])
+    x = Word._trusted(y.symbols[:i - 1] + (a,) + y.symbols[i:], 4)
     if sketches(x, params) != target:
         raise NoCandidateError("corrected word does not match the sketch target")
     return x
 
 
 def correct_deletion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    """Reinsert the deleted symbol; right-to-left scan, O(n) total."""
+    """Reinsert the deleted symbol a, found by the count parities.
+
+    Inserting a to the left of y_j (j = n appends) adds
+    D(j) = j w(a) + sum_{i >= j} w(y_i) to f(y).  As 0 <= D(j) <= n max(w)
+    lies below the modulus 1 + 2n max(w), D(j) = target.f - f(y) mod the
+    modulus is an exact equality, so one cumulative sum over y's weights and
+    one equality search find every matching j; the largest is kept, as a
+    right-to-left scan would.
+    """
     n = params.n
     if len(y) != n - 1:
         raise NoCandidateError(f"expected length {n - 1}, got {len(y)}")
-    hy = _count_parities(y)
-    flipped = [c for c in range(3) if hy[c] != (target.h0, target.h1, target.h2)[c]]
+    raw = _word_bytes(y)
+    flipped = _flipped(raw, target)
     if len(flipped) > 1:
         raise NoCandidateError("one deletion flips at most one count parity")
     a = flipped[0] if flipped else 3
-    w = params.weights
-    f_y = weighted_vt(y, params.weights, params.modulus).value
-    # f(y^(j)) for y^(j) = insert a to the left of y_j; start at j = n (append).
-    f_ins = (f_y + n * w(a)) % params.modulus
-    for j in range(n, 0, -1):
-        if (target.f - f_ins) % params.modulus == 0:
-            x = y.replace(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:])
-            if sketches(x, params) != target:
-                raise NoCandidateError("reinserted word does not match the target")
-            return x
-        if j > 1:
-            f_ins = (f_ins - w(a) + w(y.symbols[j - 2])) % params.modulus
-    raise NoCandidateError("no insertion position matches the VT sketch")
+    weighted = _weights_of(raw, params)
+    f_y = weighted_vt_sum(weighted)
+    before = np.zeros(n, dtype=np.int64)  # before[j - 1] = sum_{i < j} w(y_i)
+    np.cumsum(weighted, out=before[1:])
+    offsets = np.arange(1, n + 1, dtype=np.int64) * params.weights(a) \
+        + (before[-1] - before)
+    hits = (offsets == (target.f - f_y) % params.modulus).nonzero()[0]
+    if not hits.size:
+        raise NoCandidateError("no insertion position matches the VT sketch")
+    j = int(hits[-1]) + 1
+    x = Word._trusted(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:], 4)
+    if sketches(x, params) != target:
+        raise NoCandidateError("reinserted word does not match the target")
+    return x
 
 
 def correct_insertion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    """Remove the inserted symbol; right-to-left scan over its occurrences."""
+    """Remove the inserted symbol a, found by the count parities.
+
+    Deleting y_j = a takes E(j) = j w(a) + sum_{i > j} w(y_i) off f(y).  As
+    0 <= E(j) <= (n + 1) max(w) lies below the modulus, E(j) = f(y) -
+    target.f mod the modulus is an exact equality; of the occurrences of a
+    that match, the rightmost is kept.
+    """
     n = params.n
     if len(y) != n + 1:
         raise NoCandidateError(f"expected length {n + 1}, got {len(y)}")
-    hy = _count_parities(y)
-    flipped = [c for c in range(3) if hy[c] != (target.h0, target.h1, target.h2)[c]]
+    raw = _word_bytes(y)
+    flipped = _flipped(raw, target)
     if len(flipped) > 1:
         raise NoCandidateError("one insertion flips at most one count parity")
     a = flipped[0] if flipped else 3
-    w = params.weights
-    f_y = weighted_vt(y, params.weights, params.modulus).value
-    # f(y^(j)) for y^(j) = delete y_j = a, scanning j from n+1 downward.
-    suffix_weight = 0
-    for j in range(n + 1, 0, -1):
-        if y.symbols[j - 1] == a:
-            f_del = (f_y - j * w(a) - suffix_weight) % params.modulus
-            if (target.f - f_del) % params.modulus == 0:
-                x = y.replace(y.symbols[:j - 1] + y.symbols[j:])
-                if sketches(x, params) != target:
-                    raise NoCandidateError("shortened word does not match the target")
-                return x
-        suffix_weight += w(y.symbols[j - 1])
-    raise NoCandidateError("no occurrence of the inserted symbol matches the sketch")
+    weighted = _weights_of(raw, params)
+    f_y = weighted_vt_sum(weighted)
+    through = np.cumsum(weighted)  # through[j - 1] = sum_{i <= j} w(y_i)
+    offsets = np.arange(1, n + 2, dtype=np.int64) * params.weights(a) \
+        + (through[-1] - through)
+    hits = ((offsets == (f_y - target.f) % params.modulus)
+            & (np.frombuffer(raw, dtype=np.uint8) == a)).nonzero()[0]
+    if not hits.size:
+        raise NoCandidateError("no occurrence of the inserted symbol matches the sketch")
+    j = int(hits[-1]) + 1
+    x = Word._trusted(y.symbols[:j - 1] + y.symbols[j:], 4)
+    if sketches(x, params) != target:
+        raise NoCandidateError("shortened word does not match the target")
+    return x
 
 
 def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
@@ -218,9 +270,11 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
 
 # Runlength replacement: the 0/2 projection is encoded against long 0-runs,
 # the 1/3 projection against long 3-runs; both use the same core with the
-# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).
+# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).  A projection is
+# a bytes object (bytes.translate drops the other pair's digits), and the two
+# are interleaved again by the parity mask of the word's symbols.
 
-def _rll_pack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
+def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
     """Replace runs of cap zero_digits until none is left; O(m) scanning.
 
     Each pass deletes the first run and appends a marker: its start in
@@ -230,45 +284,33 @@ def _rll_pack(seq: list[int], zero_digit: int, one_digit: int) -> list[int]:
     search resumes there: the scans together read each symbol O(1) times.
     """
     m = len(seq)
-    out = list(seq) + [one_digit, zero_digit]
+    out = bytearray(seq)
+    out += bytes((one_digit, zero_digit))
     if m == 0:
         return out
     cap = (m - 1).bit_length() + 2
     width = cap - 2
-    start = 0
-    while True:
-        start = _find_run(out, zero_digit, cap, start)
-        if start is None:
-            return out
+    run = bytes((zero_digit,)) * cap
+    start = out.find(run)
+    while start >= 0:
         del out[start:start + cap]
-        out.extend(one_digit if b else zero_digit for b in int_to_bits(start, width))
-        out.extend([one_digit, one_digit])
+        out += bytes(one_digit if b else zero_digit for b in int_to_bits(start, width))
+        out += bytes((one_digit, one_digit))
+        start = out.find(run, start)
+    return out
 
 
-def _find_run(seq: list[int], digit: int, cap: int, begin: int) -> int | None:
-    """Start of the first run of cap digits that starts at or after begin."""
-    count = 0
-    for i in range(begin, len(seq)):
-        if seq[i] == digit:
-            count += 1
-            if count == cap:
-                return i - cap + 1
-        else:
-            count = 0
-    return None
-
-
-def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> list[int]:
+def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
     """Invert _rll_pack, rejecting every seq that _rll_pack cannot output."""
     if len(seq) < 2:
         raise MalformedEncodingError("packed projection shorter than its suffix")
     m = len(seq) - 2
     # at m = 0 no marker exists; cap = 3 then exceeds len(seq) and rejects one
     cap = (m - 1).bit_length() + 2
-    width = cap - 2
-    if seq.find(bytes((zero_digit,)) * cap) >= 0:
+    run = bytes((zero_digit,)) * cap
+    if seq.find(run) >= 0:
         raise MalformedEncodingError("packed projection still holds a long run")
-    out = list(seq)
+    out = bytearray(seq)
     later = len(seq)  # start of the marker unwound before, i.e. packed after
     for _ in range(len(seq) + 1):
         if out[-1] == zero_digit:
@@ -294,35 +336,30 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> list[int]:
         if start > later or start and out[start - 1] == zero_digit:
             raise MalformedEncodingError("markers are not in packing order")
         later = start
-        out[start:start] = [zero_digit] * cap
+        out[start:start] = run
     raise MalformedEncodingError("marker unwinding did not terminate")
 
 
 def rll_encode(z: Word) -> Word:
-    """Encode z into a regular word of length len(z) + 4, in O(m)."""
-    if z.q != 4:
-        raise AlphabetError("runlength replacement operates on 4-ary words")
-    low_positions = [i for i, s in enumerate(z.symbols) if s in (0, 2)]
-    low = [z.symbols[i] for i in low_positions]
-    high = [s for s in z.symbols if s in (1, 3)]
-    packed_low = _rll_pack(low, 0, 2)
-    packed_high = _rll_pack(high, 3, 1)
-    m = len(z)
-    out = [0] * (m + 4)
-    low_slots = low_positions + [m, m + 1]
-    low_set = set(low_slots)
-    high_slots = [i for i in range(m + 4) if i not in low_set]
-    for slot, s in zip(low_slots, packed_low):
-        out[slot] = s
-    for slot, s in zip(high_slots, packed_high):
-        out[slot] = s
-    return Word(tuple(out), 4)
+    """Encode z into a regular word of length len(z) + 4, in O(m).
+
+    The packed 0/2 projection keeps the slots of z's even symbols and takes
+    slots m, m+1 for its suffix; the packed 1/3 projection fills the rest.
+    """
+    word = _word_bytes(z)
+    packed_low = _rll_pack(word.translate(None, b"\x01\x03"), 0, 2)
+    packed_high = _rll_pack(word.translate(None, b"\x00\x02"), 3, 1)
+    low = np.concatenate(((np.frombuffer(word, dtype=np.uint8) & 1) == 0,
+                          (True, True, False, False)))
+    out = np.empty(len(word) + 4, dtype=np.uint8)
+    out[low] = np.frombuffer(packed_low, dtype=np.uint8)
+    out[~low] = np.frombuffer(packed_high, dtype=np.uint8)
+    return Word._trusted(tuple(out.tobytes()), 4)
 
 
 def rll_decode(x: Word) -> Word:
     """Invert rll_encode; a word that rll_encode cannot output is rejected."""
-    if x.q != 4:
-        raise AlphabetError("runlength replacement operates on 4-ary words")
+    word = _word_bytes(x)
     if len(x) < 4:
         raise MalformedEncodingError("encoded word shorter than the fixed overhead")
     m = len(x) - 4
@@ -332,18 +369,39 @@ def rll_decode(x: Word) -> Word:
         raise MalformedEncodingError("suffix slots do not hold low, low, high, high")
     # unpacking keeps each projection's length, so with the suffix slots in
     # place the payloads fill the first m slots exactly
-    word = bytes(x.symbols)
-    it_low = iter(_rll_unpack(word.translate(None, b"\x01\x03"), 0, 2))
-    it_high = iter(_rll_unpack(word.translate(None, b"\x00\x02"), 3, 1))
-    out = [next(it_low) if s in (0, 2) else next(it_high) for s in x.symbols[:m]]
-    return Word(tuple(out), 4)
+    low_payload = _rll_unpack(word.translate(None, b"\x01\x03"), 0, 2)
+    high_payload = _rll_unpack(word.translate(None, b"\x00\x02"), 3, 1)
+    low = (np.frombuffer(word, dtype=np.uint8, count=m) & 1) == 0
+    out = np.empty(m, dtype=np.uint8)
+    out[low] = np.frombuffer(low_payload, dtype=np.uint8)
+    out[~low] = np.frombuffer(high_payload, dtype=np.uint8)
+    return Word._trusted(tuple(out.tobytes()), 4)
+
+
+def _within_one_edit(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether b equals a or is one deletion, insertion or substitution of it:
+    the common prefix and the common suffix cover all but the edited symbol."""
+    short = min(len(a), len(b))
+    if max(len(a), len(b)) - short > 1:
+        return False
+    p = 0
+    while p < short and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < short - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    return p + s >= short - (len(a) == len(b))
 
 
 class Edit4Code:
     """Complete encoder/decoder: payload) regularized payload, tail) sketches.
 
     The tail serializes the payload's sketch fields into 4-ary symbols and
-    guards them with 5-fold repetition, which is single-edit proof.
+    guards them with 5-fold repetition, which is single-edit proof.  A word
+    whose tail does not match the recovered sketches is answered from its
+    payload alone, and only when that answer's codeword reaches it: the
+    payload has those sketches and the tail part is within one edit of
+    their tail.
     """
 
     q = 4
@@ -367,7 +425,7 @@ class Edit4Code:
             raise AlphabetError(f"message must be 4-ary of length {self.m}")
         x = rll_encode(z)
         tail = rep_encode(self._serialize(sketches(x, self.params)))
-        return Word(x.symbols + tail, 4)
+        return Word._trusted(x.symbols + tail, 4)
 
     def decode(self, y: Word) -> Word:
         delta = len(y) - self.n_total
@@ -378,11 +436,21 @@ class Edit4Code:
         bits = quaternary_to_bits(rep_decode(window, self.tail_blocks))
         target = Edit4Sketches(*self.fields.unpack(bits))
         expected_tail = rep_encode(self._serialize(target))
+        # y's symbols lie below y.q, so only a wider alphabet needs the check
+        quaternary = Word._trusted if y.q <= 4 else Word
         if y.symbols[len(y) - self.tail_len:] != expected_tail:
             # the edit hit the tail, so the payload part is intact
-            payload = Word(y.symbols[:self.m + 4], 4)
-            return rll_decode(payload)
-        payload_window = Word(y.symbols[:len(y) - self.tail_len], 4)
+            payload = quaternary(y.symbols[:self.m + 4], 4)
+            z = rll_decode(payload)
+            # z's codeword is payload + expected_tail when the payload's
+            # sketches are the target, and reaches y when y's tail part is
+            # within one edit of expected_tail
+            if not _within_one_edit(y.symbols[self.m + 4:], expected_tail):
+                raise DecodeFailure("tail is more than one edit from its guard")
+            if sketches(payload, self.params) != target:
+                raise DecodeFailure("intact payload does not match the tail's sketches")
+            return z
+        payload_window = quaternary(y.symbols[:len(y) - self.tail_len], 4)
         x = correct_edit(payload_window, target, self.params)
         return rll_decode(x)
 

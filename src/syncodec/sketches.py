@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .errors import AlphabetError
 from .words import Word
 
@@ -96,11 +98,23 @@ def vt(word: Word, modulus: int) -> ModularValue:
     return ModularValue(vt_sum(word.symbols) % modulus, modulus)
 
 
+def weighted_vt_sum(weighted: np.ndarray) -> int:
+    """Weighted VT sum sum(i * w(x_i)) over positions 1..n, given the int64
+    array w(x): one C-level dot product, exact while n(n+1)/2 * max(w) fits
+    in int64."""
+    return int(weighted.dot(np.arange(1, len(weighted) + 1, dtype=np.int64)))
+
+
 def weighted_vt(word: Word, weights: WeightFn, modulus: int) -> ModularValue:
     """Weighted VT sketch sum(i * w(x_i)) mod modulus."""
     if weights.q != word.q:
         raise AlphabetError(
             f"weight function is over q={weights.q}, word over q={word.q}")
-    w = weights.weights
-    total = sum(i * w[s] for i, s in enumerate(word.symbols, start=1))
+    # reducing the weights first leaves the sum mod modulus unchanged
+    w = [x % modulus for x in weights.weights]
+    n = len(word)
+    if max(w) * n * (n + 1) // 2 >= 1 << 63:
+        raise ValueError("weighted VT sum does not fit in int64")
+    symbols = np.fromiter(word.symbols, dtype=np.intp, count=n)
+    total = weighted_vt_sum(np.array(w, dtype=np.int64)[symbols])
     return ModularValue(total % modulus, modulus)

@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import quaternary_words
+import syncodec.edit4 as edit4
 from syncodec.edit4 import (
     Edit4Code,
     Edit4Params,
+    Edit4Sketches,
     codewords_for_target,
     correct_deletion,
     correct_edit,
@@ -23,9 +26,24 @@ from syncodec.edit4 import (
     size_lower_bound,
     sketches,
 )
-from syncodec.errors import DecodeFailure, MalformedEncodingError, NoCandidateError
-from syncodec.inner import int_to_bits, rep_decode, rep_encode
-from syncodec.words import ErrorModel, Word, apply, patterns
+from syncodec.errors import (
+    AlphabetError,
+    DecodeFailure,
+    MalformedEncodingError,
+    NoCandidateError,
+)
+from syncodec.inner import bits_to_int, int_to_bits, rep_decode, rep_encode
+from syncodec.sketches import signed_residue
+from syncodec.words import (
+    Deletion,
+    ErrorModel,
+    Insertion,
+    Substitution,
+    Word,
+    apply,
+    forward_images,
+    patterns,
+)
 
 
 def test_params_formulas():
@@ -295,3 +313,333 @@ def test_size_lower_bound_held_at_small_n():
 
 def test_regular_fraction_sampler():
     assert regular_fraction(64, 20000, seed=5) >= 7 / 8 - 0.02
+
+
+# The per-symbol loops that the array code in edit4 replaced, kept as
+# references: the weighted VT sum, the three correctors' scans and the
+# runlength decoder with its iterator interleave.  _reference_rll_encode above
+# is the list-and-set encoder over the quadratic packer.
+
+def _reference_sketches(word, params):
+    w = params.weights.weights
+    f = sum(i * w[s] for i, s in enumerate(word.symbols, start=1)) % params.modulus
+    s = word.symbols
+    return Edit4Sketches(f, s.count(0) & 1, s.count(1) & 1, s.count(2) & 1)
+
+
+def _flipped_parities(y, target):
+    return [c for c, h in enumerate((target.h0, target.h1, target.h2))
+            if y.symbols.count(c) & 1 != h]
+
+
+def _reference_correct_substitution(y, target, params):
+    if len(y) != params.n:
+        raise NoCandidateError("length")
+    flipped = _flipped_parities(y, target)
+    f_y = _reference_sketches(y, params).f
+    diff = signed_residue(target.f - f_y, params.modulus)
+    if not flipped:
+        if diff != 0:
+            raise NoCandidateError("vt")
+        return y
+    if len(flipped) == 2:
+        lo, hi = flipped
+    elif len(flipped) == 1:
+        lo, hi = flipped[0], 3
+    else:
+        raise NoCandidateError("three")
+    w = params.weights
+    a, b = (lo, hi) if diff < 0 else (hi, lo)
+    step = abs(w(b) - w(a))
+    if abs(diff) % step:
+        raise NoCandidateError("gap")
+    i = abs(diff) // step
+    if not 1 <= i <= params.n or y.symbols[i - 1] != b:
+        raise NoCandidateError("position")
+    x = y.replace(y.symbols[:i - 1] + (a,) + y.symbols[i:])
+    if _reference_sketches(x, params) != target:
+        raise NoCandidateError("check")
+    return x
+
+
+def _reference_correct_deletion(y, target, params):
+    n = params.n
+    if len(y) != n - 1:
+        raise NoCandidateError("length")
+    flipped = _flipped_parities(y, target)
+    if len(flipped) > 1:
+        raise NoCandidateError("parities")
+    a = flipped[0] if flipped else 3
+    w = params.weights
+    f_y = _reference_sketches(y, params).f
+    f_ins = (f_y + n * w(a)) % params.modulus
+    for j in range(n, 0, -1):
+        if (target.f - f_ins) % params.modulus == 0:
+            x = y.replace(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:])
+            if _reference_sketches(x, params) != target:
+                raise NoCandidateError("check")
+            return x
+        if j > 1:
+            f_ins = (f_ins - w(a) + w(y.symbols[j - 2])) % params.modulus
+    raise NoCandidateError("scan")
+
+
+def _reference_correct_insertion(y, target, params):
+    n = params.n
+    if len(y) != n + 1:
+        raise NoCandidateError("length")
+    flipped = _flipped_parities(y, target)
+    if len(flipped) > 1:
+        raise NoCandidateError("parities")
+    a = flipped[0] if flipped else 3
+    w = params.weights
+    f_y = _reference_sketches(y, params).f
+    suffix_weight = 0
+    for j in range(n + 1, 0, -1):
+        if y.symbols[j - 1] == a:
+            f_del = (f_y - j * w(a) - suffix_weight) % params.modulus
+            if (target.f - f_del) % params.modulus == 0:
+                x = y.replace(y.symbols[:j - 1] + y.symbols[j:])
+                if _reference_sketches(x, params) != target:
+                    raise NoCandidateError("check")
+                return x
+        suffix_weight += w(y.symbols[j - 1])
+    raise NoCandidateError("scan")
+
+
+def _reference_correct_edit(y, target, params):
+    corrector = {params.n: _reference_correct_substitution,
+                 params.n - 1: _reference_correct_deletion,
+                 params.n + 1: _reference_correct_insertion}.get(len(y))
+    if corrector is None:
+        raise NoCandidateError("length")
+    return corrector(y, target, params)
+
+
+def _list_rll_unpack(seq, zero_digit, one_digit):
+    if len(seq) < 2:
+        raise MalformedEncodingError("short")
+    m = len(seq) - 2
+    cap = (m - 1).bit_length() + 2
+    if bytes(seq).find(bytes((zero_digit,)) * cap) >= 0:
+        raise MalformedEncodingError("run")
+    out = list(seq)
+    later = len(seq)
+    for _ in range(len(seq) + 1):
+        if out[-1] == zero_digit:
+            if out[-2] != one_digit:
+                raise MalformedEncodingError("terminator")
+            return out[:-2]
+        if len(out) < cap or out[-2] != one_digit:
+            raise MalformedEncodingError("suffix")
+        bits = []
+        for d in out[-cap:-2]:
+            if d not in (zero_digit, one_digit):
+                raise MalformedEncodingError("digit")
+            bits.append(int(d == one_digit))
+        start = bits_to_int(tuple(bits))
+        del out[-cap:]
+        if start > len(out):
+            raise MalformedEncodingError("index")
+        if start > later or start and out[start - 1] == zero_digit:
+            raise MalformedEncodingError("order")
+        later = start
+        out[start:start] = [zero_digit] * cap
+    raise MalformedEncodingError("unwinding")
+
+
+def _reference_rll_decode(x):
+    if len(x) < 4:
+        raise MalformedEncodingError("short")
+    m = len(x) - 4
+    if x.symbols[m] % 2 or x.symbols[m + 1] % 2 or \
+            not x.symbols[m + 2] % 2 or not x.symbols[m + 3] % 2:
+        raise MalformedEncodingError("slots")
+    it_low = iter(_list_rll_unpack([s for s in x.symbols if s in (0, 2)], 0, 2))
+    it_high = iter(_list_rll_unpack([s for s in x.symbols if s in (1, 3)], 3, 1))
+    return Word(tuple(next(it_low) if s in (0, 2) else next(it_high)
+                      for s in x.symbols[:m]), 4)
+
+
+def _reference_encode(codec, z):
+    x, _ = _reference_rll_encode(z)
+    target = _reference_sketches(x, codec.params)
+    return Word(x.symbols + rep_encode(codec._serialize(target)), 4)
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison is over outcomes, types included
+        return type(exc)
+
+
+def test_scan_offsets_stay_below_the_modulus():
+    """The deletion scan's offsets reach n max(w) and the insertion scan's
+    (n + 1) max(w); both lie below the modulus, so matching them mod the
+    modulus is exact equality, and the raw weighted VT sum of a word of
+    length n + 1 fits in int64."""
+    for k in range(1, 21):
+        n = 2 ** k
+        params = Edit4Params.for_length(n)
+        top = max(params.weights.weights)
+        assert (n + 1) * top < params.modulus
+        assert (n + 1) * (n + 2) // 2 * top < 2 ** 63
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_correctors_match_the_reference_loops_exhaustively(n):
+    """Every regular word and each distinct single-edit image: the same word
+    or the same exception as the loops, with the word's own sketches, and at
+    n <= 5 with the sketches of an unrelated word too."""
+    params = Edit4Params.for_length(n)
+    words = [x for x in quaternary_words(n) if is_regular(x, params)]
+    for index, x in enumerate(words):
+        target = sketches(x, params)
+        assert target == _reference_sketches(x, params)
+        targets = [target]
+        if n <= 5:
+            targets.append(sketches(words[(7 * index + 3) % len(words)], params))
+        for y in forward_images(x, ErrorModel.SINGLE_EDIT):
+            for t in targets:
+                assert _outcome(correct_edit, y, t, params) == \
+                    _outcome(_reference_correct_edit, y, t, params)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_rll_decode_matches_the_reference_loops_on_every_word(n):
+    for x in quaternary_words(n):
+        assert _outcome(rll_decode, x) == _outcome(_reference_rll_decode, x)
+
+
+def _sweep_edits(rng, codec, word):
+    """Single edits of a word of length n_total at both of its ends, at both
+    ends of the payload, in the tail and at random."""
+    n, payload = codec.n_total, codec.m + 4
+    spots = sorted({1, 2, payload - 1, payload, payload + 1,
+                    payload + rng.randrange(1, codec.tail_len), n - 1, n,
+                    rng.randint(1, payload)})
+    for i in spots:
+        yield Deletion(i)
+        yield Substitution(i, (word.symbols[i - 1] + rng.randint(1, 3)) % 4)
+        yield Insertion(i, rng.randrange(4))
+    yield Insertion(n + 1, rng.randrange(4))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "run-heavy"])
+def test_edit4_4096_matches_the_reference_loops(kind):
+    """Edit4Code(4096): encodings equal the loops' encodings; single edits
+    decode to the message; the correctors and rll_decode give the loops'
+    outcomes on the payload window of every single- and two-edit word."""
+    rng = random.Random(f"edit4-4096-{kind}")
+    codec = Edit4Code(4096)
+    for _ in range(3):
+        if kind == "uniform":
+            z = Word(tuple(rng.choices(range(4), k=codec.m)), 4)
+        else:
+            z = _run_heavy_message(rng, codec.m)
+        x = codec.encode(z)
+        assert x == _reference_encode(codec, z)
+        target = sketches(Word(x.symbols[:codec.m + 4], 4), codec.params)
+        ys = [apply(x, p) for p in _sweep_edits(rng, codec, x)]
+        assert all(codec.decode(y) == z for y in ys)
+        ys += [apply(y, rng.choice(list(_sweep_edits(rng, codec, y))))
+               for y in ys if len(y) == codec.n_total]
+        for y in ys:
+            window = Word(y.symbols[:len(y) - codec.tail_len], 4)
+            got = _outcome(correct_edit, window, target, codec.params)
+            assert got == _outcome(_reference_correct_edit, window, target,
+                                   codec.params)
+            if isinstance(got, Word):
+                assert _outcome(rll_decode, got) == _outcome(_reference_rll_decode, got)
+
+
+def test_within_one_edit_is_the_single_edit_ball():
+    for n in range(0, 6):
+        for a in itertools.product(range(3), repeat=n):
+            ball = {w.symbols for w in forward_images(Word(a, 3), ErrorModel.SINGLE_EDIT)}
+            for m in range(max(0, n - 2), n + 3):
+                for b in itertools.product(range(3), repeat=m):
+                    assert edit4._within_one_edit(b, a) == (b in ball)
+
+
+def test_tail_hit_answer_reaches_the_received_word():
+    """A word whose tail comparison fails is decoded from its payload only if
+    the payload's sketches are the recovered target and the tail part is
+    within one edit of that target's tail; otherwise DecodeFailure."""
+    codec = Edit4Code(28)
+    rng = random.Random(29)
+    z = Word(tuple(rng.choices(range(4), k=codec.m)), 4)
+    x = codec.encode(z)
+    tail_at = codec.m + 4
+    # one substitution in the tail: the payload is intact
+    one = apply(x, Substitution(tail_at + 1, (x.symbols[tail_at] + 1) % 4))
+    assert codec.decode(one) == z
+    # two substitutions in different repetition blocks of the tail
+    two = apply(one, Substitution(len(x), (x.symbols[-1] + 1) % 4))
+    with pytest.raises(DecodeFailure):
+        codec.decode(two)
+    # a payload substitution plus a tail one that breaks the tail comparison
+    flipped = (x.symbols[0] + 2) % 4
+    payload_hit = apply(one, Substitution(1, flipped))
+    answer = _outcome(codec.decode, payload_hit)
+    assert not isinstance(answer, Word) or \
+        payload_hit in forward_images(codec.encode(answer), ErrorModel.SINGLE_EDIT)
+
+
+def test_deletion_decode_calls_each_traced_layer(monkeypatch):
+    """perfbench's tracer times edit4's layers by patching these module
+    attributes, so a decode must reach each of them through the module."""
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    layers = ("sketches", "correct_edit", "rll_decode", "rep_decode")
+    for name in layers:
+        monkeypatch.setattr(edit4, name, counting(name, getattr(edit4, name)))
+    codec = Edit4Code(64)
+    z = Word(tuple(random.Random(31).choices(range(4), k=64)), 4)
+    x = codec.encode(z)
+    calls.clear()
+    assert codec.decode(apply(x, Deletion(20))) == z
+    assert all(calls[name] >= 1 for name in layers), calls
+
+
+def test_decode_checks_symbols_of_a_wider_alphabet():
+    """Symbols of a word over q <= 4 are valid 4-ary symbols as they stand;
+    a word over a wider alphabet is checked before any array work."""
+    codec = Edit4Code(16)
+    x = codec.encode(Word(tuple(random.Random(37).choices(range(4), k=16)), 4))
+    assert codec.decode(Word(x.symbols, 5)) == codec.decode(x)
+    wide = Word((4,) + x.symbols[1:], 5)
+    with pytest.raises(AlphabetError):
+        codec.decode(wide)
+
+
+def test_scans_keep_the_rightmost_match_of_the_flipped_symbol():
+    """Beyond regular words a scan can match twice: with a = 1 and w(2) = 21
+    at n = 25, a 2 followed by twenty 0s leaves the offset unchanged.  The
+    scans keep the rightmost match among occurrences of a, as the loops do;
+    a match at a 0 to the right of the only 1 is no occurrence of a."""
+    params = Edit4Params.for_length(25)
+    assert params.weights.weights == (0, 1, 21, 22)
+    zeros = (0,) * 20
+    left = Word((3, 3, 1, 2) + zeros + (3,), 4)
+    right = Word((3, 3, 2) + zeros + (1, 3), 4)
+    first = Word((2,) + zeros + (1, 3, 3, 3), 4)
+    second = Word((1, 2) + zeros + (3, 3, 3), 4)
+    only = Word((2,) + zeros + (3, 3, 3, 3), 4)
+    cases = [
+        (Word((3, 3, 2) + zeros + (3,), 4), left, right),
+        (Word((1, 2) + zeros + (1, 3, 3, 3), 4), first, second),
+        (Word((1, 2) + zeros + (3, 3, 3, 3), 4), only, only),
+    ]
+    for y, source, expected in cases:
+        target = sketches(source, params)
+        assert correct_edit(y, target, params) == expected
+        assert _reference_correct_edit(y, target, params) == expected

@@ -1,6 +1,8 @@
 """Property tests: hypothesis draws the inputs, derandomized and with a fixed
 number of examples, so every run tests the same cases."""
 
+from functools import lru_cache
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,7 +14,17 @@ from syncodec.delsub import (  # noqa: E402
     list_decode,
     sketches,
 )
-from syncodec.words import Word  # noqa: E402
+from syncodec.edit4 import Edit4Code  # noqa: E402
+from syncodec.errors import DecodeFailure  # noqa: E402
+from syncodec.words import (  # noqa: E402
+    Deletion,
+    ErrorModel,
+    Insertion,
+    Substitution,
+    Word,
+    apply,
+    forward_images,
+)
 from test_delsub import _decode_or_error, _reference_list_decode  # noqa: E402
 
 FIXED = settings(derandomize=True, max_examples=400, deadline=None,
@@ -53,3 +65,67 @@ def test_list_decode_is_the_reference_for_any_word_and_sketches(case):
     got = _decode_or_error(list_decode, y, target, params)
     assert got == _decode_or_error(_reference_list_decode, y, target, params)
     assert got == "EmptyListError" or 1 <= len(got) <= 2
+
+
+edit4_code = lru_cache(maxsize=None)(Edit4Code)
+
+
+def quaternary(draw, n):
+    """A 4-ary word of length n, drawn as n bytes."""
+    return Word(tuple(b % 4 for b in draw(st.binary(min_size=n, max_size=n))), 4)
+
+
+@st.composite
+def edit4_codeword(draw):
+    """An Edit4Code of message length 0..40, a message and its codeword."""
+    code = edit4_code(draw(st.integers(0, 40)))
+    z = quaternary(draw, code.m)
+    return code, z, code.encode(z)
+
+
+@st.composite
+def single_edit(draw, word):
+    """One deletion, insertion or substitution of word."""
+    n = len(word)
+    kind = draw(st.sampled_from(["del", "ins", "sub"]))
+    if kind == "del":
+        return Deletion(draw(st.integers(1, n)))
+    if kind == "ins":
+        return Insertion(draw(st.integers(1, n + 1)), draw(st.integers(0, 3)))
+    at = draw(st.integers(1, n))
+    return Substitution(at, (word.symbols[at - 1] + draw(st.integers(1, 3))) % 4)
+
+
+@FIXED
+@given(st.data())
+def test_edit4_decodes_any_word_or_raises_decode_failure(data):
+    code = edit4_code(data.draw(st.integers(0, 40)))
+    n = code.n_total + data.draw(st.integers(-1, 1))
+    y = quaternary(data.draw, n)
+    try:
+        z = code.decode(y)
+    except DecodeFailure:
+        return
+    assert z.q == 4 and len(z) == code.m
+
+
+@FIXED
+@given(st.data())
+def test_edit4_undoes_any_single_edit(data):
+    code, z, x = data.draw(edit4_codeword())
+    assert code.decode(apply(x, data.draw(single_edit(x)))) == z
+
+
+@FIXED
+@given(st.data())
+def test_edit4_two_edits_never_give_an_unreachable_answer(data):
+    """An answer to a word two edits from a codeword must have an encoding
+    within one edit of that word, or the decode raises DecodeFailure."""
+    code, z, x = data.draw(edit4_codeword())
+    once = apply(x, data.draw(single_edit(x)))
+    y = apply(once, data.draw(single_edit(once)))
+    try:
+        answer = code.decode(y)
+    except DecodeFailure:
+        return
+    assert y in forward_images(code.encode(answer), ErrorModel.SINGLE_EDIT)

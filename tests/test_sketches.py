@@ -52,6 +52,21 @@ def test_weighted_vt_alphabet_mismatch():
         weighted_vt(Word.parse("01"), WeightFn((0, 1, 2, 3)), 7)
 
 
+def test_weighted_vt_is_exact_for_any_weights_or_refuses():
+    """Weights are reduced mod the modulus before the int64 sum, so weights
+    beyond int64 still give the exact value; a sum that cannot fit in int64
+    even then raises instead of wrapping."""
+    rng = random.Random(5)
+    weights = (0, 10 ** 30, 10 ** 30 + 7, 3 * 10 ** 40)
+    for modulus in (1009, 2 ** 40 + 15):
+        for _ in range(50):
+            word = Word(tuple(rng.randrange(4) for _ in range(rng.randrange(0, 30))), 4)
+            expected = sum(i * weights[s] for i, s in enumerate(word.symbols, start=1))
+            assert weighted_vt(word, WeightFn(weights), modulus).value == expected % modulus
+    with pytest.raises(ValueError):
+        weighted_vt(Word((1,) * 10), WeightFn((0, 2 ** 62)), 2 ** 63)
+
+
 def test_weight_fn_must_increase():
     with pytest.raises(AlphabetError):
         WeightFn((0, 0, 1, 2))
