@@ -21,7 +21,7 @@ candidates whose codeword reaches the received word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, product
 from operator import mul, ne, not_
 
 from .errors import AlphabetError, DecodeFailure, EmptyListError
@@ -360,9 +360,8 @@ def search_best_target(n: int) -> tuple[DelSubSketches, int]:
         raise AlphabetError("exhaustive target search capped at n <= 22")
     params = DelSubParams(n)
     buckets: dict[tuple[int, ...], int] = {}
-    for value in range(2 ** n):
-        bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
-        key = sketches(Word(bits, 2), params).astuple()
+    for bits in product((0, 1), repeat=n):
+        key = sketches(Word._trusted(bits), params).astuple()
         buckets[key] = buckets.get(key, 0) + 1
     best_size = max(buckets.values())
     best = min(k for k, v in buckets.items() if v == best_size)

@@ -21,6 +21,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     AlphabetError,
     DecodeFailure,
@@ -103,9 +105,64 @@ def confusable_set(bits: tuple[int, ...], cap: int) -> set[tuple[int, ...]]:
     return {b for b in out if len(b) <= limit}
 
 
+def _position_pairs(count: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (p, q) of positions below count with keep(p, q)."""
+    p, q = np.divmod(np.arange(count * count, dtype=np.int64), count)
+    chosen = keep(p, q)
+    return p[chosen], q[chosen]
+
+
+def _transpose(w: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Swap bits at and at + 1 of w where they differ; elsewhere w as it is."""
+    differ = ((w >> at) ^ (w >> (at + 1))) & 1
+    return np.where(differ == 1, w ^ (3 << at), w)
+
+
+def _earlier_neighbour_keys(values: np.ndarray, length: int) -> np.ndarray:
+    """For each length-`length` string in `values`, the keys of its confusable
+    strings that can be assigned before it, one row per string.
+
+    A string's key is `(1 << length) | value`, so keys ascend in the greedy
+    order, and bit p of a value is the string's (length - p)-th symbol.  Each
+    row holds every confusable string of length `length` or `length - 1`:
+    one or two substitutions, one or two adjacent transpositions, one
+    deletion, and one deletion followed by one insertion.  Insertions alone are
+    left out, as longer strings come later, and so is every way to reach a
+    string that another family here covers already.  A row may also hold the
+    string itself and same-length strings that come after it; callers keep
+    only the keys below the string's own.
+    """
+    v = values[:, None]
+    positions = np.arange(length, dtype=np.int64)
+    bit = np.int64(1) << positions
+    sub_p, sub_q = _position_pairs(length, lambda p, q: p < q)
+    masks = np.concatenate([bit, bit[sub_p] | bit[sub_q]])
+    # two transpositions at overlapping positions move one symbol two places,
+    # as a deletion and an insertion do; at disjoint ones either order agrees
+    trans_p, trans_q = _position_pairs(max(length - 1, 0), lambda p, q: q >= p + 2)
+    two_trans = _transpose(_transpose(v, trans_p), trans_q)
+    dels = ((v >> (positions + 1)) << positions) | (v & (bit - 1))
+    # delete symbol p, then insert at position q of the shorter string
+    del_p, del_q = _position_pairs(length, lambda p, q: abs(p - q) >= 2)
+    shorter = ((v >> (del_p + 1)) << del_p) | (v & (bit[del_p] - 1))
+    reinserted = ((shorter >> del_q) << (del_q + 1)) | (shorter & (bit[del_q] - 1))
+    same = np.concatenate([v ^ masks, two_trans, reinserted, reinserted | bit[del_q]],
+                          axis=1)
+    return np.concatenate([same | (1 << length), dels | ((1 << length) >> 1)], axis=1)
+
+
+_BUILD_CHUNK = 128
+
+
 class GreedyHash:
     """Greedy table hash: assigned in length-then-lexicographic order, each
-    value the smallest one unused among already-assigned confusable strings."""
+    value the smallest one unused among already-assigned confusable strings
+    (`confusable_set`).
+
+    `build` visits the strings in chunks of consecutive keys: the neighbours
+    assigned in earlier chunks are gathered for the whole chunk at once, and a
+    short loop assigns the chunk's own strings in order.
+    """
 
     def __init__(self, cap: int, table: dict[tuple[int, ...], int],
                  hash_range: int):
@@ -115,28 +172,52 @@ class GreedyHash:
 
     @classmethod
     def build(cls, cap: int, hash_range: int | None = None) -> "GreedyHash":
-        if cap > GREEDY_HASH_MAX_CAP:
+        if not 1 <= cap <= GREEDY_HASH_MAX_CAP:
             raise SizeGuardError(
-                f"greedy hash build capped at cap <= {GREEDY_HASH_MAX_CAP}")
-        table: dict[tuple[int, ...], int] = {}
+                f"greedy hash build needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}")
+        top = 3 * cap
+        assigned = np.zeros(2 << top, dtype=np.int64)
         used = 0
-        for length in range(3 * cap + 1):
-            for value in range(1 << length):
-                bits = tuple((value >> (length - 1 - i)) & 1
-                             for i in range(length))
-                forbidden = set()
-                for other in confusable_set(bits, cap):
-                    h = table.get(other)
-                    if h is not None:
-                        forbidden.add(h)
-                h = 0
-                while h in forbidden:
-                    h += 1
-                if hash_range is not None and h >= hash_range:
-                    raise RangeExhaustedError(
-                        f"hash range {hash_range} exhausted at {bits}")
-                table[bits] = h
-                used = max(used, h + 1)
+        for length in range(top + 1):
+            for first in range(0, 1 << length, _BUILD_CHUNK):
+                values = np.arange(first, min(first + _BUILD_CHUNK, 1 << length),
+                                   dtype=np.int64)
+                start = (1 << length) | first
+                keys = _earlier_neighbour_keys(values, length)
+                rows = len(values)
+                row_index = np.arange(rows)[:, None]
+                offset = keys - start
+                # one row of flags a string: the values of its neighbours from
+                # earlier chunks in columns [0, used), its neighbours earlier
+                # in this chunk by offset from column used + 1, and all its
+                # later neighbours in column used
+                column = np.where(offset < 0, assigned[keys],
+                                  np.where(offset < row_index, used + 1 + offset, used))
+                flags = np.zeros((rows, used + 1 + rows), dtype=bool)
+                flags[row_index, column] = True
+                width = (used + 7) // 8
+                packed = np.packbits(flags[:, :used], axis=1, bitorder="little").tobytes()
+                pair_rows, pair_offsets = np.nonzero(flags[:, used + 1:])
+                bounds = np.searchsorted(pair_rows, np.arange(rows + 1)).tolist()
+                offsets = pair_offsets.tolist()
+                chunk = []
+                for row in range(rows):
+                    mask = int.from_bytes(packed[row * width:(row + 1) * width], "little")
+                    for at in offsets[bounds[row]:bounds[row + 1]]:
+                        mask |= 1 << chunk[at]
+                    h = (~mask & (mask + 1)).bit_length() - 1
+                    if hash_range is not None and h >= hash_range:
+                        bits = tuple(((first + row) >> (length - 1 - i)) & 1
+                                     for i in range(length))
+                        raise RangeExhaustedError(
+                            f"hash range {hash_range} exhausted at {bits}")
+                    chunk.append(h)
+                assigned[start:start + rows] = chunk
+                used = max(used, max(chunk) + 1)
+        table: dict[tuple[int, ...], int] = {}
+        for length in range(top + 1):
+            table.update(zip(itertools.product((0, 1), repeat=length),
+                             assigned[1 << length:2 << length].tolist()))
         return cls(cap, table, hash_range if hash_range is not None else used)
 
     def __call__(self, bits: tuple[int, ...]) -> int:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import SizeGuardError
+from .errors import AlphabetError, SizeGuardError
 from .words import ErrorModel, Word, forward_images
 
 SCHEMA_VERSION = 1
@@ -64,10 +64,13 @@ def measure_redundancy(code_size: int, n: int, q: int) -> float:
 
 
 def all_words(n: int, q: int) -> Iterable[Word]:
+    """Every length-n word over {0, .., q-1}, in lexicographic order."""
     if n > ENUMERATION_MAX_N:
         raise SizeGuardError(f"enumeration capped at n <= {ENUMERATION_MAX_N}")
+    if q < 2:
+        raise AlphabetError(f"alphabet size must be >= 2, got {q}")
     for symbols in itertools.product(range(q), repeat=n):
-        yield Word(symbols, q)
+        yield Word._trusted(symbols, q)
 
 
 def code_from_predicate(predicate: Callable[[Word], bool], n: int, q: int,

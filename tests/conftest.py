@@ -8,7 +8,8 @@ from syncodec.words import Word
 
 @pytest.fixture(scope="session")
 def desk_code():
-    # cap-5 greedy hash takes ~20s; build once and share
+    # the cap-5 greedy hash is nearly all of the build's ~1.2 s; build once
+    # and share
     return DeltransDeskCode.build(28, 5)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -182,6 +183,8 @@ def test_decode_failure_is_a_json_error(capsys):
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),
+    (["build-hash", "--cap", "-1", "--out", os.devnull], "SizeGuardError"),
+    (["build-hash", "--cap", "0", "--out", os.devnull], "SizeGuardError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_input_is_a_json_error(capsys, argv, error_type):
     code, out = run_cli(capsys, *argv)

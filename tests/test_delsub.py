@@ -17,7 +17,7 @@ from syncodec.delsub import (
     search_best_target,
     sketches,
 )
-from syncodec.errors import DecodeFailure, EmptyListError
+from syncodec.errors import AlphabetError, DecodeFailure, EmptyListError
 from syncodec.sketches import signed_residue, vt_sum
 from syncodec.words import (
     DelAndSub,
@@ -530,6 +530,26 @@ def test_rank_square_sums_are_convex():
         assert sum(x * x - x for x in a) >= sum(x * x - x for x in base)
         if a != base:
             assert sum(x * x - x for x in a) > sum(x * x - x for x in base)
+
+
+def _reference_search_best_target(n):
+    """The largest bucket, counted over validated words built from ints."""
+    params = DelSubParams(n)
+    buckets = {}
+    for value in range(2 ** n):
+        bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+        key = sketches(Word(bits, 2), params).astuple()
+        buckets[key] = buckets.get(key, 0) + 1
+    best_size = max(buckets.values())
+    best = min(k for k, v in buckets.items() if v == best_size)
+    return DelSubSketches(*best), best_size
+
+
+def test_search_best_target_matches_the_reference_count():
+    for n in range(1, 13):
+        assert search_best_target(n) == _reference_search_best_target(n)
+    with pytest.raises(AlphabetError):
+        search_best_target(23)
 
 
 def test_search_best_target_bucket_bound():

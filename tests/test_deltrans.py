@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import binary_words
 from syncodec.deltrans import (
+    _earlier_neighbour_keys,
     _segment_options,
     ClosedFormHash,
     DeltransDeskCode,
@@ -155,8 +158,82 @@ def test_greedy_hash_tiny_example():
     assert GreedyHash.build(1, h.hash_range).table == h.table
     with pytest.raises(RangeExhaustedError):
         GreedyHash.build(1, 3)
-    with pytest.raises(SizeGuardError):
-        GreedyHash.build(7)
+    for cap in (-1, 0, 7):
+        with pytest.raises(SizeGuardError):
+            GreedyHash.build(cap)
+
+
+def _reference_greedy_build(cap, hash_range=None):
+    """The greedy assignment one string at a time: each string's value is the
+    smallest one unused among the assigned strings of its `confusable_set`."""
+    table = {}
+    used = 0
+    for length in range(3 * cap + 1):
+        for value in range(1 << length):
+            bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+            forbidden = set()
+            for other in confusable_set(bits, cap):
+                h = table.get(other)
+                if h is not None:
+                    forbidden.add(h)
+            h = 0
+            while h in forbidden:
+                h += 1
+            if hash_range is not None and h >= hash_range:
+                raise RangeExhaustedError(
+                    f"hash range {hash_range} exhausted at {bits}")
+            table[bits] = h
+            used = max(used, h + 1)
+    return GreedyHash(cap, table, hash_range if hash_range is not None else used)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_greedy_build_matches_the_reference_loop(cap):
+    h = GreedyHash.build(cap)
+    reference = _reference_greedy_build(cap)
+    assert h.table == reference.table and h.hash_range == reference.hash_range
+    assert h.to_json() == reference.to_json()
+
+
+# sha256 of the cap-5 table's to_json(), as the reference loop builds it:
+# range 67 over 65,535 strings
+CAP5_TABLE_SHA256 = "f7070e4a952cb526d55d6a10eac42bbb434bc37221184dfb98a29ae3d895e017"
+
+
+def test_greedy_build_cap5_table_digest():
+    h = desk_hash(5)
+    assert h.hash_range == 67 and len(h.table) == 2 ** 16 - 1
+    assert hashlib.sha256(h.to_json().encode()).hexdigest() == CAP5_TABLE_SHA256
+
+
+def _exhausted_message(build, cap, hash_range):
+    with pytest.raises(RangeExhaustedError) as info:
+        build(cap, hash_range)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_greedy_build_exhausts_a_short_range_where_the_reference_does(cap):
+    for hash_range in range(GreedyHash.build(cap).hash_range):
+        assert _exhausted_message(GreedyHash.build, cap, hash_range) == \
+            _exhausted_message(_reference_greedy_build, cap, hash_range)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_earlier_neighbours_are_the_earlier_confusable_strings(cap):
+    """Every string of the cap's domain: the keys below its own that the
+    generator yields are its confusable strings assigned before it."""
+    def key(bits):
+        return int("1" + "".join(map(str, bits)), 2)
+
+    for length in range(3 * cap + 1):
+        values = np.arange(1 << length, dtype=np.int64)
+        rows = _earlier_neighbour_keys(values, length).tolist()
+        for value, row in zip(values.tolist(), rows):
+            own = (1 << length) | value
+            bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+            expected = {key(b) for b in confusable_set(bits, cap) if key(b) < own}
+            assert {k for k in row if k < own} == expected
 
 
 def test_greedy_hash_invariant_exhaustive():

@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from syncodec.errors import SizeGuardError
+from syncodec.errors import AlphabetError, SizeGuardError
 from syncodec.oracle import (
     all_words,
     code_from_predicate,
@@ -72,9 +73,18 @@ def test_search_inner_code_empty_length():
     assert search_inner_code(ErrorModel.SINGLE_EDIT, 0) == [Word((), 2)]
 
 
+def test_all_words_is_every_validated_word_in_order():
+    for q, top in ((2, 12), (3, 7), (4, 6)):
+        for n in range(top + 1):
+            assert list(all_words(n, q)) == [
+                Word(s, q) for s in itertools.product(range(q), repeat=n)]
+
+
 def test_enumeration_guards():
     with pytest.raises(SizeGuardError):
         list(all_words(17, 2))
+    with pytest.raises(AlphabetError):
+        list(all_words(3, 1))
     with pytest.raises(SizeGuardError):
         search_inner_code(ErrorModel.SINGLE_EDIT, 17)
 

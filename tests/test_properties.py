@@ -9,18 +9,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from syncodec.delsub import (  # noqa: E402
+    DelSubCode,
     DelSubParams,
     DelSubSketches,
+    _reachable_one_del_one_sub,
     list_decode,
     sketches,
 )
 from syncodec.edit4 import Edit4Code  # noqa: E402
 from syncodec.errors import DecodeFailure  # noqa: E402
 from syncodec.words import (  # noqa: E402
+    DelAndSub,
     Deletion,
     ErrorModel,
     Insertion,
     Substitution,
+    Transposition,
     Word,
     apply,
     forward_images,
@@ -129,3 +133,82 @@ def test_edit4_two_edits_never_give_an_unreachable_answer(data):
     except DecodeFailure:
         return
     assert y in forward_images(code.encode(answer), ErrorModel.SINGLE_EDIT)
+
+
+delsub_code = lru_cache(maxsize=None)(DelSubCode)
+
+
+def binary(draw, n):
+    """A binary word of length n, drawn as n bytes."""
+    return Word(tuple(b & 1 for b in draw(st.binary(min_size=n, max_size=n))), 2)
+
+
+def any_word(draw, x):
+    """A binary word of length |x| + d, d in -2..1: uniform, or x after -d
+    deletions (one insertion when d = 1) and up to two substitutions."""
+    delta = draw(st.integers(-2, 1))
+    if draw(st.booleans()):
+        return binary(draw, len(x) + delta)
+    bits = list(x.symbols)
+    for _ in range(-delta):
+        del bits[draw(st.integers(0, len(bits) - 1))]
+    if delta == 1:
+        bits.insert(draw(st.integers(0, len(bits))), draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        bits[draw(st.integers(0, len(bits) - 1))] ^= 1
+    return Word(tuple(bits), 2)
+
+
+@FIXED
+@given(st.data())
+def test_delsub_decodes_any_word_or_raises_decode_failure(data):
+    code = delsub_code(data.draw(st.integers(1, 40)))
+    y = any_word(data.draw, code.encode(binary(data.draw, code.m)))
+    try:
+        answers = code.decode(y)
+    except DecodeFailure:
+        return
+    assert 1 <= len(answers) <= 2
+    for z in answers:
+        assert z.q == 2 and len(z) == code.m
+        assert _reachable_one_del_one_sub(code.encode(z).symbols, y.symbols)
+
+
+@FIXED
+@given(st.data())
+def test_delsub_lists_the_message_after_one_deletion_and_a_substitution(data):
+    code = delsub_code(data.draw(st.integers(1, 40)))
+    z = binary(data.draw, code.m)
+    x = code.encode(z)
+    n = len(x)
+    delete_at = data.draw(st.integers(1, n))
+    flip_at = data.draw(st.one_of(st.none(), st.integers(1, n)))
+    if flip_at is None or flip_at == delete_at:
+        y = apply(x, Deletion(delete_at))
+    else:
+        y = apply(x, DelAndSub(delete_at, flip_at))
+    answers = code.decode(y)
+    assert z in answers and len(answers) <= 2
+
+
+@FIXED
+@given(st.data())
+def test_deltrans_desk_decodes_any_word_or_raises_decode_failure(desk_code, data):
+    y = any_word(data.draw, data.draw(st.sampled_from(desk_code.codewords)))
+    try:
+        x = desk_code.decode(y)
+    except DecodeFailure:
+        return
+    assert x in desk_code.codewords
+    assert y in forward_images(x, ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION)
+
+
+@FIXED
+@given(st.data())
+def test_deltrans_desk_undoes_one_deletion_or_transposition(desk_code, data):
+    x = data.draw(st.sampled_from(desk_code.codewords))
+    n = len(x)
+    swaps = [k for k in range(1, n) if x.symbols[k - 1] != x.symbols[k]]
+    error = data.draw(st.one_of(st.builds(Deletion, st.integers(1, n)),
+                                st.builds(Transposition, st.sampled_from(swaps))))
+    assert desk_code.decode(apply(x, error)) == x
