@@ -16,6 +16,19 @@ exhaustive oracle bounds by two; one tuple is built per distinct word.
 `DelSubCode.decode` builds each candidate's codeword from the recovered
 sketch fields and guard, which are what `encode` writes, and keeps the
 candidates whose codeword reaches the received word.
+
+Each O(n) pass has two implementations, chosen by the codeword length n.
+Below VECTOR_MIN_N the passes are Python loops over the word's tuple, whose
+fixed cost per call is a few microseconds.  From VECTOR_MIN_N on, each pass
+reads the word once as one byte per bit, which numpy views as a uint8 array:
+the ranks are one cumulative sum of the boundary mask, the sketch sums are
+int64 sums and dot products, a flip stretch of the scan tests all its
+representatives at once as array masks, and the reachability check finds the
+mismatches of its two alignments with `flatnonzero`.  A numpy pass costs
+tens of microseconds however short the word, so the crossover is measured
+(see VECTOR_MIN_N).  Every int64 sum is exact while (n + 2)^3 < 2^63, so longer
+words take the Python loops again (VECTOR_MAX_N).  Both paths give the same
+results, exceptions included.
 """
 
 from __future__ import annotations
@@ -24,16 +37,35 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product
 from operator import mul, ne, not_
 
+import numpy as np
+
 from .errors import AlphabetError, DecodeFailure, EmptyListError
 from .inner import REP, SketchFields, rep_decode, rep_encode
 from .oracle import all_words
-from .sketches import signed_residue
+from .sketches import signed_residue, weighted_vt_sum
 from .words import ErrorModel, Word, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
 _PATTERN_TABLE = {-1: (0, 0), 1: (0, 1), 0: (1, 0), 2: (1, 1)}
 
 _VALID_RUN_DELTAS = {-2, 0, 2, 4}
+
+# Codeword lengths from which the numpy passes run.  Each numpy call costs
+# about a microsecond, so short words stay on the Python loops.  timeit per
+# call, best of 7, seeded words, 2-core x86_64, Python 3.11, numpy 2.4,
+# Python loop -> numpy: list_decode of a deletion plus a substitution 106 ->
+# 103 us at n = 256, 120 -> 106 us at n = 320, 146 -> 117 us at n = 384, and
+# of a lone deletion 112 -> 129, 130 -> 126 and 165 -> 127 us; the sketch sums
+# and the reachability check cross near n = 128.  list_decode crosses last.
+VECTOR_MIN_N = 320
+# The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
+# and VT sums (at most n^2) of a word of length n, and of its edits, are exact.
+VECTOR_MAX_N = 2 ** 21 - 3
+
+
+def _vectorised(n: int) -> bool:
+    """Whether words of codeword length n take the numpy passes."""
+    return VECTOR_MIN_N <= n <= VECTOR_MAX_N
 
 
 @dataclass(frozen=True)
@@ -78,6 +110,9 @@ class _WordStats:
     Queries describe the word obtained by flipping y_p to t and then inserting
     the bit u before position d, and return raw (unreduced) sketch sums of the
     result in O(1).  A flip moves the ranks by e1 at p and by e2 after p.
+    This class holds the tables as Python tuples and lists, for codeword
+    lengths below VECTOR_MIN_N; `_WordArrays` answers the same queries from
+    numpy arrays for longer words.
     """
 
     def __init__(self, bits: tuple[int, ...]):
@@ -141,19 +176,126 @@ class _WordStats:
         return f1r, squares - f1r, runs, weight
 
 
+def _rank_array(ext: np.ndarray) -> np.ndarray:
+    """Ranks r_0 .. r_k of a uint8 word x_0 .. x_k whose x_0 is the sentinel
+    0: r_i counts the boundaries x_{j-1} != x_j, j <= i."""
+    ranks = np.zeros(len(ext), dtype=np.int64)
+    np.cumsum(ext[1:] != ext[:-1], out=ranks[1:])
+    return ranks
+
+
+class _WordArrays(_WordStats):
+    """The rank tables of `_WordStats` as numpy arrays, for codeword lengths
+    from VECTOR_MIN_N on, built from one byte per bit: the ranks are one
+    cumulative sum of the boundary mask, the sum of their squares one int64
+    dot product, the weight a count of nonzero bytes and the VT sum one dot
+    product with the positions.  The ranks are int64 so that the dot product
+    and the O(1) queries on them are exact; `ext` stays `bytes`, whose items
+    are Python ints, and `array` is its uint8 view.  A flip stretch of the
+    scan is tested as array masks, and only its survivors pay for the exact
+    `edited_sums`."""
+
+    def __init__(self, bits: tuple[int, ...]):
+        m = len(bits)
+        self.m = m
+        self.ext = ext = b"\x00" + bytearray(bits) + b"\x01"
+        self.array = array = np.frombuffer(ext, dtype=np.uint8)
+        self.ranks = ranks = _rank_array(array)
+        head = ranks[:m + 1]
+        self.r1 = np.cumsum(head)
+        self.squares = int(head.dot(head))
+        self.weight = int(np.count_nonzero(array)) - 1
+        self.vt = weighted_vt_sum(array[1:m + 1])
+        self.runs = int(ranks[m + 1]) + 1
+
+    def reps(self, u: int) -> np.ndarray:
+        """`_WordStats.reps` as an int64 array."""
+        marks = self.array[:self.m + 1] != u  # y_{d-1} != u, d = 1 .. m + 1
+        marks[0] = True
+        reps = np.flatnonzero(marks)
+        reps += 1
+        return reps
+
+    def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
+                    ) -> tuple[int, int, int, int]:
+        # the int64 arithmetic on the tables is exact up to VECTOR_MAX_N
+        return tuple(map(int, super().edited_sums(d, u, p, t)))
+
+    def stretch_hits(self, reps: np.ndarray, lo: int, hi: int, q: int,
+                     slope: int, b_d: int, b_e: int, run_delta: int,
+                     params: DelSubParams, target: DelSubSketches,
+                     ) -> list[tuple[int, int]]:
+        """The (representative, q) hits among reps[lo:hi] of a flip stretch
+        of `_scan`, whose flip position in the word is q at reps[lo] and moves
+        by slope per representative: the scan's per-representative loop, with
+        the bit, run-count and f1r tests of every representative as array
+        masks, and the hits in the same order."""
+        n, m = params.n, self.m
+        ext, ranks = self.array, self.ranks
+        rep = reps[lo:hi]
+        qs = np.arange(q, q + slope * (hi - lo), slope)
+        p = qs - (qs > rep)  # q == rep moves d past q, so p = q there too
+        keep = ext[p] != b_e
+        # q is the inserted bit itself: the run's next position, if it has
+        # one, gives the word of this representative
+        moved = qs == rep
+        keep &= ~moved | ((rep < n) & (ext[rep] == b_d))
+        at = np.flatnonzero(keep)
+        rep, qs, p = rep[at], qs[at], p[at]
+        d = rep + moved[at]
+        a = ext[d - 1]
+        a[p == d - 1] = b_e
+        b = ext[d]
+        b[p == d] = b_e
+        c1 = a != b_d
+        delta = (c1.view(np.int8) + (b != b_d).view(np.int8)
+                 - (a != b).view(np.int8))
+        e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
+        at = np.flatnonzero(e2 + delta == run_delta)  # the scalar run test
+        rep, qs, d, p = rep[at], qs[at], d[at], p[at]
+        c1, delta, e2 = c1[at], delta[at], e2[at]
+        e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
+        rank_d = ranks[d - 1] + c1 + np.where(
+            d - 1 > p, e2, np.where(d - 1 == p, e1, 0))
+        f1r = self.r1[m] + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
+        hits = []
+        for i in np.flatnonzero((f1r - target.f1r) % params.f1r_mod == 0):
+            f2r = self.edited_sums(int(d[i]), b_d, int(p[i]), b_e)[1]
+            if f2r % params.f2r_mod == target.f2r:
+                hits.append((int(rep[i]), int(qs[i])))
+        return hits
+
+
+def _sums_vector(bits: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """Raw (VT sum, f1r, sum of squared ranks, weight, run count) of a word
+    from one byte per bit, for `sketches`: positions are 1-based indices of
+    the uint8 word behind the sentinel x_0 = 0."""
+    ext = b"\x00" + bytearray(bits)
+    array = np.frombuffer(ext, dtype=np.uint8)
+    ranks = _rank_array(array)
+    return (weighted_vt_sum(array[1:]), int(ranks.sum()), int(ranks.dot(ranks)),
+            int(np.count_nonzero(array)), int(ranks[-1]) + (ext[-1] == 0) + 1)
+
+
 def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
-    f = weight = f1r = squares = rank = prev = 0
-    for i, b in enumerate(word.symbols, 1):
-        if b != prev:
-            rank += 1
-            prev = b
-        f1r += rank
-        squares += rank * rank
-        if b:
-            f += i
-            weight += 1
-    runs = rank + (prev == 0) + 1  # the sentinel 1 closes a last run of 0s
+    bits = word.symbols
+    # the Python loop and the range test of _vectorised are inline: at desk
+    # scale a sketch takes a few microseconds, and every call on the way counts
+    if VECTOR_MIN_N <= len(bits) <= VECTOR_MAX_N:
+        f, f1r, squares, weight, runs = _sums_vector(bits)
+    else:
+        f = weight = f1r = squares = rank = prev = 0
+        for i, b in enumerate(bits, 1):
+            if b != prev:
+                rank += 1
+                prev = b
+            f1r += rank
+            squares += rank * rank
+            if b:
+                f += i
+                weight += 1
+        runs = rank + (prev == 0) + 1  # the sentinel 1 closes a last run of 0s
     return DelSubSketches(
         f % params.f_mod, f1r % params.f1r_mod, (squares - f1r) % params.f2r_mod,
         weight % params.h_mod, runs % params.hr_mod)
@@ -172,7 +314,8 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
     if len(y) != params.n - 1:
         raise EmptyListError(f"classification needs |y| = {params.n - 1}")
     if stats is None:
-        stats = _WordStats(y.symbols)
+        stats = (_WordArrays if _vectorised(params.n)
+                 else _WordStats)(y.symbols)
     h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
         raise EmptyListError(f"weight difference {h_diff} matches no error pattern")
@@ -185,18 +328,18 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
 
 def _correct_one_substitution(y: Word, target: DelSubSketches,
                               params: DelSubParams) -> list[Word]:
-    """y itself, or the one word that flipping a bit of y gives.  The weight
-    and VT sums of y are C-level sums, so one sketch pass, over y or over
-    the corrected word, decides."""
+    """y itself, or the one word that flipping a bit of y gives.  y's own
+    sketches give the weight and VT differences, so one sketch pass over y
+    and one over the corrected word decide."""
     bits = y.symbols
-    h_diff = signed_residue(target.h - sum(bits), params.h_mod)
-    if h_diff == 0 and sketches(y, params) == target:
+    own = sketches(y, params)
+    if own == target:
         return [y]
+    h_diff = signed_residue(target.h - own.h, params.h_mod)
     if h_diff not in (-1, 1):
         raise EmptyListError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
-    vt = sum(compress(range(1, len(bits) + 1), bits))
-    f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
+    f_diff = (target.f - own.f) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
         raise EmptyListError("no position matches the VT sketch")
@@ -230,9 +373,10 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     affine in k, and the k with 1 <= q <= n form at most two stretches.  At
     each of their representatives the bit and run-count tests and f1r are
     O(1) on the table, and only the survivors pay for the exact f2r sum; a
-    hit matches all five sketches exactly.  Each hit is then expanded over
-    the insertion positions of its run, less q itself, which give the same
-    word.
+    hit matches all five sketches exactly.  A `_WordArrays` runs those tests
+    on all the representatives of a stretch at once (`stretch_hits`).  Each
+    hit is then expanded over the insertion positions of its run, less q
+    itself, which give the same word.
     """
     n, m = params.n, stats.m
     ext, ranks = stats.ext, stats.ranks
@@ -248,7 +392,7 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     if b_e is None:
         k = -f0 * step % f_mod
         if k <= (stats.weight if b_d == 0 else m - stats.weight):
-            d = stats.reps(b_d)[k]
+            d = int(stats.reps(b_d)[k])
             f1r, f2r, runs, _ = stats.edited_sums(d, b_d, None, None)
             if (runs - stats.runs == run_delta and f1r % f1r_mod == f1r_want
                     and f2r % f2r_mod == f2r_want):
@@ -256,6 +400,7 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     else:
         reps = stats.reps(b_d)
         r1m = stats.r1[m]
+        vector = isinstance(stats, _WordArrays)
         # q = -(f0 + step * k) * sign mod f_mod moves by slope per k; from
         # the k where q = q_first, the next n values of k keep 1 <= q <= n
         sign = 2 * b_e - 1
@@ -265,6 +410,11 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
         for start in (first - f_mod, first):
             lo, hi = max(start, 0), min(start + n, len(reps))
             if lo >= hi:
+                continue
+            if vector:
+                hits += stats.stretch_hits(
+                    reps, lo, hi, q_first + slope * (lo - start), slope, b_d,
+                    b_e, run_delta, params, target)
                 continue
             for rep, q in zip(islice(reps, lo, hi),
                               count(q_first + slope * (lo - start), slope)):
@@ -325,7 +475,9 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
         return _correct_one_substitution(y, target, params)
     if len(y) != n - 1:
         raise DecodeFailure(f"length {len(y)} incompatible with n = {n}")
-    stats = _WordStats(y.symbols)
+    # the range test of _vectorised, inline as in sketches
+    stats = (_WordArrays if VECTOR_MIN_N <= n <= VECTOR_MAX_N
+             else _WordStats)(y.symbols)
     x_d, x_e, run_delta = classify_error(target, y, params, stats)
     scans = [(x_d, x_e)]
     h_diff = x_d + 2 * x_e - 1
@@ -381,10 +533,18 @@ def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
     """Whether one deletion plus at most one substitution maps x to y (or at
     most one substitution, when the lengths are equal)."""
     n, m = len(x_bits), len(y_bits)
-    if m == n:
-        return sum(map(ne, x_bits, y_bits)) <= 1
-    if m != n - 1:
+    if m != n and m != n - 1:
         return False
+    return (_reachable_vector if _vectorised(n) else _reachable_scalar)(
+        x_bits, y_bits)
+
+
+def _reachable_scalar(x_bits: tuple[int, ...], y_bits: tuple[int, ...]) -> bool:
+    """`_reachable_one_del_one_sub` for |y| in (|x| - 1, |x|), with the
+    mismatches of the two alignments as bytes."""
+    m = len(y_bits)
+    if m == len(x_bits):
+        return sum(map(ne, x_bits, y_bits)) <= 1
     # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
     # head and tail mark the mismatches of those two alignments (0-based), and
     # head gets two sentinel mismatches at m and m + 1
@@ -397,6 +557,21 @@ def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
     # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
     # remains for some c when the second head mismatch lies past the last tail
     # one, or the first head mismatch past the one before the last tail one
+    return second > last or first > before_last
+
+
+def _reachable_vector(x_bits: tuple[int, ...], y_bits: tuple[int, ...]) -> bool:
+    """`_reachable_one_del_one_sub` for |y| in (|x| - 1, |x|), from the
+    mismatch positions of the two alignments as uint8 arrays."""
+    m = len(y_bits)
+    x = np.frombuffer(bytearray(x_bits), dtype=np.uint8)
+    y = np.frombuffer(bytearray(y_bits), dtype=np.uint8)
+    head = np.flatnonzero(x[:m] != y)
+    if m == len(x_bits):
+        return len(head) <= 1
+    tail = np.flatnonzero(x[1:] != y)
+    first, second = (*head[:2].tolist(), m, m + 1)[:2]
+    before_last, last = (-1, -1, *tail[-2:].tolist())[-2:]
     return second > last or first > before_last
 
 
@@ -456,13 +631,26 @@ class DelSubCode:
             inner_hits = list_decode(d_window, inner_target, self.inner_params)
         except EmptyListError as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
+        out = self._answers(y, delta, inner_hits, t)
+        if not out:
+            raise DecodeFailure("no payload candidate is consistent with y")
+        return out
+
+    def _answers(self, y: Word, delta: int, inner_hits: list[Word],
+                 t: tuple[int, ...]) -> list[Word]:
+        """The payloads, sorted, that list_decode finds in y's payload
+        window for the sketch fields of an inner hit and whose codewords
+        reach y.  The payload window and the candidates live in this frame,
+        so the traceback of a failed decode does not keep them alive."""
         pad = (0,) * (INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
         payload_window = Word._trusted(y.symbols[:self.m + delta])
         # every inner hit matches inner_target exactly, so its fields v and
         # the guard t are what encode() writes for any payload z whose
-        # sketches are the target v holds, and list_decode returns only such z
-        codewords: dict[tuple[int, ...], tuple[Word, tuple[int, ...]]] = {}
+        # sketches are the target v holds, and list_decode returns only such
+        # z.  Distinct hits that pass the pad test hold distinct fields, so
+        # their lists share no z: no z is hashed to remove duplicates.
+        codewords: list[tuple[Word, tuple[int, ...]]] = []
         for hit in inner_hits:
             v = hit.symbols[:self.v_bits]
             if hit.symbols[self.v_bits:] != pad:
@@ -473,11 +661,9 @@ class DelSubCode:
                 continue
             try:
                 for z in list_decode(payload_window, target, self.params):
-                    codewords[z.symbols] = z, z.symbols + v + guard
+                    codewords.append((z, z.symbols + v + guard))
             except EmptyListError:
                 continue
-        out = [z for _, (z, x_bits) in sorted(codewords.items())
-               if _reachable_one_del_one_sub(x_bits, y.symbols)]
-        if not out:
-            raise DecodeFailure("no payload candidate is consistent with y")
-        return out
+        codewords.sort(key=lambda entry: entry[0].symbols)
+        return [z for z, x_bits in codewords
+                if _reachable_one_del_one_sub(x_bits, y.symbols)]

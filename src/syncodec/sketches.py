@@ -99,9 +99,9 @@ def vt(word: Word, modulus: int) -> ModularValue:
 
 
 def weighted_vt_sum(weighted: np.ndarray) -> int:
-    """Weighted VT sum sum(i * w(x_i)) over positions 1..n, given the int64
-    array w(x): one C-level dot product, exact while n(n+1)/2 * max(w) fits
-    in int64."""
+    """Weighted VT sum sum(i * w(x_i)) over positions 1..n, given the integer
+    array w(x) (a uint8 one is promoted): one C-level int64 dot product, exact
+    while n(n+1)/2 * max(w) fits in int64."""
     return int(weighted.dot(np.arange(1, len(weighted) + 1, dtype=np.int64)))
 
 

@@ -142,19 +142,24 @@ def _flip_value(word: Word, position: int, new_symbol: int | None) -> int:
 
 
 def apply(word: Word, pattern: ErrorPattern) -> Word:
-    """Apply one corruption pattern; positions are 1-based into the source."""
+    """Apply one corruption pattern; positions are 1-based into the source.
+
+    The image is built as a trusted Word: its symbols are the source's, which
+    are valid, and an inserted or substituted symbol, which is checked here.
+    """
     s = word.symbols
     n = len(s)
+    q = word.q
     if isinstance(pattern, Deletion):
         _check_position(pattern.position, 1, n)
         i = pattern.position - 1
-        return word.replace(s[:i] + s[i + 1:])
+        return Word._trusted(s[:i] + s[i + 1:], q)
     if isinstance(pattern, Insertion):
         _check_position(pattern.position, 1, n + 1)
         if not 0 <= pattern.symbol < word.q:
             raise AlphabetError(f"symbol {pattern.symbol} outside [0, {word.q})")
         i = pattern.position - 1
-        return word.replace(s[:i] + (pattern.symbol,) + s[i:])
+        return Word._trusted(s[:i] + (pattern.symbol,) + s[i:], q)
     if isinstance(pattern, Substitution):
         _check_position(pattern.position, 1, n)
         i = pattern.position - 1
@@ -162,18 +167,18 @@ def apply(word: Word, pattern: ErrorPattern) -> Word:
             raise AlphabetError(f"symbol {pattern.symbol} outside [0, {word.q})")
         if s[i] == pattern.symbol:
             raise PositionError("substitution must change the symbol")
-        return word.replace(s[:i] + (pattern.symbol,) + s[i + 1:])
+        return Word._trusted(s[:i] + (pattern.symbol,) + s[i + 1:], q)
     if isinstance(pattern, Transposition):
         _check_position(pattern.position, 1, n - 1)
         i = pattern.position - 1
-        return word.replace(s[:i] + (s[i + 1], s[i]) + s[i + 2:])
+        return Word._trusted(s[:i] + (s[i + 1], s[i]) + s[i + 2:], q)
     if isinstance(pattern, DelAndSub):
         _check_position(pattern.delete_at, 1, n)
         _check_position(pattern.flip_at, 1, n)
         new = _flip_value(word, pattern.flip_at, pattern.new_symbol)
         flipped = s[:pattern.flip_at - 1] + (new,) + s[pattern.flip_at:]
         d = pattern.delete_at - 1
-        return word.replace(flipped[:d] + flipped[d + 1:])
+        return Word._trusted(flipped[:d] + flipped[d + 1:], q)
     raise TypeError(f"unknown pattern {pattern!r}")
 
 

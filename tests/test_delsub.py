@@ -6,11 +6,17 @@ import pytest
 from conftest import binary_words
 import syncodec.delsub as delsub_module
 from syncodec.delsub import (
+    VECTOR_MAX_N,
+    VECTOR_MIN_N,
     DelSubCode,
     DelSubParams,
     DelSubSketches,
+    _WordArrays,
     _WordStats,
     _reachable_one_del_one_sub,
+    _reachable_scalar,
+    _reachable_vector,
+    _sums_vector,
     classify_error,
     is_codeword,
     list_decode,
@@ -664,3 +670,200 @@ def test_reachability_filter():
     assert _reachable_one_del_one_sub(x, x)
     assert not _reachable_one_del_one_sub(x, (1, 0, 0, 1, 0))
     assert not _reachable_one_del_one_sub(x, (1, 0, 0))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised: the scalar and
+    the vector path must fail in the same way too."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+def _all_python_ints(values):
+    return all(type(v) is int for v in values)
+
+
+def _sweep_word(rng, n, kind):
+    if kind == "uniform":
+        return tuple(rng.getrandbits(1) for _ in range(n))
+    return _run_heavy_word(rng, n, kind)
+
+
+def _received_words(rng, x, kind):
+    """One deletion with and without a flip, a flip alone, and junk of
+    lengths n - 1 and n."""
+    n = len(x)
+    y = list(x)
+    del y[rng.randrange(n)]
+    lone = tuple(y)
+    y[rng.randrange(n - 1)] ^= 1
+    flipped = list(x)
+    flipped[rng.randrange(n)] ^= 1
+    return [tuple(y), lone, tuple(flipped), _sweep_word(rng, n - 1, kind),
+            _sweep_word(rng, n, kind)]
+
+
+@pytest.mark.parametrize("n,trials", [(VECTOR_MIN_N - 1, 8), (VECTOR_MIN_N, 8),
+                                      (VECTOR_MIN_N + 1, 8), (1000, 4),
+                                      (16384, 2)])
+@pytest.mark.parametrize("kind", ["uniform", 0.1, 0.9, "runs"])
+def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
+    """Seeded words around the crossover and far above it: the sketch sums,
+    the rank tables, every scan, the reachability check, sketches and
+    list_decode give the same results on both paths, exceptions included,
+    against the source's sketches and an unrelated sketch tuple, and the
+    vector path hands back Python ints."""
+    rng = random.Random(f"vector-{n}-{kind}")
+    params = DelSubParams(n)
+    for _ in range(trials):
+        x = _sweep_word(rng, n, kind)
+        received = _received_words(rng, x, kind)
+        for w in [x, *received]:
+            sums = _sums_vector(w)
+            f1r, f2r, runs, weight = _raw_sums(w)
+            assert sums == (vt_sum(w), f1r, f2r + f1r, weight, runs)
+            assert _all_python_ints(sums)
+        targets = [sketches(Word(x, 2), params), DelSubSketches(
+            *(rng.randrange(mod) for mod in params.moduli))]
+        for y in received:
+            assert _reachable_vector(x, y) == _reachable_scalar(x, y)
+            if len(y) != n - 1:
+                continue
+            scalar, vector = _WordStats(y), _WordArrays(y)
+            for name in ("m", "weight", "vt", "runs", "squares"):
+                assert getattr(vector, name) == getattr(scalar, name)
+                assert type(getattr(vector, name)) is int
+            assert vector.ranks.tolist() == scalar.ranks
+            assert vector.r1.tolist() == scalar.r1
+            for u in (0, 1):
+                assert vector.reps(u).tolist() == scalar.reps(u)
+            for target in targets:
+                for b_d in (0, 1):
+                    for b_e in (0, 1, None):
+                        shift = b_d + (0 if b_e is None else 2 * b_e - 1)
+                        scan_target = DelSubSketches(
+                            target.f, target.f1r, target.f2r,
+                            (scalar.weight + shift) % params.h_mod, target.hr)
+                        run_delta = signed_residue(
+                            scan_target.hr - scalar.runs, params.hr_mod)
+                        got = delsub_module._scan(vector, params, scan_target,
+                                                  b_d, b_e, run_delta)
+                        assert got == delsub_module._scan(
+                            scalar, params, scan_target, b_d, b_e, run_delta)
+                        assert all(_all_python_ints(filter(None, pair))
+                                   for pair in got)
+        outcomes = []
+        for lowest in (n + 1, n):  # the scalar path, then the vector one
+            monkeypatch.setattr(delsub_module, "VECTOR_MIN_N", lowest)
+            outcomes.append([_outcome(sketches, Word(w, 2), params)
+                             for w in [x, *received] if len(w) == n]
+                            + [_outcome(list_decode, Word(y, 2), target, params)
+                               for target in targets for y in received])
+        assert outcomes[0] == outcomes[1]
+        assert all(_all_python_ints(sk.astuple()) for sk in outcomes[1][:3])
+
+
+def test_int64_sums_are_exact_up_to_the_largest_vector_length():
+    """(n + 2)^3 < 2^63 bounds every int64 sum of the vector path, and
+    VECTOR_MAX_N is the largest n it holds for.  At that length the word
+    1010... has rank i at position i, the largest ranks a word can have, and
+    the vector sums equal their closed forms."""
+    assert (VECTOR_MAX_N + 2) ** 3 < 2 ** 63 <= (VECTOR_MAX_N + 3) ** 3
+    n = VECTOR_MAX_N
+    word = (1, 0) * (n // 2) + (1,) * (n % 2)
+    ones = (n + 1) // 2
+    runs = n + (word[-1] == 0) + 1
+    assert _sums_vector(word) == (ones * ones, n * (n + 1) // 2,
+                                  n * (n + 1) * (2 * n + 1) // 6, ones, runs)
+    m = n - 1
+    stats = _WordArrays(word[:m])
+    assert stats.squares == m * (m + 1) * (2 * m + 1) // 6
+    assert int(stats.r1[m]) == m * (m + 1) // 2
+    assert stats.vt == ((m + 1) // 2) ** 2
+
+
+class _Chosen(Exception):
+    pass
+
+
+def _spy_paths(monkeypatch, seen, stop=False):
+    """Record which path list_decode's rank tables and the reachability
+    check take, and when sketches takes the vector one, with the word
+    length; stop=True raises _Chosen at the choice instead of running it."""
+    def record(name, length):
+        seen.append((name, length))
+        if stop:
+            raise _Chosen(name)
+
+    for name in ("_sums_vector", "_reachable_scalar", "_reachable_vector"):
+        def wrapped(*args, name=name, fn=getattr(delsub_module, name)):
+            record(name, len(args[0]))
+            return fn(*args)
+
+        monkeypatch.setattr(delsub_module, name, wrapped)
+    for name in ("_WordStats", "_WordArrays"):
+        cls = getattr(delsub_module, name)
+
+        def init(self, bits, name=name, cls=cls):
+            record(name, len(bits))
+            cls.__init__(self, bits)
+
+        monkeypatch.setattr(delsub_module, name,
+                            type(name, (cls,), {"__init__": init}))
+
+
+def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
+    """DelSubCode(16384): the payload's sketches, rank tables and the
+    codeword's reachability run on numpy; the n = 96 inner sketch fields
+    and the n = 12 desk-scale sketches and list decodes stay on the Python
+    loops."""
+    seen = []
+    _spy_paths(monkeypatch, seen)
+    rng = random.Random(16384)
+    codec = DelSubCode(16384)
+    n = codec.n_total
+    z = Word(tuple(rng.getrandbits(1) for _ in range(codec.m)), 2)
+    x = codec.encode(z)
+    assert seen == [("_sums_vector", 16384)]
+    seen.clear()
+    assert z in codec.decode(apply(x, DelAndSub(rng.randint(1, n // 2),
+                                                rng.randint(n // 2, n))))
+    assert set(seen) == {("_WordStats", 95), ("_WordArrays", 16383),
+                         ("_reachable_vector", n)}
+    seen.clear()
+    params = DelSubParams(12)
+    w = Word.parse("100110100011")
+    assert w in list_decode(apply(w, DelAndSub(3, 8)), sketches(w, params),
+                            params)
+    assert seen == [("_WordStats", 11)]
+
+
+@pytest.mark.parametrize("n,path", [
+    (VECTOR_MIN_N - 1, "scalar"), (VECTOR_MIN_N, "vector"),
+    (VECTOR_MAX_N, "vector"), (VECTOR_MAX_N + 1, "scalar")])
+def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
+    """Each public entry chooses its path from n alone: numpy from
+    VECTOR_MIN_N to VECTOR_MAX_N, the Python loops below and above, so no
+    int64 sum can overflow.  The spies stop each call at its choice; the
+    Python loop of sketches runs, on a word of zeros."""
+    seen = []
+    _spy_paths(monkeypatch, seen, stop=True)
+    zeros = Word._trusted((0,) * n)
+    params = DelSubParams(n)
+    target = DelSubSketches(0, 0, 0, 0, 2)
+    if path == "vector":
+        with pytest.raises(_Chosen):
+            sketches(zeros, params)
+    else:
+        assert sketches(zeros, params) == target
+    for call in (lambda: list_decode(Word._trusted(zeros.symbols[1:]), target,
+                                     params),
+                 lambda: _reachable_one_del_one_sub(zeros.symbols,
+                                                    zeros.symbols[1:])):
+        with pytest.raises(_Chosen):
+            call()
+    want = {"scalar": ["_WordStats", "_reachable_scalar"],
+            "vector": ["_sums_vector", "_WordArrays", "_reachable_vector"]}
+    assert [name for name, _ in seen] == want[path]

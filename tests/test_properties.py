@@ -9,10 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from syncodec.delsub import (  # noqa: E402
+    VECTOR_MIN_N,
     DelSubCode,
     DelSubParams,
     DelSubSketches,
     _reachable_one_del_one_sub,
+    _reachable_scalar,
     list_decode,
     sketches,
 )
@@ -189,6 +191,36 @@ def test_delsub_lists_the_message_after_one_deletion_and_a_substitution(data):
         y = apply(x, DelAndSub(delete_at, flip_at))
     answers = code.decode(y)
     assert z in answers and len(answers) <= 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_delsub_two_errors_never_give_an_unreachable_answer(data):
+    """Two deletions, or a deletion and two substitutions, of a codeword:
+    every answer's encoding reaches y by one deletion and at most one
+    substitution, or the decode raises DecodeFailure; any other exception
+    fails the test.  m is drawn below the crossover and above it, so both
+    paths answer; the judge is the Python-loop reachability check, which
+    test_delsub pins against the exhaustive error ball."""
+    m = data.draw(st.one_of(st.integers(1, 40),
+                            st.integers(VECTOR_MIN_N, VECTOR_MIN_N + 300)))
+    code = delsub_code(m)
+    bits = list(code.encode(binary(data.draw, m)).symbols)
+    del bits[data.draw(st.integers(0, len(bits) - 1))]
+    if data.draw(st.booleans()):
+        del bits[data.draw(st.integers(0, len(bits) - 1))]
+    else:
+        for at in data.draw(st.lists(st.integers(0, len(bits) - 1),
+                                     min_size=2, max_size=2, unique=True)):
+            bits[at] ^= 1
+    y = Word(tuple(bits), 2)
+    try:
+        answers = code.decode(y)
+    except DecodeFailure:
+        return
+    assert 1 <= len(answers) <= 2
+    for z in answers:
+        assert _reachable_scalar(code.encode(z).symbols, y.symbols)
 
 
 @FIXED

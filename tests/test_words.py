@@ -73,6 +73,53 @@ def test_apply_position_checks():
         apply(w, Substitution(1, 0))  # must change the symbol
 
 
+def test_apply_still_checks_the_symbols_it_writes():
+    """Images are built without re-checking the source's symbols, but an
+    inserted or substituted symbol outside the alphabet still raises."""
+    binary = Word.parse("0101")
+    quaternary = Word.parse("0213", 4)
+    for word, bad in ((binary, 2), (binary, -1), (quaternary, 4)):
+        with pytest.raises(AlphabetError):
+            apply(word, Insertion(1, bad))
+        with pytest.raises(AlphabetError):
+            apply(word, Substitution(1, bad))
+        with pytest.raises(AlphabetError):
+            apply(word, DelAndSub(2, 1, bad))
+    with pytest.raises(AlphabetError):
+        apply(quaternary, DelAndSub(1, 2))  # flipping a 2 needs the new symbol
+    assert apply(quaternary, Insertion(5, 3)) == Word.parse("02133", 4)
+
+
+def _reference_images(word, model):
+    """The images of word under the model from their definitions, as
+    validated Words."""
+    s, q, n = word.symbols, word.q, len(word)
+    deletions = {s[:i] + s[i + 1:] for i in range(n)}
+    substitutions = {s[:i] + (a,) + s[i + 1:]
+                     for i in range(n) for a in range(q) if a != s[i]}
+    if model is ErrorModel.SINGLE_EDIT:
+        images = deletions | substitutions | {
+            s[:i] + (a,) + s[i:] for i in range(n + 1) for a in range(q)}
+    elif model is ErrorModel.ONE_DEL_ONE_SUB:
+        images = deletions | substitutions | {
+            t[:j] + t[j + 1:] for t in substitutions for j in range(n)}
+    else:
+        images = deletions | {s[:i] + (s[i + 1], s[i]) + s[i + 2:]
+                              for i in range(n - 1)}
+    return {Word(t, q) for t in images | {s}}
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
+def test_forward_images_match_the_definitions_exhaustively(q, n):
+    """Every word of length n over q symbols and every model: the trusted
+    images forward_images builds are the validated images of the
+    definitions, over the same alphabet."""
+    for symbols in itertools.product(range(q), repeat=n):
+        word = Word(symbols, q)
+        for model in ErrorModel:
+            assert forward_images(word, model) == _reference_images(word, model)
+
+
 def test_error_ball_examples():
     ball = error_ball(Word.parse("0", q=2), ErrorModel.SINGLE_EDIT, 2)
     assert {str(w) for w in ball} == {"00", "01", "10"}
