@@ -22,13 +22,13 @@ Below VECTOR_MIN_N the passes are Python loops over the word's tuple, whose
 fixed cost per call is a few microseconds.  From VECTOR_MIN_N on, each pass
 reads the word once as one byte per bit, which numpy views as a uint8 array:
 the ranks are one cumulative sum of the boundary mask, the sketch sums are
-int64 sums and dot products, a flip stretch of the scan tests all its
-representatives at once as array masks, and the reachability check finds the
-mismatches of its two alignments with `flatnonzero`.  A numpy pass costs
-tens of microseconds however short the word, so the crossover is measured
-(see VECTOR_MIN_N).  Every int64 sum is exact while (n + 2)^3 < 2^63, so longer
+int64 sums and dot products, and a flip stretch of the scan tests all its
+representatives at once as array masks.  A numpy pass costs tens of
+microseconds however short the word, so the crossover is measured (see
+VECTOR_MIN_N).  Every int64 sum is exact while (n + 2)^3 < 2^63, so longer
 words take the Python loops again (VECTOR_MAX_N).  Both paths give the same
-results, exceptions included.
+results, exceptions included.  `DelSubCode.decode`'s reachability check sums
+nothing, so it has one numpy implementation for every length.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
 # and VT sums (at most n^2) of a word of length n, and of its edits, are exact.
 VECTOR_MAX_N = 2 ** 21 - 3
-
-
-def _vectorised(n: int) -> bool:
-    """Whether words of codeword length n take the numpy passes."""
-    return VECTOR_MIN_N <= n <= VECTOR_MAX_N
 
 
 @dataclass(frozen=True)
@@ -280,8 +275,8 @@ def _sums_vector(bits: tuple[int, ...]) -> tuple[int, int, int, int, int]:
 def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
     bits = word.symbols
-    # the Python loop and the range test of _vectorised are inline: at desk
-    # scale a sketch takes a few microseconds, and every call on the way counts
+    # the Python loop and the range test are inline: at desk scale a sketch
+    # takes a few microseconds, and every call on the way counts
     if VECTOR_MIN_N <= len(bits) <= VECTOR_MAX_N:
         f, f1r, squares, weight, runs = _sums_vector(bits)
     else:
@@ -314,7 +309,7 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
     if len(y) != params.n - 1:
         raise EmptyListError(f"classification needs |y| = {params.n - 1}")
     if stats is None:
-        stats = (_WordArrays if _vectorised(params.n)
+        stats = (_WordArrays if VECTOR_MIN_N <= params.n <= VECTOR_MAX_N
                  else _WordStats)(y.symbols)
     h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
@@ -328,18 +323,18 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
 
 def _correct_one_substitution(y: Word, target: DelSubSketches,
                               params: DelSubParams) -> list[Word]:
-    """y itself, or the one word that flipping a bit of y gives.  y's own
-    sketches give the weight and VT differences, so one sketch pass over y
-    and one over the corrected word decide."""
+    """y itself, or the one word that flipping a bit of y gives.  The weight
+    and VT sums of y are C-level sums, so one sketch pass, over y or over
+    the corrected word, decides."""
     bits = y.symbols
-    own = sketches(y, params)
-    if own == target:
+    h_diff = signed_residue(target.h - sum(bits), params.h_mod)
+    if h_diff == 0 and sketches(y, params) == target:
         return [y]
-    h_diff = signed_residue(target.h - own.h, params.h_mod)
     if h_diff not in (-1, 1):
         raise EmptyListError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
-    f_diff = (target.f - own.f) % params.f_mod  # = e(2 x_e - 1) mod f_mod
+    vt = sum(compress(range(1, len(bits) + 1), bits))
+    f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
         raise EmptyListError("no position matches the VT sketch")
@@ -475,7 +470,7 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
         return _correct_one_substitution(y, target, params)
     if len(y) != n - 1:
         raise DecodeFailure(f"length {len(y)} incompatible with n = {n}")
-    # the range test of _vectorised, inline as in sketches
+    # the range test of VECTOR_MIN_N and VECTOR_MAX_N, inline as in sketches
     stats = (_WordArrays if VECTOR_MIN_N <= n <= VECTOR_MAX_N
              else _WordStats)(y.symbols)
     x_d, x_e, run_delta = classify_error(target, y, params, stats)
@@ -531,47 +526,25 @@ INNER_CAPACITY = 96
 def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
                                y_bits: tuple[int, ...]) -> bool:
     """Whether one deletion plus at most one substitution maps x to y (or at
-    most one substitution, when the lengths are equal)."""
+    most one substitution, when the lengths are equal), from the mismatch
+    positions of the two alignments as uint8 arrays."""
     n, m = len(x_bits), len(y_bits)
     if m != n and m != n - 1:
         return False
-    return (_reachable_vector if _vectorised(n) else _reachable_scalar)(
-        x_bits, y_bits)
-
-
-def _reachable_scalar(x_bits: tuple[int, ...], y_bits: tuple[int, ...]) -> bool:
-    """`_reachable_one_del_one_sub` for |y| in (|x| - 1, |x|), with the
-    mismatches of the two alignments as bytes."""
-    m = len(y_bits)
-    if m == len(x_bits):
-        return sum(map(ne, x_bits, y_bits)) <= 1
-    # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
-    # head and tail mark the mismatches of those two alignments (0-based), and
-    # head gets two sentinel mismatches at m and m + 1
-    head = bytes(map(ne, x_bits, y_bits)) + b"\x01\x01"
-    tail = bytes(map(ne, x_bits[1:], y_bits))
-    first = head.find(1)
-    second = head.find(1, first + 1)
-    last = tail.rfind(1)
-    before_last = tail.rfind(1, 0, max(last, 0))
-    # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
-    # remains for some c when the second head mismatch lies past the last tail
-    # one, or the first head mismatch past the one before the last tail one
-    return second > last or first > before_last
-
-
-def _reachable_vector(x_bits: tuple[int, ...], y_bits: tuple[int, ...]) -> bool:
-    """`_reachable_one_del_one_sub` for |y| in (|x| - 1, |x|), from the
-    mismatch positions of the two alignments as uint8 arrays."""
-    m = len(y_bits)
     x = np.frombuffer(bytearray(x_bits), dtype=np.uint8)
     y = np.frombuffer(bytearray(y_bits), dtype=np.uint8)
+    # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
+    # head and tail are the mismatch positions (0-based) of those two
+    # alignments, and head gets two sentinel mismatches at m and m + 1
     head = np.flatnonzero(x[:m] != y)
-    if m == len(x_bits):
+    if m == n:
         return len(head) <= 1
     tail = np.flatnonzero(x[1:] != y)
     first, second = (*head[:2].tolist(), m, m + 1)[:2]
     before_last, last = (-1, -1, *tail[-2:].tolist())[-2:]
+    # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
+    # remains for some c when the second head mismatch lies past the last tail
+    # one, or the first head mismatch past the one before the last tail one
     return second > last or first > before_last
 
 
@@ -631,26 +604,16 @@ class DelSubCode:
             inner_hits = list_decode(d_window, inner_target, self.inner_params)
         except EmptyListError as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
-        out = self._answers(y, delta, inner_hits, t)
-        if not out:
-            raise DecodeFailure("no payload candidate is consistent with y")
-        return out
-
-    def _answers(self, y: Word, delta: int, inner_hits: list[Word],
-                 t: tuple[int, ...]) -> list[Word]:
-        """The payloads, sorted, that list_decode finds in y's payload
-        window for the sketch fields of an inner hit and whose codewords
-        reach y.  The payload window and the candidates live in this frame,
-        so the traceback of a failed decode does not keep them alive."""
         pad = (0,) * (INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
-        payload_window = Word._trusted(y.symbols[:self.m + delta])
         # every inner hit matches inner_target exactly, so its fields v and
         # the guard t are what encode() writes for any payload z whose
-        # sketches are the target v holds, and list_decode returns only such
-        # z.  Distinct hits that pass the pad test hold distinct fields, so
-        # their lists share no z: no z is hashed to remove duplicates.
-        codewords: list[tuple[Word, tuple[int, ...]]] = []
+        # sketches are the target v holds, and list_decode of the payload
+        # window (y's first m + delta bits) returns only such z; each z's
+        # codeword is built, checked against y and dropped.
+        # Distinct hits that pass the pad test hold distinct fields, so their
+        # lists share no z.
+        out = []
         for hit in inner_hits:
             v = hit.symbols[:self.v_bits]
             if hit.symbols[self.v_bits:] != pad:
@@ -660,10 +623,13 @@ class DelSubCode:
             except DecodeFailure:
                 continue
             try:
-                for z in list_decode(payload_window, target, self.params):
-                    codewords.append((z, z.symbols + v + guard))
+                out += [z for z in list_decode(
+                            Word._trusted(y.symbols[:self.m + delta]), target,
+                            self.params)
+                        if _reachable_one_del_one_sub(z.symbols + v + guard,
+                                                      y.symbols)]
             except EmptyListError:
                 continue
-        codewords.sort(key=lambda entry: entry[0].symbols)
-        return [z for z, x_bits in codewords
-                if _reachable_one_del_one_sub(x_bits, y.symbols)]
+        if not out:
+            raise DecodeFailure("no payload candidate is consistent with y")
+        return sorted(out, key=lambda z: z.symbols)

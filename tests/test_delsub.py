@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ne
 
 import pytest
 
@@ -14,8 +15,6 @@ from syncodec.delsub import (
     _WordArrays,
     _WordStats,
     _reachable_one_del_one_sub,
-    _reachable_scalar,
-    _reachable_vector,
     _sums_vector,
     classify_error,
     is_codeword,
@@ -613,17 +612,45 @@ def test_redundancy_grows_with_fixed_offset():
     assert len(offsets) == 1
 
 
+def reachable_reference(x_bits, y_bits):
+    """Whether one deletion plus at most one substitution maps x to y (or at
+    most one substitution, when the lengths are equal), as a Python loop over
+    the mismatches of the two alignments: the reference that the numpy check
+    in syncodec.delsub is compared against."""
+    n, m = len(x_bits), len(y_bits)
+    if m == n:
+        return sum(map(ne, x_bits, y_bits)) <= 1
+    if m != n - 1:
+        return False
+    # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
+    # head and tail mark the mismatches of those two alignments (0-based), and
+    # head gets two sentinel mismatches at m and m + 1
+    head = bytes(map(ne, x_bits, y_bits)) + b"\x01\x01"
+    tail = bytes(map(ne, x_bits[1:], y_bits))
+    first = head.find(1)
+    second = head.find(1, first + 1)
+    last = tail.rfind(1)
+    before_last = tail.rfind(1, 0, max(last, 0))
+    # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
+    # remains for some c when the second head mismatch lies past the last tail
+    # one, or the first head mismatch past the one before the last tail one
+    return second > last or first > before_last
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_reachability_matches_the_error_ball(n):
     """Every pair of words of length n and n - 1 or n.  error_ball(y) is the
     set of x whose forward images hold y; its own filtration over all 2^n
-    words is run where it is cheap (n <= 6)."""
+    words is run where it is cheap (n <= 6).  The Python-loop reference
+    check agrees on every pair."""
     sources = list(binary_words(n))
     received = list(itertools.chain(binary_words(n - 1), binary_words(n)))
     for x in sources:
         images = forward_images(x, ErrorModel.ONE_DEL_ONE_SUB)
         for y in received:
-            assert _reachable_one_del_one_sub(x.symbols, y.symbols) == (y in images)
+            want = y in images
+            assert _reachable_one_del_one_sub(x.symbols, y.symbols) == want
+            assert reachable_reference(x.symbols, y.symbols) == want
     if n <= 6:
         for y in received:
             ball = error_ball(y, ErrorModel.ONE_DEL_ONE_SUB, n)
@@ -711,10 +738,11 @@ def _received_words(rng, x, kind):
 @pytest.mark.parametrize("kind", ["uniform", 0.1, 0.9, "runs"])
 def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
     """Seeded words around the crossover and far above it: the sketch sums,
-    the rank tables, every scan, the reachability check, sketches and
-    list_decode give the same results on both paths, exceptions included,
-    against the source's sketches and an unrelated sketch tuple, and the
-    vector path hands back Python ints."""
+    the rank tables, every scan, sketches and list_decode give the same
+    results on both paths, exceptions included, against the source's
+    sketches and an unrelated sketch tuple, and the vector path hands back
+    Python ints.  The reachability check agrees with the Python-loop
+    reference."""
     rng = random.Random(f"vector-{n}-{kind}")
     params = DelSubParams(n)
     for _ in range(trials):
@@ -728,7 +756,7 @@ def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
         targets = [sketches(Word(x, 2), params), DelSubSketches(
             *(rng.randrange(mod) for mod in params.moduli))]
         for y in received:
-            assert _reachable_vector(x, y) == _reachable_scalar(x, y)
+            assert _reachable_one_del_one_sub(x, y) == reachable_reference(x, y)
             if len(y) != n - 1:
                 continue
             scalar, vector = _WordStats(y), _WordArrays(y)
@@ -789,20 +817,19 @@ class _Chosen(Exception):
 
 
 def _spy_paths(monkeypatch, seen, stop=False):
-    """Record which path list_decode's rank tables and the reachability
-    check take, and when sketches takes the vector one, with the word
-    length; stop=True raises _Chosen at the choice instead of running it."""
+    """Record which path list_decode's rank tables take, and when sketches
+    takes the vector one, with the word length; stop=True raises _Chosen at
+    the choice instead of running it."""
     def record(name, length):
         seen.append((name, length))
         if stop:
             raise _Chosen(name)
 
-    for name in ("_sums_vector", "_reachable_scalar", "_reachable_vector"):
-        def wrapped(*args, name=name, fn=getattr(delsub_module, name)):
-            record(name, len(args[0]))
-            return fn(*args)
+    def sums_vector(bits, fn=delsub_module._sums_vector):
+        record("_sums_vector", len(bits))
+        return fn(bits)
 
-        monkeypatch.setattr(delsub_module, name, wrapped)
+    monkeypatch.setattr(delsub_module, "_sums_vector", sums_vector)
     for name in ("_WordStats", "_WordArrays"):
         cls = getattr(delsub_module, name)
 
@@ -815,10 +842,9 @@ def _spy_paths(monkeypatch, seen, stop=False):
 
 
 def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
-    """DelSubCode(16384): the payload's sketches, rank tables and the
-    codeword's reachability run on numpy; the n = 96 inner sketch fields
-    and the n = 12 desk-scale sketches and list decodes stay on the Python
-    loops."""
+    """DelSubCode(16384): the payload's sketches and rank tables run on
+    numpy; the n = 96 inner sketch fields and the n = 12 desk-scale sketches
+    and list decodes stay on the Python loops."""
     seen = []
     _spy_paths(monkeypatch, seen)
     rng = random.Random(16384)
@@ -830,8 +856,7 @@ def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
     seen.clear()
     assert z in codec.decode(apply(x, DelAndSub(rng.randint(1, n // 2),
                                                 rng.randint(n // 2, n))))
-    assert set(seen) == {("_WordStats", 95), ("_WordArrays", 16383),
-                         ("_reachable_vector", n)}
+    assert set(seen) == {("_WordStats", 95), ("_WordArrays", 16383)}
     seen.clear()
     params = DelSubParams(12)
     w = Word.parse("100110100011")
@@ -858,12 +883,7 @@ def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
             sketches(zeros, params)
     else:
         assert sketches(zeros, params) == target
-    for call in (lambda: list_decode(Word._trusted(zeros.symbols[1:]), target,
-                                     params),
-                 lambda: _reachable_one_del_one_sub(zeros.symbols,
-                                                    zeros.symbols[1:])):
-        with pytest.raises(_Chosen):
-            call()
-    want = {"scalar": ["_WordStats", "_reachable_scalar"],
-            "vector": ["_sums_vector", "_WordArrays", "_reachable_vector"]}
+    with pytest.raises(_Chosen):
+        list_decode(Word._trusted(zeros.symbols[1:]), target, params)
+    want = {"scalar": ["_WordStats"], "vector": ["_sums_vector", "_WordArrays"]}
     assert [name for name, _ in seen] == want[path]

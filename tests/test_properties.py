@@ -14,7 +14,6 @@ from syncodec.delsub import (  # noqa: E402
     DelSubParams,
     DelSubSketches,
     _reachable_one_del_one_sub,
-    _reachable_scalar,
     list_decode,
     sketches,
 )
@@ -31,7 +30,11 @@ from syncodec.words import (  # noqa: E402
     apply,
     forward_images,
 )
-from test_delsub import _decode_or_error, _reference_list_decode  # noqa: E402
+from test_delsub import (  # noqa: E402
+    _decode_or_error,
+    _reference_list_decode,
+    reachable_reference,
+)
 
 FIXED = settings(derandomize=True, max_examples=400, deadline=None,
                  database=None)
@@ -200,8 +203,8 @@ def test_delsub_two_errors_never_give_an_unreachable_answer(data):
     every answer's encoding reaches y by one deletion and at most one
     substitution, or the decode raises DecodeFailure; any other exception
     fails the test.  m is drawn below the crossover and above it, so both
-    paths answer; the judge is the Python-loop reachability check, which
-    test_delsub pins against the exhaustive error ball."""
+    paths answer; the judge is the Python-loop reference reachability check,
+    which test_delsub pins against the exhaustive error ball."""
     m = data.draw(st.one_of(st.integers(1, 40),
                             st.integers(VECTOR_MIN_N, VECTOR_MIN_N + 300)))
     code = delsub_code(m)
@@ -220,7 +223,7 @@ def test_delsub_two_errors_never_give_an_unreachable_answer(data):
         return
     assert 1 <= len(answers) <= 2
     for z in answers:
-        assert _reachable_scalar(code.encode(z).symbols, y.symbols)
+        assert reachable_reference(code.encode(z).symbols, y.symbols)
 
 
 @FIXED
