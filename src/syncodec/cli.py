@@ -51,7 +51,7 @@ def _read_word(args, q: int = 2) -> Word:
     """The input word, widened to alphabet q if it was parsed over a smaller one."""
     text = args.word if args.word is not None else sys.stdin.read().strip()
     word = Word.parse(text, q=args.q)
-    return Word(word.symbols, q) if word.q < q else word
+    return Word(word.raw, q) if word.q < q else word
 
 
 def _emit(payload) -> None:

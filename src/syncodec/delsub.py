@@ -12,15 +12,15 @@ the flip position.  At each position the run count and the first run sum are
 O(1) tests on the table, and the survivors get the second run sum, also O(1)
 from the table, as the one exact check.  A decode is O(n) overall, and its
 hits are exactly the sketch-consistent members of the error ball, which the
-exhaustive oracle bounds by two; one tuple is built per distinct word.
+exhaustive oracle bounds by two; one word is built per distinct word.
 `DelSubCode.decode` builds each candidate's codeword from the recovered
 sketch fields and guard, which are what `encode` writes, and keeps the
 candidates whose codeword reaches the received word.
 
 Each O(n) pass has two implementations, chosen by the codeword length n.
-Below VECTOR_MIN_N the passes are Python loops over the word's tuple, whose
-fixed cost per call is a few microseconds.  From VECTOR_MIN_N on, each pass
-reads the word once as one byte per bit, which numpy views as a uint8 array:
+Below VECTOR_MIN_N the passes are Python loops over the word's bytes
+(`Word.raw`, one per bit), whose fixed cost per call is a few microseconds.
+From VECTOR_MIN_N on, numpy views the same bytes as a uint8 array:
 the ranks are one cumulative sum of the boundary mask, the sketch sums are
 int64 sums and dot products, and a flip stretch of the scan tests all its
 representatives at once as array masks.  A numpy pass costs tens of
@@ -43,20 +43,21 @@ from .errors import AlphabetError, DecodeFailure, EmptyListError
 from .inner import REP, SketchFields, rep_decode, rep_encode
 from .oracle import all_words
 from .sketches import signed_residue, weighted_vt_sum
-from .words import ErrorModel, Word, require_binary
+from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
 _PATTERN_TABLE = {-1: (0, 0), 1: (0, 1), 0: (1, 0), 2: (1, 1)}
 
 _VALID_RUN_DELTAS = {-2, 0, 2, 4}
 
-# Codeword lengths from which the numpy passes run.  Each numpy call costs
-# about a microsecond, so short words stay on the Python loops.  timeit per
-# call, best of 7, seeded words, 2-core x86_64, Python 3.11, numpy 2.4,
-# Python loop -> numpy: list_decode of a deletion plus a substitution 106 ->
-# 103 us at n = 256, 120 -> 106 us at n = 320, 146 -> 117 us at n = 384, and
-# of a lone deletion 112 -> 129, 130 -> 126 and 165 -> 127 us; the sketch sums
-# and the reachability check cross near n = 128.  list_decode crosses last.
+# Codeword lengths from which the numpy passes run: a numpy call costs about a
+# microsecond, so short words stay on the Python loops.  timeit in us, Python
+# loop / numpy, best of 7, paths interleaved, mean of four seeded words,
+# 2-core x86_64, Python 3.11, numpy 2.4; list_decode crosses last:
+#   n                      96     128     192     256     320     384
+#   list_decode, del+sub  37/91   51/92   58/84   73/84   92/89  104/87
+#   list_decode, del      48/103  57/101  71/99   86/96  110/102 132/105
+#   sketches              11/12   14/12   20/12   26/12   33/13   39/13
 VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
 # and VT sums (at most n^2) of a word of length n, and of its edits, are exact.
@@ -105,23 +106,23 @@ class _WordStats:
     Queries describe the word obtained by flipping y_p to t and then inserting
     the bit u before position d, and return raw (unreduced) sketch sums of the
     result in O(1).  A flip moves the ranks by e1 at p and by e2 after p.
-    This class holds the tables as Python tuples and lists, for codeword
-    lengths below VECTOR_MIN_N; `_WordArrays` answers the same queries from
-    numpy arrays for longer words.
+    This class holds the tables as Python lists, for codeword lengths below
+    VECTOR_MIN_N; `_WordArrays` answers the same queries from numpy arrays
+    for longer words.
     """
 
-    def __init__(self, bits: tuple[int, ...]):
+    def __init__(self, bits: bytes):
         m = len(bits)
         self.m = m
         self.bits = bits
-        self.ext = ext = (0,) + bits + (1,)  # y_0 .. y_{m+1} with the sentinels
+        self.ext = ext = b"\x00" + bits + b"\x01"  # y_0 .. y_{m+1} with the sentinels
         # ranks r_0 .. r_{m+1}: r_i counts the boundaries y_{j-1} != y_j, j <= i
         ranks = list(accumulate(map(ne, bits, ext), initial=0))
         ranks.append(ranks[-1] + (0 if bits and bits[-1] else 1))
         self.ranks = ranks
         self.r1 = list(accumulate(islice(ranks, m + 1)))  # sum of r_j, j <= i
         self.squares = sum(map(mul, islice(ranks, m + 1), ranks))  # r_j^2, j <= m
-        self.weight = sum(bits)
+        self.weight = bits.count(1)
         self.vt = sum(compress(range(1, m + 1), bits))  # positions of the 1s
         self.runs = ranks[m + 1] + 1
 
@@ -190,10 +191,10 @@ class _WordArrays(_WordStats):
     scan is tested as array masks, and only its survivors pay for the exact
     `edited_sums`."""
 
-    def __init__(self, bits: tuple[int, ...]):
+    def __init__(self, bits: bytes):
         m = len(bits)
         self.m = m
-        self.ext = ext = b"\x00" + bytearray(bits) + b"\x01"
+        self.ext = ext = b"\x00" + bits + b"\x01"
         self.array = array = np.frombuffer(ext, dtype=np.uint8)
         self.ranks = ranks = _rank_array(array)
         head = ranks[:m + 1]
@@ -261,11 +262,11 @@ class _WordArrays(_WordStats):
         return hits
 
 
-def _sums_vector(bits: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+def _sums_vector(bits: bytes) -> tuple[int, int, int, int, int]:
     """Raw (VT sum, f1r, sum of squared ranks, weight, run count) of a word
-    from one byte per bit, for `sketches`: positions are 1-based indices of
-    the uint8 word behind the sentinel x_0 = 0."""
-    ext = b"\x00" + bytearray(bits)
+    from its bytes, for `sketches`: positions are 1-based indices of the
+    uint8 word behind the sentinel x_0 = 0."""
+    ext = b"\x00" + bits
     array = np.frombuffer(ext, dtype=np.uint8)
     ranks = _rank_array(array)
     return (weighted_vt_sum(array[1:]), int(ranks.sum()), int(ranks.dot(ranks)),
@@ -274,7 +275,7 @@ def _sums_vector(bits: tuple[int, ...]) -> tuple[int, int, int, int, int]:
 
 def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
-    bits = word.symbols
+    bits = word.raw
     # the Python loop and the range test are inline: at desk scale a sketch
     # takes a few microseconds, and every call on the way counts
     if VECTOR_MIN_N <= len(bits) <= VECTOR_MAX_N:
@@ -310,7 +311,7 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
         raise EmptyListError(f"classification needs |y| = {params.n - 1}")
     if stats is None:
         stats = (_WordArrays if VECTOR_MIN_N <= params.n <= VECTOR_MAX_N
-                 else _WordStats)(y.symbols)
+                 else _WordStats)(y.raw)
     h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
         raise EmptyListError(f"weight difference {h_diff} matches no error pattern")
@@ -326,8 +327,8 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     """y itself, or the one word that flipping a bit of y gives.  The weight
     and VT sums of y are C-level sums, so one sketch pass, over y or over
     the corrected word, decides."""
-    bits = y.symbols
-    h_diff = signed_residue(target.h - sum(bits), params.h_mod)
+    bits = y.raw
+    h_diff = signed_residue(target.h - bits.count(1), params.h_mod)
     if h_diff == 0 and sketches(y, params) == target:
         return [y]
     if h_diff not in (-1, 1):
@@ -338,19 +339,18 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
         raise EmptyListError("no position matches the VT sketch")
-    x = Word._trusted(bits[:e - 1] + (x_e,) + bits[e:])
+    x = Word(bits[:e - 1] + SYMBOL_BYTES[x_e] + bits[e:])
     if sketches(x, params) != target:
         raise EmptyListError("substitution candidate fails the run sketches")
     return [x]
 
 
-def _candidate_bits(y_bits: tuple[int, ...], d: int, u: int,
-                    p: int | None, t: int | None) -> tuple[int, ...]:
-    bits = list(y_bits)
+def _candidate_bits(y_bits: bytes, d: int, u: int,
+                    p: int | None, t: int | None) -> bytes:
+    """y with y_p flipped to t, unless p is None, then u inserted before y_d."""
     if p is not None:
-        bits[p - 1] = t
-    bits.insert(d - 1, u)
-    return tuple(bits)
+        y_bits = y_bits[:p - 1] + SYMBOL_BYTES[t] + y_bits[p:]
+    return y_bits[:d - 1] + SYMBOL_BYTES[u] + y_bits[d - 1:]
 
 
 def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
@@ -460,7 +460,7 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     one table of y's ranks serves the whole decode: the classification reads
     the weight and run count from it, and each scan reads the rank sums of
     every candidate from it in O(1).  A scan's hits match the sketches
-    exactly, so no candidate is checked again, and one tuple is built per
+    exactly, so no candidate is checked again, and one word is built per
     distinct word: the pairs of one hit share the flip's position q in the
     word, and a few hits describe a word another hit describes too.
     """
@@ -472,7 +472,7 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
         raise DecodeFailure(f"length {len(y)} incompatible with n = {n}")
     # the range test of VECTOR_MIN_N and VECTOR_MAX_N, inline as in sketches
     stats = (_WordArrays if VECTOR_MIN_N <= n <= VECTOR_MAX_N
-             else _WordStats)(y.symbols)
+             else _WordStats)(y.raw)
     x_d, x_e, run_delta = classify_error(target, y, params, stats)
     scans = [(x_d, x_e)]
     h_diff = x_d + 2 * x_e - 1
@@ -495,10 +495,10 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
             if p is not None and ranks[p] == ranks[d if p >= d else d - 1] \
                     and (b_d != b_e or p < d):
                 continue
-            words.append(_candidate_bits(y.symbols, d, b_d, p, b_e))
+            words.append(_candidate_bits(y.raw, d, b_d, p, b_e))
     if not words:
         raise EmptyListError("no candidate is consistent with the sketches")
-    return [Word._trusted(bits) for bits in sorted(words)]
+    return [Word(bits) for bits in sorted(words)]
 
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
@@ -508,7 +508,7 @@ def search_best_target(n: int) -> tuple[DelSubSketches, int]:
     params = DelSubParams(n)
     buckets: dict[tuple[int, ...], int] = {}
     for bits in product((0, 1), repeat=n):
-        key = sketches(Word._trusted(bits), params).astuple()
+        key = sketches(Word(bits), params).astuple()
         buckets[key] = buckets.get(key, 0) + 1
     best_size = max(buckets.values())
     best = min(k for k, v in buckets.items() if v == best_size)
@@ -523,16 +523,15 @@ def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
 INNER_CAPACITY = 96
 
 
-def _reachable_one_del_one_sub(x_bits: tuple[int, ...],
-                               y_bits: tuple[int, ...]) -> bool:
+def _reachable_one_del_one_sub(x_bits: bytes, y_bits: bytes) -> bool:
     """Whether one deletion plus at most one substitution maps x to y (or at
     most one substitution, when the lengths are equal), from the mismatch
-    positions of the two alignments as uint8 arrays."""
+    positions of the two alignments of their uint8 views."""
     n, m = len(x_bits), len(y_bits)
     if m != n and m != n - 1:
         return False
-    x = np.frombuffer(bytearray(x_bits), dtype=np.uint8)
-    y = np.frombuffer(bytearray(y_bits), dtype=np.uint8)
+    x = np.frombuffer(x_bits, dtype=np.uint8)
+    y = np.frombuffer(y_bits, dtype=np.uint8)
     # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
     # head and tail are the mismatch positions (0-based) of those two
     # alignments, and head gets two sentinel mismatches at m and m + 1
@@ -572,8 +571,8 @@ class DelSubCode:
         self.redundancy = self.v_bits + self.guard_len
         self.n_total = m + self.redundancy
 
-    def _pad(self, v_bits: tuple[int, ...], short: int = 0) -> Word:
-        return Word._trusted(v_bits + (0,) * (INNER_CAPACITY - short - len(v_bits)))
+    def _pad(self, v_bits: bytes, short: int = 0) -> Word:
+        return Word(v_bits + bytes(INNER_CAPACITY - short - len(v_bits)))
 
     def encode(self, z: Word) -> Word:
         require_binary(z)
@@ -582,8 +581,7 @@ class DelSubCode:
         v = self.fields.pack(sketches(z, self.params).astuple())
         t = self.inner_fields.pack(
             sketches(self._pad(v), self.inner_params).astuple())
-        # z is a validated binary Word; v, t and the guard are packed bits
-        return Word._trusted(z.symbols + v + rep_encode(t), 2)
+        return Word(z.raw + v + rep_encode(t), 2)
 
     def decode(self, y: Word) -> list[Word]:
         require_binary(y)
@@ -591,20 +589,21 @@ class DelSubCode:
         if delta not in (-1, 0):
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
-        guard_at = len(y) - (self.guard_len + delta)
-        t = rep_decode(y.symbols[guard_at:], self.inner_fields.width)
+        raw = y.raw
+        guard_at = len(raw) - (self.guard_len + delta)
+        t = rep_decode(raw[guard_at:], self.inner_fields.width)
         inner_target = DelSubSketches(*self.inner_fields.unpack(t))
         # within the whole-tail window (the last |v| + |guard| + delta bits),
         # the first |v| + delta bits are always v under exactly -delta
         # deletions and at most one substitution
-        tail_at = len(y) - (self.v_bits + self.guard_len + delta)
-        v_window = y.symbols[tail_at:tail_at + self.v_bits + delta]
+        tail_at = len(raw) - (self.v_bits + self.guard_len + delta)
+        v_window = raw[tail_at:tail_at + self.v_bits + delta]
         d_window = self._pad(v_window, short=-delta)
         try:
             inner_hits = list_decode(d_window, inner_target, self.inner_params)
         except EmptyListError as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
-        pad = (0,) * (INNER_CAPACITY - self.v_bits)
+        pad = bytes(INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
         # every inner hit matches inner_target exactly, so its fields v and
         # the guard t are what encode() writes for any payload z whose
@@ -615,8 +614,8 @@ class DelSubCode:
         # lists share no z.
         out = []
         for hit in inner_hits:
-            v = hit.symbols[:self.v_bits]
-            if hit.symbols[self.v_bits:] != pad:
+            v = hit.raw[:self.v_bits]
+            if hit.raw[self.v_bits:] != pad:
                 continue
             try:
                 target = DelSubSketches(*self.fields.unpack(v))
@@ -624,12 +623,10 @@ class DelSubCode:
                 continue
             try:
                 out += [z for z in list_decode(
-                            Word._trusted(y.symbols[:self.m + delta]), target,
-                            self.params)
-                        if _reachable_one_del_one_sub(z.symbols + v + guard,
-                                                      y.symbols)]
+                            Word(raw[:self.m + delta]), target, self.params)
+                        if _reachable_one_del_one_sub(z.raw + v + guard, raw)]
             except EmptyListError:
                 continue
         if not out:
             raise DecodeFailure("no payload candidate is consistent with y")
-        return sorted(out, key=lambda z: z.symbols)
+        return sorted(out, key=lambda z: z.raw)

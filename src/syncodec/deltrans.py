@@ -34,7 +34,7 @@ from .errors import (
 )
 from .inner import SketchFields, ceil_log2
 from .sketches import signed_residue, vt_parity_sums, vt_sum
-from .words import ErrorModel, Word, prefix_parity_inverse, require_binary
+from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 MARKER = (0, 0, 1, 1)
 _MARKER_BYTES = bytes(MARKER)
@@ -47,14 +47,13 @@ GREEDY_HASH_MAX_CAP = 6
 # segmentation
 
 
-def segment_lenient(word: Word) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+def segment_lenient(word: Word) -> tuple[list[bytes], bytes]:
     """Split after each marker occurrence; the trailing residue may be empty."""
     require_binary(word)
-    bits = word.symbols
-    data = bytes(bits)
+    bits = word.raw
     segments = []
     start = 0
-    while (at := data.find(_MARKER_BYTES, start)) >= 0:
+    while (at := bits.find(_MARKER_BYTES, start)) >= 0:
         segments.append(bits[start:at + 4])
         start = at + 4
     return segments, bits[start:]
@@ -71,18 +70,18 @@ def segment(word: Word) -> list[Word]:
 # hashes over short strings
 
 
-def confusable_set(bits: tuple[int, ...], cap: int) -> set[tuple[int, ...]]:
+def confusable_set(bits: bytes, cap: int) -> set[bytes]:
     """Strings within two transpositions, two substitutions, or one deletion
     plus one insertion of `bits`, clipped to the hash domain, excluding `bits`."""
     limit = 3 * cap
     n = len(bits)
-    out: set[tuple[int, ...]] = set()
+    out: set[bytes] = set()
 
-    def subs(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [b[:i] + (1 - b[i],) + b[i + 1:] for i in range(len(b))]
+    def subs(b: bytes) -> list[bytes]:
+        return [b[:i] + SYMBOL_BYTES[1 - b[i]] + b[i + 1:] for i in range(len(b))]
 
-    def trans(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [b[:i] + (b[i + 1], b[i]) + b[i + 2:]
+    def trans(b: bytes) -> list[bytes]:
+        return [b[:i] + b[i + 1:i + 2] + b[i:i + 1] + b[i + 2:]
                 for i in range(len(b) - 1) if b[i] != b[i + 1]]
 
     one_sub = subs(bits)
@@ -95,12 +94,13 @@ def confusable_set(bits: tuple[int, ...], cap: int) -> set[tuple[int, ...]]:
         out.update(trans(b))
     dels = [bits[:i] + bits[i + 1:] for i in range(n)]
     out.update(dels)
-    inserted = [b[:i] + (s,) + b[i:]
-                for b in [bits] for i in range(n + 1) for s in (0, 1)]
+    inserted = [b[:i] + s + b[i:]
+                for b in [bits] for i in range(n + 1) for s in SYMBOL_BYTES[:2]]
     if n + 1 <= limit:
         out.update(inserted)
     for b in dels:
-        out.update(b[:i] + (s,) + b[i:] for i in range(len(b) + 1) for s in (0, 1))
+        out.update(b[:i] + s + b[i:]
+                   for i in range(len(b) + 1) for s in SYMBOL_BYTES[:2])
     out.discard(bits)
     return {b for b in out if len(b) <= limit}
 
@@ -164,7 +164,7 @@ class GreedyHash:
     short loop assigns the chunk's own strings in order.
     """
 
-    def __init__(self, cap: int, table: dict[tuple[int, ...], int],
+    def __init__(self, cap: int, table: dict[bytes, int],
                  hash_range: int):
         self.cap = cap
         self.table = table
@@ -214,13 +214,13 @@ class GreedyHash:
                     chunk.append(h)
                 assigned[start:start + rows] = chunk
                 used = max(used, max(chunk) + 1)
-        table: dict[tuple[int, ...], int] = {}
+        table: dict[bytes, int] = {}
         for length in range(top + 1):
-            table.update(zip(itertools.product((0, 1), repeat=length),
+            table.update(zip(map(bytes, itertools.product((0, 1), repeat=length)),
                              assigned[1 << length:2 << length].tolist()))
         return cls(cap, table, hash_range if hash_range is not None else used)
 
-    def __call__(self, bits: tuple[int, ...]) -> int:
+    def __call__(self, bits: bytes) -> int:
         return self.table[bits]
 
     def to_json(self) -> str:
@@ -231,7 +231,7 @@ class GreedyHash:
     @classmethod
     def from_json(cls, text: str) -> "GreedyHash":
         data = json.loads(text)
-        table = {tuple(int(c) for c in k): v for k, v in data["table"].items()}
+        table = {bytes(map(int, k)): v for k, v in data["table"].items()}
         return cls(data["cap"], table, data["range"])
 
 
@@ -250,11 +250,11 @@ class ClosedFormHash:
         self.modulus = 6 * cap + 1
         self.hash_range = (3 * cap + 1) * 5 * self.modulus * self.modulus
 
-    def __call__(self, bits: tuple[int, ...]) -> int:
+    def __call__(self, bits: bytes) -> int:
         if len(bits) > 3 * self.cap:
             raise AlphabetError("string longer than the hash domain")
         total, _, parity_vt = vt_parity_sums(bits)
-        weight = sum(bits) % 5
+        weight = bits.count(1) % 5
         return ((len(bits) * 5 + weight) * self.modulus + total % self.modulus) \
             * self.modulus + parity_vt % self.modulus
 
@@ -351,7 +351,7 @@ class DeltransSketches:
     g2: int  # prefix-parity sum, mod 3
 
 
-def _hash_segments(segments: list[tuple[int, ...]], h,
+def _hash_segments(segments: list[bytes], h,
                    hashes: list[int] | None = None,
                    ) -> tuple[list[int], tuple[int, ...]]:
     """The segments' hashes (unless given) and their terms len * range + hash."""
@@ -375,7 +375,7 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     hashes, terms = _hash_segments(segments, h, hashes)
     f = vt_sum(terms) % params.f_mod
     g1 = len(segments) % 5
-    g2 = vt_parity_sums(word.symbols)[1] % 3
+    g2 = vt_parity_sums(word.raw)[1] % 3
     return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
 
 
@@ -485,7 +485,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     ly = len(segments)
     bounds = params.case_bounds
     if not deletion:
-        if vt_parity_sums(y.symbols)[1] % 3 == target.g2:
+        if vt_parity_sums(y.raw)[1] % 3 == target.g2:
             return LocateResult(True, "clean", None, 0)
     dl = signed_residue(ly - target.g1, 5)
     kind = "del" if deletion else "trans"
@@ -586,7 +586,7 @@ def inner_fields(length: int) -> SketchFields:
     return SketchFields((length + 1, 2 * length + 1))
 
 
-def inner_sketch(bits: tuple[int, ...], length: int) -> tuple[int, ...]:
+def inner_sketch(bits: bytes, length: int) -> bytes:
     if len(bits) != length:
         raise AlphabetError(f"inner sketch needs length {length}")
     total, _, parity_vt = vt_parity_sums(bits)
@@ -594,8 +594,7 @@ def inner_sketch(bits: tuple[int, ...], length: int) -> tuple[int, ...]:
         (total % (length + 1), parity_vt % (2 * length + 1)))
 
 
-def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
-                  length: int) -> tuple[int, ...]:
+def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
     """Invert one deletion or one adjacent transposition given the sketch.
 
     A deletion is undone in O(L) by Levenshtein's VT decoder ("Binary codes
@@ -605,7 +604,9 @@ def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
     match, and one full sketch check accepts or rejects it.  With
     D = (VT target - sum(i * y_i)) mod (L+1) and w the weight of y, the
     insertion is a 0 with D ones to its right when D <= w, else a 1 with
-    D - w - 1 zeros to its left.
+    D - w - 1 zeros to its left.  A transposition is one substitution of the
+    prefix parities, at the smaller of its positions.  The repair is built
+    from slices of the window, so a tuple window gives a tuple repair.
     """
     vt_target, parity_target = inner_fields(length).unpack(sketch)
     if len(window) == length - 1:
@@ -615,36 +616,32 @@ def inner_correct(window: tuple[int, ...], sketch: tuple[int, ...],
             bit, pos = 0, _after_nth(window, 1, weight - d)
         else:
             bit, pos = 1, _after_nth(window, 0, d - weight - 1)
-        cand = window[:pos] + (bit,) + window[pos:]
+        cand = window[:pos] + type(window)((bit,)) + window[pos:]
         if inner_sketch(cand, length) != sketch:
             raise DecodeFailure("no single insertion matches the inner sketch")
         return cand
     if len(window) != length:
         raise DecodeFailure("window length fits neither error type")
-    acc = 0
-    parity_sum = 0
-    parity = []
-    for b in window:
-        acc ^= b
-        parity.append(acc)
-        parity_sum += len(parity) * acc
-    diff = signed_residue(parity_target - parity_sum, 2 * length + 1)
+    parity_vt = vt_parity_sums(window)[2]
+    diff = signed_residue(parity_target - parity_vt, 2 * length + 1)
     if diff == 0:
         if inner_sketch(window, length) != sketch:
             raise DecodeFailure("clean window contradicts the inner sketch")
         return window
     k = abs(diff)
     want = 1 if diff > 0 else 0
-    if k > length - 1 or parity[k - 1] != 1 - want:
+    # the prefix parity p_k is the parity of the window's first k bits
+    if k > length - 1 or window[:k].count(1) % 2 != 1 - want:
         raise DecodeFailure("no transposition matches the inner sketch")
-    parity[k - 1] = want
-    cand = tuple(prefix_parity_inverse(Word(tuple(parity), 2)).symbols)
+    # flipping the prefix parity p_k flips bits k and k + 1
+    cand = window[:k - 1] + type(window)((1 - window[k - 1], 1 - window[k])) \
+        + window[k + 1:]
     if inner_sketch(cand, length) != sketch:
         raise DecodeFailure("transposition repair contradicts the inner sketch")
     return cand
 
 
-def _after_nth(bits: tuple[int, ...], symbol: int, count: int) -> int:
+def _after_nth(bits: bytes, symbol: int, count: int) -> int:
     """Index just past the count-th occurrence of symbol in bits (0 for none)."""
     pos = 0
     for _ in range(count):
@@ -652,23 +649,23 @@ def _after_nth(bits: tuple[int, ...], symbol: int, count: int) -> int:
     return pos
 
 
-def _padded_slice(bits: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+def _padded_slice(bits: bytes, a: int, b: int) -> bytes:
     chunk = bits[a - 1:min(b, len(bits))]
-    return chunk + (0,) * (b - a + 1 - len(chunk))
+    return chunk + bytes(b - a + 1 - len(chunk))
 
 
 def window_sketches(word: Word, plan: WindowPlan,
-                    ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+                    ) -> tuple[bytes, bytes | None]:
     """XOR-folded inner sketches over the primary and shifted interval families."""
     require_binary(word)
     length = plan.block
     width = inner_fields(length).width
 
-    def fold(intervals: list[tuple[int, int]]) -> tuple[int, ...]:
-        acc = (0,) * width
+    def fold(intervals: list[tuple[int, int]]) -> bytes:
+        acc = bytes(width)
         for a, b in intervals:
-            sk = inner_sketch(_padded_slice(word.symbols, a, b), length)
-            acc = tuple(x ^ y for x, y in zip(acc, sk))
+            sk = inner_sketch(_padded_slice(word.raw, a, b), length)
+            acc = bytes(x ^ y for x, y in zip(acc, sk))
         return acc
 
     g1_hat = fold(plan.primary)
@@ -677,7 +674,7 @@ def window_sketches(word: Word, plan: WindowPlan,
 
 
 def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
-            hats: tuple[tuple[int, ...], tuple[int, ...] | None],
+            hats: tuple[bytes, bytes | None],
             plan: WindowPlan, params: DeltransParams, h,
             y_hashes: list[int] | None = None) -> Word:
     """Full repair: locate, pick the covering interval, repair it, splice.
@@ -708,14 +705,14 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         # is the source, or wholly after it, where y lags by the deletion;
         # the source is 0 past n
         lag = shift if c > lo else 0
-        chunk = _padded_slice(y.symbols, c - lag, d - lag)
+        chunk = _padded_slice(y.raw, c - lag, d - lag)
         sk = inner_sketch(chunk, length)
-        acc = tuple(x ^ s for x, s in zip(acc, sk))
-    window_bits = _padded_slice(y.symbols, a, b - shift)
+        acc = bytes(x ^ s for x, s in zip(acc, sk))
+    window_bits = _padded_slice(y.raw, a, b - shift)
     repaired = inner_correct(window_bits, acc, length)
     keep = min(b, n) - a + 1
-    tail = y.symbols[b - shift:] if b < n else ()
-    x = Word(y.symbols[:a - 1] + repaired[:keep] + tail, 2)
+    tail = y.raw[b - shift:] if b < n else b""
+    x = Word(y.raw[:a - 1] + repaired[:keep] + tail, 2)
     if len(x) != n:
         raise DecodeFailure("spliced word has the wrong length")
     sk, hashes = segment_sketches(x, params, h)
@@ -729,13 +726,13 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=None)
-def _segment_options(length: int) -> tuple[tuple[int, ...], ...]:
+def _segment_options(length: int) -> tuple[bytes, ...]:
     """All segments of one length: marker-terminal, marker occurs only once."""
     if length < 4:
         return ()
     out = []
     for prefix in itertools.product((0, 1), repeat=length - 4):
-        bits = prefix + MARKER
+        bits = bytes(prefix) + _MARKER_BYTES
         inner, residue = segment_lenient(Word(bits, 2))
         if len(inner) == 1 and not residue:
             out.append(bits)
@@ -744,7 +741,7 @@ def _segment_options(length: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_candidates(n: int, delta: int) -> list[Word]:
     """All length-n marker-terminal words whose segments are at most delta long."""
-    partials: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    partials: list[tuple[int, bytes]] = [(0, b"")]
     out = []
     while partials:
         used, bits = partials.pop()
@@ -757,7 +754,7 @@ def enumerate_candidates(n: int, delta: int) -> list[Word]:
                     out.append(Word(candidate, 2))
                 else:
                     partials.append((used + length, candidate))
-    out.sort(key=lambda w: w.symbols)
+    out.sort(key=lambda w: w.raw)
     return out
 
 
@@ -775,7 +772,7 @@ class DeltransDeskCode:
 
     def __init__(self, params: DeltransParams, h: GreedyHash,
                  target: DeltransSketches,
-                 hats: tuple[tuple[int, ...], tuple[int, ...] | None],
+                 hats: tuple[bytes, bytes | None],
                  codewords: list[Word], multisets: list[tuple[int, ...]]):
         self.params = params
         self.hash = h
@@ -810,7 +807,7 @@ class DeltransDeskCode:
         for idx, word in enumerate(kept):
             hats = window_sketches(word, plan)
             hat_values.append(hats)
-            key = (hats[0], hats[1] if hats[1] is not None else ())
+            key = (hats[0], hats[1] if hats[1] is not None else b"")
             hat_buckets.setdefault(key, []).append(idx)
         best_hat = min(hat_buckets, key=lambda k: (-len(hat_buckets[k]), k))
         chosen = hat_buckets[best_hat]
@@ -851,7 +848,7 @@ def segment_cap_probability(n: int, delta: int, trials: int, seed: int) -> float
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        bits = tuple(rng.getrandbits(1) for _ in range(n))
+        bits = bytes(rng.getrandbits(1) for _ in range(n))
         segments, residue = segment_lenient(Word(bits, 2))
         longest = max([len(s) for s in segments] + [len(residue)])
         hits += longest <= delta

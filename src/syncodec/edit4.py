@@ -6,16 +6,16 @@ chosen target, intersected with the regular words.  Regularity (no long 0-runs
 in the 0/2-projection, no long 3-runs in the 1/3-projection) is what makes the
 deletion/insertion scans unambiguous.
 
-Each public function reads its word once into bytes, one per symbol, and does
-its per-symbol work at array speed: numpy reads the bytes as one uint8 array,
+Each public function works on its word's bytes (`Word.raw`, one per symbol)
+and does its per-symbol work at array speed: numpy reads the bytes as one
+uint8 array without a copy,
 the weighted VT sum is the int64 dot product of w(x) with the positions, the
 count parities are `bytes.count`s, and each corrector scan is one cumulative
 sum and one equality search (the offsets stay below the modulus, so matching
 them mod the modulus is exact equality; see `correct_deletion`).  Every sum is
 at most (n+1)(n+2)/2 max(w), which fits in int64 for n up to 2^28.  The
 runlength code packs each projection as bytes and interleaves the two by the
-parity mask of the symbols.  Words built from validated symbols skip the
-per-symbol check (`Word._trusted`).
+parity mask of the symbols.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .inner import (
     rep_encode,
 )
 from .sketches import WeightFn, signed_residue, weighted_vt_sum
-from .words import ErrorModel, Word
+from .words import SYMBOL_BYTES, ErrorModel, Word
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class RegularityWitness:
         return not self.zero_run_violations and not self.three_run_violations
 
 
-def _long_runs(seq: list[int], target: int, cap: int) -> tuple[tuple[int, int], ...]:
+def _long_runs(seq: bytes, target: int, cap: int) -> tuple[tuple[int, int], ...]:
     violations = []
     i = 0
     while i < len(seq):
@@ -112,8 +112,8 @@ def _long_runs(seq: list[int], target: int, cap: int) -> tuple[tuple[int, int], 
 def regularity(word: Word, params: Edit4Params) -> RegularityWitness:
     if word.q != 4:
         raise AlphabetError("regularity is defined for 4-ary words")
-    proj02 = [s for s in word.symbols if s in (0, 2)]
-    proj13 = [s for s in word.symbols if s in (1, 3)]
+    proj02 = word.raw.translate(None, b"\x01\x03")
+    proj13 = word.raw.translate(None, b"\x00\x02")
     cap = params.run_cap
     return RegularityWitness(
         _long_runs(proj02, 0, cap), _long_runs(proj13, 3, cap))
@@ -123,13 +123,9 @@ def is_regular(word: Word, params: Edit4Params) -> bool:
     return regularity(word, params).ok
 
 
-def _word_bytes(word: Word) -> bytes:
-    """One byte per symbol of a 4-ary word: np.frombuffer reads it as the
-    word's uint8 array without a copy, and bytes.count counts its symbols."""
+def _require_quaternary(word: Word) -> None:
     if word.q != 4:
         raise AlphabetError(f"edit4 works on 4-ary words, got alphabet size {word.q}")
-    # bytearray() converts a tuple of small ints about twice as fast as bytes()
-    return bytes(bytearray(word.symbols))
 
 
 def _weights_of(raw: bytes, params: Edit4Params) -> np.ndarray:
@@ -138,7 +134,8 @@ def _weights_of(raw: bytes, params: Edit4Params) -> np.ndarray:
 
 
 def sketches(word: Word, params: Edit4Params) -> Edit4Sketches:
-    raw = _word_bytes(word)
+    _require_quaternary(word)
+    raw = word.raw
     f = weighted_vt_sum(_weights_of(raw, params)) % params.modulus
     return Edit4Sketches(f, *_count_parities(raw))
 
@@ -163,7 +160,8 @@ def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) ->
     """Recover the codeword from y differing in at most one position."""
     if len(y) != params.n:
         raise NoCandidateError(f"expected length {params.n}, got {len(y)}")
-    raw = _word_bytes(y)
+    _require_quaternary(y)
+    raw = y.raw
     flipped = _flipped(raw, target)
     f_y = weighted_vt_sum(_weights_of(raw, params))
     diff = signed_residue(target.f - f_y, params.modulus)  # f(x) - f(y)
@@ -184,9 +182,9 @@ def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) ->
     if abs(diff) % step:
         raise NoCandidateError("sketch difference is not a multiple of the weight gap")
     i = abs(diff) // step
-    if not 1 <= i <= params.n or y.symbols[i - 1] != b:
+    if not 1 <= i <= params.n or raw[i - 1] != b:
         raise NoCandidateError("recovered position is inconsistent with y")
-    x = Word._trusted(y.symbols[:i - 1] + (a,) + y.symbols[i:], 4)
+    x = Word(raw[:i - 1] + SYMBOL_BYTES[a] + raw[i:], 4)
     if sketches(x, params) != target:
         raise NoCandidateError("corrected word does not match the sketch target")
     return x
@@ -205,7 +203,8 @@ def correct_deletion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Wor
     n = params.n
     if len(y) != n - 1:
         raise NoCandidateError(f"expected length {n - 1}, got {len(y)}")
-    raw = _word_bytes(y)
+    _require_quaternary(y)
+    raw = y.raw
     flipped = _flipped(raw, target)
     if len(flipped) > 1:
         raise NoCandidateError("one deletion flips at most one count parity")
@@ -220,7 +219,7 @@ def correct_deletion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Wor
     if not hits.size:
         raise NoCandidateError("no insertion position matches the VT sketch")
     j = int(hits[-1]) + 1
-    x = Word._trusted(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:], 4)
+    x = Word(raw[:j - 1] + SYMBOL_BYTES[a] + raw[j - 1:], 4)
     if sketches(x, params) != target:
         raise NoCandidateError("reinserted word does not match the target")
     return x
@@ -237,7 +236,8 @@ def correct_insertion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Wo
     n = params.n
     if len(y) != n + 1:
         raise NoCandidateError(f"expected length {n + 1}, got {len(y)}")
-    raw = _word_bytes(y)
+    _require_quaternary(y)
+    raw = y.raw
     flipped = _flipped(raw, target)
     if len(flipped) > 1:
         raise NoCandidateError("one insertion flips at most one count parity")
@@ -252,7 +252,7 @@ def correct_insertion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Wo
     if not hits.size:
         raise NoCandidateError("no occurrence of the inserted symbol matches the sketch")
     j = int(hits[-1]) + 1
-    x = Word._trusted(y.symbols[:j - 1] + y.symbols[j:], 4)
+    x = Word(raw[:j - 1] + raw[j:], 4)
     if sketches(x, params) != target:
         raise NoCandidateError("shortened word does not match the target")
     return x
@@ -274,7 +274,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
 # a bytes object (bytes.translate drops the other pair's digits), and the two
 # are interleaved again by the parity mask of the word's symbols.
 
-def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
+def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     """Replace runs of cap zero_digits until none is left; O(m) scanning.
 
     Each pass deletes the first run and appends a marker: its start in
@@ -284,23 +284,21 @@ def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
     search resumes there: the scans together read each symbol O(1) times.
     """
     m = len(seq)
-    out = bytearray(seq)
-    out += bytes((one_digit, zero_digit))
+    out = seq + bytes((one_digit, zero_digit))
     if m == 0:
         return out
     cap = (m - 1).bit_length() + 2
-    width = cap - 2
+    to_digits = bytes.maketrans(b"\x00\x01", bytes((zero_digit, one_digit)))
     run = bytes((zero_digit,)) * cap
     start = out.find(run)
     while start >= 0:
-        del out[start:start + cap]
-        out += bytes(one_digit if b else zero_digit for b in int_to_bits(start, width))
-        out += bytes((one_digit, one_digit))
+        marker = int_to_bits(start, cap - 2).translate(to_digits)
+        out = out[:start] + out[start + cap:] + marker + bytes((one_digit, one_digit))
         start = out.find(run, start)
     return out
 
 
-def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
+def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     """Invert _rll_pack, rejecting every seq that _rll_pack cannot output."""
     if len(seq) < 2:
         raise MalformedEncodingError("packed projection shorter than its suffix")
@@ -310,7 +308,9 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
     run = bytes((zero_digit,)) * cap
     if seq.find(run) >= 0:
         raise MalformedEncodingError("packed projection still holds a long run")
-    out = bytearray(seq)
+    digits = bytes((zero_digit, one_digit))
+    to_bits = bytes.maketrans(digits, b"\x00\x01")
+    out = seq
     later = len(seq)  # start of the marker unwound before, i.e. packed after
     for _ in range(len(seq) + 1):
         if out[-1] == zero_digit:
@@ -319,16 +319,11 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
             return out[:-2]
         if len(out) < cap or out[-2] != one_digit:
             raise MalformedEncodingError("marker suffix is inconsistent")
-        bits = []
-        for d in out[-cap:-2]:
-            if d == zero_digit:
-                bits.append(0)
-            elif d == one_digit:
-                bits.append(1)
-            else:
-                raise MalformedEncodingError("marker index holds a foreign digit")
-        start = bits_to_int(tuple(bits))
-        del out[-cap:]
+        index = out[-cap:-2]
+        if index.translate(None, digits):
+            raise MalformedEncodingError("marker index holds a foreign digit")
+        start = bits_to_int(index.translate(to_bits))
+        out = out[:-cap]
         if start > len(out):
             raise MalformedEncodingError("marker index outside the string")
         # _rll_pack replaces the first run each time, so its runs start left
@@ -336,7 +331,7 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytearray:
         if start > later or start and out[start - 1] == zero_digit:
             raise MalformedEncodingError("markers are not in packing order")
         later = start
-        out[start:start] = run
+        out = out[:start] + run + out[start:]
     raise MalformedEncodingError("marker unwinding did not terminate")
 
 
@@ -346,7 +341,8 @@ def rll_encode(z: Word) -> Word:
     The packed 0/2 projection keeps the slots of z's even symbols and takes
     slots m, m+1 for its suffix; the packed 1/3 projection fills the rest.
     """
-    word = _word_bytes(z)
+    _require_quaternary(z)
+    word = z.raw
     packed_low = _rll_pack(word.translate(None, b"\x01\x03"), 0, 2)
     packed_high = _rll_pack(word.translate(None, b"\x00\x02"), 3, 1)
     low = np.concatenate(((np.frombuffer(word, dtype=np.uint8) & 1) == 0,
@@ -354,18 +350,18 @@ def rll_encode(z: Word) -> Word:
     out = np.empty(len(word) + 4, dtype=np.uint8)
     out[low] = np.frombuffer(packed_low, dtype=np.uint8)
     out[~low] = np.frombuffer(packed_high, dtype=np.uint8)
-    return Word._trusted(tuple(out.tobytes()), 4)
+    return Word(out.tobytes(), 4)
 
 
 def rll_decode(x: Word) -> Word:
     """Invert rll_encode; a word that rll_encode cannot output is rejected."""
-    word = _word_bytes(x)
-    if len(x) < 4:
+    _require_quaternary(x)
+    word = x.raw
+    if len(word) < 4:
         raise MalformedEncodingError("encoded word shorter than the fixed overhead")
-    m = len(x) - 4
+    m = len(word) - 4
     # rll_encode puts the low suffix in slots m, m+1 and the high one after it
-    if x.symbols[m] % 2 or x.symbols[m + 1] % 2 or \
-            not x.symbols[m + 2] % 2 or not x.symbols[m + 3] % 2:
+    if word[m] % 2 or word[m + 1] % 2 or not word[m + 2] % 2 or not word[m + 3] % 2:
         raise MalformedEncodingError("suffix slots do not hold low, low, high, high")
     # unpacking keeps each projection's length, so with the suffix slots in
     # place the payloads fill the first m slots exactly
@@ -375,10 +371,10 @@ def rll_decode(x: Word) -> Word:
     out = np.empty(m, dtype=np.uint8)
     out[low] = np.frombuffer(low_payload, dtype=np.uint8)
     out[~low] = np.frombuffer(high_payload, dtype=np.uint8)
-    return Word._trusted(tuple(out.tobytes()), 4)
+    return Word(out.tobytes(), 4)
 
 
-def _within_one_edit(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+def _within_one_edit(a: bytes, b: bytes) -> bool:
     """Whether b equals a or is one deletion, insertion or substitution of it:
     the common prefix and the common suffix cover all but the edited symbol."""
     short = min(len(a), len(b))
@@ -417,7 +413,7 @@ class Edit4Code:
         self.n_total = m + 4 + self.tail_len
         self.redundancy = self.n_total - m
 
-    def _serialize(self, sk: Edit4Sketches) -> tuple[int, ...]:
+    def _serialize(self, sk: Edit4Sketches) -> bytes:
         return bits_to_quaternary(self.fields.pack(sk.astuple()))
 
     def encode(self, z: Word) -> Word:
@@ -425,32 +421,31 @@ class Edit4Code:
             raise AlphabetError(f"message must be 4-ary of length {self.m}")
         x = rll_encode(z)
         tail = rep_encode(self._serialize(sketches(x, self.params)))
-        return Word._trusted(x.symbols + tail, 4)
+        return Word(x.raw + tail, 4)
 
     def decode(self, y: Word) -> Word:
         delta = len(y) - self.n_total
         if delta not in (-1, 0, 1):
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
-        window = y.symbols[len(y) - (self.tail_len + delta):]
+        raw = y.raw
+        window = raw[len(raw) - (self.tail_len + delta):]
         bits = quaternary_to_bits(rep_decode(window, self.tail_blocks))
         target = Edit4Sketches(*self.fields.unpack(bits))
         expected_tail = rep_encode(self._serialize(target))
-        # y's symbols lie below y.q, so only a wider alphabet needs the check
-        quaternary = Word._trusted if y.q <= 4 else Word
-        if y.symbols[len(y) - self.tail_len:] != expected_tail:
+        if raw[len(raw) - self.tail_len:] != expected_tail:
             # the edit hit the tail, so the payload part is intact
-            payload = quaternary(y.symbols[:self.m + 4], 4)
+            payload = Word(raw[:self.m + 4], 4)
             z = rll_decode(payload)
             # z's codeword is payload + expected_tail when the payload's
             # sketches are the target, and reaches y when y's tail part is
             # within one edit of expected_tail
-            if not _within_one_edit(y.symbols[self.m + 4:], expected_tail):
+            if not _within_one_edit(raw[self.m + 4:], expected_tail):
                 raise DecodeFailure("tail is more than one edit from its guard")
             if sketches(payload, self.params) != target:
                 raise DecodeFailure("intact payload does not match the tail's sketches")
             return z
-        payload_window = quaternary(y.symbols[:len(y) - self.tail_len], 4)
+        payload_window = Word(raw[:len(raw) - self.tail_len], 4)
         x = correct_edit(payload_window, target, self.params)
         return rll_decode(x)
 
@@ -508,7 +503,7 @@ def codewords_for_target(n: int, target: Edit4Sketches) -> list[Word]:
     out = []
     for idx in members:
         idx = int(idx)
-        out.append(Word(tuple((idx >> (2 * (n - 1 - j))) & 3 for j in range(n)), 4))
+        out.append(Word(bytes((idx >> (2 * (n - 1 - j))) & 3 for j in range(n)), 4))
     return out
 
 

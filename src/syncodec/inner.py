@@ -7,23 +7,24 @@ most one sample per block, so the majority is always the transmitted symbol.
 The decode window may be one symbol shorter or longer than the encoding; a
 missing or extra leading symbol behaves like one more edit at the front and is
 absorbed by the same argument.
+
+Symbols and bits are bytes, one byte each, as in `Word.raw`.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import DecodeFailure
 
 REP = 5
 
 
-def rep_encode(symbols: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for s in symbols:
-        out.extend([s] * REP)
-    return tuple(out)
+def rep_encode(symbols: bytes) -> bytes:
+    return bytes(chain.from_iterable(zip(*[symbols] * REP)))
 
 
-def rep_decode(window: tuple[int, ...], block_count: int) -> tuple[int, ...]:
+def rep_decode(window: bytes, block_count: int) -> bytes:
     """Recover the symbols from a window of length REP*block_count - 1 .. + 1."""
     if not block_count * REP - 1 <= len(window) <= block_count * REP + 1:
         raise DecodeFailure(
@@ -39,7 +40,7 @@ def rep_decode(window: tuple[int, ...], block_count: int) -> tuple[int, ...]:
             out.append(b)
         else:
             raise DecodeFailure("no majority in repetition block")
-    return tuple(out)
+    return bytes(out)
 
 
 class SketchFields:
@@ -51,11 +52,11 @@ class SketchFields:
         self.widths = tuple((mod - 1).bit_length() for mod in moduli)
         self.width = sum(self.widths)
 
-    def pack(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(bit for value, width in zip(values, self.widths)
-                     for bit in int_to_bits(value, width))
+    def pack(self, values: tuple[int, ...]) -> bytes:
+        return b"".join(int_to_bits(value, width)
+                        for value, width in zip(values, self.widths))
 
-    def unpack(self, bits: tuple[int, ...]) -> tuple[int, ...]:
+    def unpack(self, bits: bytes) -> tuple[int, ...]:
         """Field values from the first `width` bits; the rest is padding."""
         values = []
         at = 0
@@ -75,28 +76,25 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def int_to_bits(value: int, width: int) -> tuple[int, ...]:
+def int_to_bits(value: int, width: int) -> bytes:
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    return bytes((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def bits_to_int(bits: tuple[int, ...]) -> int:
+def bits_to_int(bits: bytes) -> int:
     value = 0
     for b in bits:
         value = (value << 1) | b
     return value
 
 
-def bits_to_quaternary(bits: tuple[int, ...]) -> tuple[int, ...]:
+def bits_to_quaternary(bits: bytes) -> bytes:
     """Pack bits two per 4-ary symbol, zero-padding the tail."""
     if len(bits) % 2:
-        bits = bits + (0,)
-    return tuple(2 * bits[i] + bits[i + 1] for i in range(0, len(bits), 2))
+        bits += b"\x00"
+    return bytes(2 * bits[i] + bits[i + 1] for i in range(0, len(bits), 2))
 
 
-def quaternary_to_bits(symbols: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for s in symbols:
-        out.extend(divmod(s, 2))
-    return tuple(out)
+def quaternary_to_bits(symbols: bytes) -> bytes:
+    return bytes(chain.from_iterable(divmod(s, 2) for s in symbols))

@@ -70,7 +70,7 @@ def all_words(n: int, q: int) -> Iterable[Word]:
     if q < 2:
         raise AlphabetError(f"alphabet size must be >= 2, got {q}")
     for symbols in itertools.product(range(q), repeat=n):
-        yield Word._trusted(symbols, q)
+        yield Word(symbols, q)
 
 
 def code_from_predicate(predicate: Callable[[Word], bool], n: int, q: int,
@@ -86,12 +86,12 @@ def verify_code(codewords: list[Word], model: ErrorModel, list_bound: int,
         raise ValueError("cannot verify an empty code")
     n = len(codewords[0])
     q = codewords[0].q
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict[bytes, int] = {}
     for x in codewords:
         if len(x) != n or x.q != q:
             raise ValueError("codewords must share one length and alphabet")
         for y in forward_images(x, model):
-            counts[y.symbols] = counts.get(y.symbols, 0) + 1
+            counts[y.raw] = counts.get(y.raw, 0) + 1
     max_list = max(counts.values())
     witnesses = []
     if max_list > list_bound:
@@ -114,9 +114,9 @@ def search_inner_code(model: ErrorModel, length: int, q: int = 2) -> list[Word]:
     if length > ENUMERATION_MAX_N:
         raise SizeGuardError(f"greedy search capped at length <= {ENUMERATION_MAX_N}")
     kept: list[Word] = []
-    claimed: set[tuple[int, ...]] = set()
+    claimed: set[bytes] = set()
     for w in all_words(length, q):
-        images = {y.symbols for y in forward_images(w, model)}
+        images = {y.raw for y in forward_images(w, model)}
         if images & claimed:
             continue
         kept.append(w)
@@ -135,11 +135,10 @@ def sketch_class_sweep(n: int, model: ErrorModel,
     """
     counts: dict[tuple, int] = {}
     for value in range(2 ** n):
-        bits = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
-        x = Word(bits, 2)
+        x = Word(bytes((value >> (n - 1 - i)) & 1 for i in range(n)), 2)
         key = sketch_fn(x)
         for y in forward_images(x, model):
-            pair = (key, y.symbols)
+            pair = (key, y.raw)
             counts[pair] = counts.get(pair, 0) + 1
     histogram: dict[int, int] = {}
     for c in counts.values():

@@ -69,13 +69,13 @@ class WeightFn:
         return cls(tuple(range(q)))
 
 
-def vt_sum(symbols: tuple[int, ...]) -> int:
-    """Plain VT sum sum(i * s_i) over positions 1..n."""
+def vt_sum(symbols) -> int:
+    """Plain VT sum sum(i * s_i) over positions 1..n of a sequence of ints."""
     return sum(map(mul, symbols, range(1, len(symbols) + 1)))
 
 
-def vt_parity_sums(bits: tuple[int, ...]) -> tuple[int, int, int]:
-    """VT sum, prefix-parity sum and prefix-parity VT sum of a binary tuple.
+def vt_parity_sums(bits: bytes) -> tuple[int, int, int]:
+    """VT sum, prefix-parity sum and prefix-parity VT sum of a binary string.
 
     With p_i = b_1 xor .. xor b_i these are sum(i * b_i), sum(p_i) and
     sum(i * p_i).  The deltrans hashes and inner sketches call this on every
@@ -95,7 +95,7 @@ def vt_parity_sums(bits: tuple[int, ...]) -> tuple[int, int, int]:
 
 def vt(word: Word, modulus: int) -> ModularValue:
     """Standard VT sketch sum(i * x_i) mod modulus."""
-    return ModularValue(vt_sum(word.symbols) % modulus, modulus)
+    return ModularValue(vt_sum(word.raw) % modulus, modulus)
 
 
 def weighted_vt_sum(weighted: np.ndarray) -> int:
@@ -115,6 +115,6 @@ def weighted_vt(word: Word, weights: WeightFn, modulus: int) -> ModularValue:
     n = len(word)
     if max(w) * n * (n + 1) // 2 >= 1 << 63:
         raise ValueError("weighted VT sum does not fit in int64")
-    symbols = np.fromiter(word.symbols, dtype=np.intp, count=n)
+    symbols = np.frombuffer(word.raw, dtype=np.uint8)
     total = weighted_vt_sum(np.array(w, dtype=np.int64)[symbols])
     return ModularValue(total % modulus, modulus)

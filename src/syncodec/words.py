@@ -16,56 +16,69 @@ from .errors import AlphabetError, PositionError, SizeGuardError
 ERROR_BALL_MAX_N = 16
 
 
-@dataclass(frozen=True)
+_ALPHABET = bytes(range(256))
+# the one-byte string of each symbol, for splicing symbols into a word's bytes
+SYMBOL_BYTES = tuple(_ALPHABET[s:s + 1] for s in range(256))
+
+
+@dataclass(frozen=True, init=False)
 class Word:
-    """A finite string over {0, .., q-1} with an explicit alphabet size."""
+    """A finite string over {0, .., q-1}, 2 <= q <= 256, with an explicit
+    alphabet size.
 
-    symbols: tuple[int, ...]
-    q: int = 2
+    The symbols are stored once, one byte each, as `raw`, built from any
+    iterable of ints, so words equal by content are equal however they were
+    built.  `symbols` is a tuple view of the bytes, built on each access, for
+    callers that compare with tuples; the package itself reads `raw`, as
+    `len`, iteration and indexing do (so a slice of a Word is bytes).
+    """
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise AlphabetError(f"alphabet size must be >= 2, got {self.q}")
-        for s in self.symbols:
-            if not 0 <= s < self.q:
-                raise AlphabetError(f"symbol {s} outside [0, {self.q})")
+    raw: bytes
+    q: int
 
-    @classmethod
-    def _trusted(cls, symbols: tuple[int, ...], q: int = 2) -> "Word":
-        """A Word over symbols already known to lie in [0, q), such as bits
-        taken from a validated Word; the per-symbol check is skipped."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "symbols", symbols)
-        object.__setattr__(word, "q", q)
-        return word
+    def __init__(self, symbols, q: int = 2):
+        if not 2 <= q <= 256:
+            raise AlphabetError(f"alphabet size must be in [2, 256], got {q}")
+        try:
+            # iter: bytes() of a numpy array would read its memory, not its
+            # items, and bytes(k) would make k zeros
+            raw = symbols if type(symbols) is bytes else bytes(iter(symbols))
+        except (TypeError, ValueError):
+            raise AlphabetError(f"symbols must be integers in [0, {q})") from None
+        # one C-level pass: deleting the alphabet must leave nothing
+        bad = raw.translate(None, _ALPHABET[:q])
+        if bad:
+            raise AlphabetError(f"symbol {bad[0]} outside [0, {q})")
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def parse(cls, text: str, q: int | None = None) -> "Word":
         """Parse an ASCII digit string; q is inferred from the symbols if omitted."""
         if not all(c in "0123456789" for c in text):
             raise AlphabetError(f"{text!r} is not a digit string")
-        symbols = tuple(int(c) for c in text)
+        raw = bytes(map(int, text))
         if q is None:
-            q = max(2, max(symbols) + 1 if symbols else 2)
-        return cls(symbols, q)
+            q = max(2, max(raw) + 1 if raw else 2)
+        return cls(raw, q)
 
     @property
-    def n(self) -> int:
-        return len(self.symbols)
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self.raw)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.raw)
 
     def __getitem__(self, index):
-        return self.symbols[index]
+        return self.raw[index]
 
     def __iter__(self):
-        return iter(self.symbols)
+        return iter(self.raw)
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
+        return "".join(map(str, self.raw))
 
-    def replace(self, symbols: tuple[int, ...]) -> "Word":
+    def replace(self, symbols) -> "Word":
         return Word(symbols, self.q)
 
 
@@ -129,7 +142,7 @@ def _check_position(position: int, low: int, high: int) -> None:
 
 
 def _flip_value(word: Word, position: int, new_symbol: int | None) -> int:
-    old = word.symbols[position - 1]
+    old = word.raw[position - 1]
     if new_symbol is None:
         if old not in (0, 1):
             raise AlphabetError("flip needs an explicit new symbol for q > 2")
@@ -144,22 +157,22 @@ def _flip_value(word: Word, position: int, new_symbol: int | None) -> int:
 def apply(word: Word, pattern: ErrorPattern) -> Word:
     """Apply one corruption pattern; positions are 1-based into the source.
 
-    The image is built as a trusted Word: its symbols are the source's, which
-    are valid, and an inserted or substituted symbol, which is checked here.
+    The image's bytes are slices of the source's and at most one written
+    symbol, which is checked here against the alphabet before it is packed.
     """
-    s = word.symbols
+    s = word.raw
     n = len(s)
     q = word.q
     if isinstance(pattern, Deletion):
         _check_position(pattern.position, 1, n)
         i = pattern.position - 1
-        return Word._trusted(s[:i] + s[i + 1:], q)
+        return Word(s[:i] + s[i + 1:], q)
     if isinstance(pattern, Insertion):
         _check_position(pattern.position, 1, n + 1)
         if not 0 <= pattern.symbol < word.q:
             raise AlphabetError(f"symbol {pattern.symbol} outside [0, {word.q})")
         i = pattern.position - 1
-        return Word._trusted(s[:i] + (pattern.symbol,) + s[i:], q)
+        return Word(s[:i] + SYMBOL_BYTES[pattern.symbol] + s[i:], q)
     if isinstance(pattern, Substitution):
         _check_position(pattern.position, 1, n)
         i = pattern.position - 1
@@ -167,18 +180,18 @@ def apply(word: Word, pattern: ErrorPattern) -> Word:
             raise AlphabetError(f"symbol {pattern.symbol} outside [0, {word.q})")
         if s[i] == pattern.symbol:
             raise PositionError("substitution must change the symbol")
-        return Word._trusted(s[:i] + (pattern.symbol,) + s[i + 1:], q)
+        return Word(s[:i] + SYMBOL_BYTES[pattern.symbol] + s[i + 1:], q)
     if isinstance(pattern, Transposition):
         _check_position(pattern.position, 1, n - 1)
         i = pattern.position - 1
-        return Word._trusted(s[:i] + (s[i + 1], s[i]) + s[i + 2:], q)
+        return Word(s[:i] + s[i + 1:i + 2] + s[i:i + 1] + s[i + 2:], q)
     if isinstance(pattern, DelAndSub):
         _check_position(pattern.delete_at, 1, n)
         _check_position(pattern.flip_at, 1, n)
         new = _flip_value(word, pattern.flip_at, pattern.new_symbol)
-        flipped = s[:pattern.flip_at - 1] + (new,) + s[pattern.flip_at:]
+        flipped = s[:pattern.flip_at - 1] + SYMBOL_BYTES[new] + s[pattern.flip_at:]
         d = pattern.delete_at - 1
-        return Word._trusted(flipped[:d] + flipped[d + 1:], q)
+        return Word(flipped[:d] + flipped[d + 1:], q)
     raise TypeError(f"unknown pattern {pattern!r}")
 
 
@@ -194,27 +207,27 @@ def patterns(word: Word, model: ErrorModel) -> Iterator[ErrorPattern]:
                 yield Insertion(i, a)
         for e in range(1, n + 1):
             for a in range(q):
-                if a != word.symbols[e - 1]:
+                if a != word.raw[e - 1]:
                     yield Substitution(e, a)
     elif model is ErrorModel.ONE_DEL_ONE_SUB:
         for d in range(1, n + 1):
             yield Deletion(d)
         for e in range(1, n + 1):
             for a in range(q):
-                if a != word.symbols[e - 1]:
+                if a != word.raw[e - 1]:
                     yield Substitution(e, a)
         for d in range(1, n + 1):
             for e in range(1, n + 1):
                 if d == e:
                     continue
                 for a in range(q):
-                    if a != word.symbols[e - 1]:
+                    if a != word.raw[e - 1]:
                         yield DelAndSub(d, e, a)
     elif model is ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION:
         for d in range(1, n + 1):
             yield Deletion(d)
         for k in range(1, n):
-            if word.symbols[k - 1] != word.symbols[k]:
+            if word.raw[k - 1] != word.raw[k]:
                 yield Transposition(k)
     else:
         raise TypeError(f"unknown model {model!r}")
@@ -266,7 +279,7 @@ def run_string(word: Word) -> tuple[int, ...]:
     ranks = []
     prev = 0
     rank = 0
-    for s in word.symbols:
+    for s in word.raw:
         if s != prev:
             rank += 1
         ranks.append(rank)
@@ -297,7 +310,7 @@ def word_from_run_string(ranks: tuple[int, ...]) -> Word:
     expected_last = prev_rank + (1 if prev_symbol == 0 else 0)
     if ranks[-1] != expected_last:
         raise AlphabetError("final rank inconsistent with the sentinel convention")
-    return Word(tuple(symbols), 2)
+    return Word(symbols, 2)
 
 
 def prefix_parity(word: Word) -> Word:
@@ -305,17 +318,17 @@ def prefix_parity(word: Word) -> Word:
     require_binary(word)
     out = []
     acc = 0
-    for s in word.symbols:
+    for s in word.raw:
         acc ^= s
         out.append(acc)
-    return Word(tuple(out), 2)
+    return Word(out, 2)
 
 
 def prefix_parity_inverse(word: Word) -> Word:
     require_binary(word)
     out = []
     prev = 0
-    for s in word.symbols:
+    for s in word.raw:
         out.append(s ^ prev)
         prev = s
-    return Word(tuple(out), 2)
+    return Word(out, 2)

@@ -102,7 +102,7 @@ def test_edited_sums_match_brute_force():
     rng = random.Random(1)
     for _ in range(1500):
         m = rng.randrange(0, 14)
-        bits = tuple(rng.randrange(2) for _ in range(m))
+        bits = bytes(rng.randrange(2) for _ in range(m))
         stats = _WordStats(bits)
         d = rng.randrange(1, m + 2)
         u = rng.randrange(2)
@@ -132,7 +132,7 @@ def test_edited_sums_match_brute_force_exhaustively():
     and every insertion position."""
     for m in range(9):
         for bits in itertools.product((0, 1), repeat=m):
-            stats = _WordStats(bits)
+            stats = _WordStats(bytes(bits))
             for p in [None, *range(1, m + 1)]:
                 flipped = list(bits)
                 t = None
@@ -219,7 +219,7 @@ def _reference_scan(y, target, params, b_d, b_e):
     again."""
     n = params.n
     y_bits = y.symbols
-    stats = _WordStats(y_bits)
+    stats = _WordStats(y.raw)
     ones = list(itertools.accumulate(y_bits, initial=0))
     f_y = vt_sum(y_bits)
     hits = []
@@ -281,7 +281,7 @@ def test_scan_hits_are_the_reference_pairs(n):
         for y in forward_images(x, ErrorModel.ONE_DEL_ONE_SUB):
             if len(y) != n - 1:
                 continue
-            stats = _WordStats(y.symbols)
+            stats = _WordStats(y.raw)
             run_delta = classify_error(target, y, params)[2]
             for b_d, b_e in _scans(target, y, params):
                 hits = delsub_module._scan(stats, params, target, b_d, b_e,
@@ -347,7 +347,7 @@ def test_scan_matches_the_reference_on_run_heavy_words(n, trials, kind):
         d, e = rng.randint(1, n), rng.randint(1, n)
         y = Word(x, 2)
         y = apply(y, Deletion(d)) if d == e else apply(y, DelAndSub(d, e))
-        stats = _WordStats(y.symbols)
+        stats = _WordStats(y.raw)
         other = _run_heavy_word(rng, n, kind)
         for source in (x, other):
             target = sketches(Word(source, 2), params)
@@ -440,7 +440,7 @@ def _valid_pairs(y, target, params, b_d, b_e, mid_runs):
     the run-sum sketches are not applied.
     """
     n = params.n
-    stats = _WordStats(y.symbols)
+    stats = _WordStats(y.raw)
     f_y = vt_sum(y.symbols)
     pairs = []
     for d in range(1, n + 1):
@@ -649,13 +649,13 @@ def test_reachability_matches_the_error_ball(n):
         images = forward_images(x, ErrorModel.ONE_DEL_ONE_SUB)
         for y in received:
             want = y in images
-            assert _reachable_one_del_one_sub(x.symbols, y.symbols) == want
+            assert _reachable_one_del_one_sub(x.raw, y.raw) == want
             assert reachable_reference(x.symbols, y.symbols) == want
     if n <= 6:
         for y in received:
             ball = error_ball(y, ErrorModel.ONE_DEL_ONE_SUB, n)
             assert ball == {x for x in sources
-                            if _reachable_one_del_one_sub(x.symbols, y.symbols)}
+                            if _reachable_one_del_one_sub(x.raw, y.raw)}
 
 
 def test_decode_checks_reachability_from_the_encoded_candidates(monkeypatch):
@@ -687,16 +687,16 @@ def test_decode_checks_reachability_from_the_encoded_candidates(monkeypatch):
         in_model += flips < 2
     assert len(seen) >= in_model > 0
     for x_bits in seen:
-        assert x_bits == codec.encode(Word(x_bits[:codec.m], 2)).symbols
+        assert x_bits == codec.encode(Word(x_bits[:codec.m], 2)).raw
 
 
 def test_reachability_filter():
-    x = (0, 1, 1, 0, 1)
-    assert _reachable_one_del_one_sub(x, (0, 1, 0, 0, 1))
-    assert _reachable_one_del_one_sub(x, (1, 1, 0, 1))
+    x = bytes((0, 1, 1, 0, 1))
+    assert _reachable_one_del_one_sub(x, bytes((0, 1, 0, 0, 1)))
+    assert _reachable_one_del_one_sub(x, bytes((1, 1, 0, 1)))
     assert _reachable_one_del_one_sub(x, x)
-    assert not _reachable_one_del_one_sub(x, (1, 0, 0, 1, 0))
-    assert not _reachable_one_del_one_sub(x, (1, 0, 0))
+    assert not _reachable_one_del_one_sub(x, bytes((1, 0, 0, 1, 0)))
+    assert not _reachable_one_del_one_sub(x, bytes((1, 0, 0)))
 
 
 def _outcome(fn, *args):
@@ -714,8 +714,8 @@ def _all_python_ints(values):
 
 def _sweep_word(rng, n, kind):
     if kind == "uniform":
-        return tuple(rng.getrandbits(1) for _ in range(n))
-    return _run_heavy_word(rng, n, kind)
+        return bytes(rng.getrandbits(1) for _ in range(n))
+    return bytes(_run_heavy_word(rng, n, kind))
 
 
 def _received_words(rng, x, kind):
@@ -724,11 +724,11 @@ def _received_words(rng, x, kind):
     n = len(x)
     y = list(x)
     del y[rng.randrange(n)]
-    lone = tuple(y)
+    lone = bytes(y)
     y[rng.randrange(n - 1)] ^= 1
     flipped = list(x)
     flipped[rng.randrange(n)] ^= 1
-    return [tuple(y), lone, tuple(flipped), _sweep_word(rng, n - 1, kind),
+    return [bytes(y), lone, bytes(flipped), _sweep_word(rng, n - 1, kind),
             _sweep_word(rng, n, kind)]
 
 
@@ -800,7 +800,7 @@ def test_int64_sums_are_exact_up_to_the_largest_vector_length():
     the vector sums equal their closed forms."""
     assert (VECTOR_MAX_N + 2) ** 3 < 2 ** 63 <= (VECTOR_MAX_N + 3) ** 3
     n = VECTOR_MAX_N
-    word = (1, 0) * (n // 2) + (1,) * (n % 2)
+    word = b"\x01\x00" * (n // 2) + b"\x01" * (n % 2)
     ones = (n + 1) // 2
     runs = n + (word[-1] == 0) + 1
     assert _sums_vector(word) == (ones * ones, n * (n + 1) // 2,
@@ -875,7 +875,7 @@ def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
     Python loop of sketches runs, on a word of zeros."""
     seen = []
     _spy_paths(monkeypatch, seen, stop=True)
-    zeros = Word._trusted((0,) * n)
+    zeros = Word(bytes(n))
     params = DelSubParams(n)
     target = DelSubSketches(0, 0, 0, 0, 2)
     if path == "vector":
@@ -884,6 +884,6 @@ def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
     else:
         assert sketches(zeros, params) == target
     with pytest.raises(_Chosen):
-        list_decode(Word._trusted(zeros.symbols[1:]), target, params)
+        list_decode(Word(zeros.raw[1:]), target, params)
     want = {"scalar": ["_WordStats"], "vector": ["_sums_vector", "_WordArrays"]}
     assert [name for name, _ in seen] == want[path]

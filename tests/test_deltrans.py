@@ -72,7 +72,7 @@ def test_segment_requires_terminal_marker():
     with pytest.raises(MissingTerminalMarkerError):
         segment(Word.parse("001101"))
     segs, residue = segment_lenient(Word.parse("001101"))
-    assert len(segs) == 1 and residue == (0, 1)
+    assert len(segs) == 1 and residue == bytes((0, 1))
 
 
 def test_segments_concatenate_back():
@@ -90,7 +90,7 @@ def _sliding_segments(bits):
     segments = []
     start = i = 0
     while i + 4 <= len(bits):
-        if bits[i:i + 4] == (0, 0, 1, 1):
+        if bits[i:i + 4] == bytes((0, 0, 1, 1)):
             segments.append(bits[start:i + 4])
             start = i = i + 4
         else:
@@ -103,7 +103,7 @@ def test_segment_lenient_matches_the_sliding_scan():
     uniform and some built from pieces that make markers and near-markers."""
     for n in range(13):
         for w in binary_words(n):
-            assert segment_lenient(w) == _sliding_segments(w.symbols)
+            assert segment_lenient(w) == _sliding_segments(w.raw)
     rng = random.Random(41)
     pieces = [(0, 0, 1, 1), (0,), (1,), (0, 0), (1, 1), (0, 0, 1), (0, 1, 1)]
     for _ in range(300):
@@ -114,7 +114,7 @@ def test_segment_lenient_matches_the_sliding_scan():
             bits = ()
             while len(bits) < n:
                 bits += rng.choice(pieces)
-        assert segment_lenient(Word(bits, 2)) == _sliding_segments(bits)
+        assert segment_lenient(Word(bits, 2)) == _sliding_segments(bytes(bits))
 
 
 def _count_hash_calls(monkeypatch) -> list:
@@ -154,7 +154,7 @@ def test_desk_clean_decode_hashes_each_segment_once(desk_code, monkeypatch):
 def test_greedy_hash_tiny_example():
     # the domain spans lengths up to 3*cap, so even cap=1 needs several values
     h = GreedyHash.build(1)
-    assert h((0,)) != h((1,))
+    assert h(bytes((0,))) != h(bytes((1,)))
     assert GreedyHash.build(1, h.hash_range).table == h.table
     with pytest.raises(RangeExhaustedError):
         GreedyHash.build(1, 3)
@@ -172,7 +172,7 @@ def _reference_greedy_build(cap, hash_range=None):
         for value in range(1 << length):
             bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
             forbidden = set()
-            for other in confusable_set(bits, cap):
+            for other in confusable_set(bytes(bits), cap):
                 h = table.get(other)
                 if h is not None:
                     forbidden.add(h)
@@ -182,7 +182,7 @@ def _reference_greedy_build(cap, hash_range=None):
             if hash_range is not None and h >= hash_range:
                 raise RangeExhaustedError(
                     f"hash range {hash_range} exhausted at {bits}")
-            table[bits] = h
+            table[bytes(bits)] = h
             used = max(used, h + 1)
     return GreedyHash(cap, table, hash_range if hash_range is not None else used)
 
@@ -232,7 +232,7 @@ def test_earlier_neighbours_are_the_earlier_confusable_strings(cap):
         for value, row in zip(values.tolist(), rows):
             own = (1 << length) | value
             bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
-            expected = {key(b) for b in confusable_set(bits, cap) if key(b) < own}
+            expected = {key(b) for b in confusable_set(bytes(bits), cap) if key(b) < own}
             assert {k for k in row if k < own} == expected
 
 
@@ -255,7 +255,7 @@ def test_closed_form_hash_invariant_exhaustive():
     h = ClosedFormHash(cap)
     for length in range(3 * cap + 1):
         for value in range(1 << length):
-            bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+            bits = bytes((value >> (length - 1 - i)) & 1 for i in range(length))
             hv = h(bits)
             assert hv < h.hash_range
             for other in confusable_set(bits, cap):
@@ -263,12 +263,12 @@ def test_closed_form_hash_invariant_exhaustive():
 
 
 def test_confusable_set_contents():
-    a = confusable_set((0, 1), 2)
-    assert (1, 0) in a          # one transposition
-    assert (1, 1) in a          # one substitution
-    assert (0,) in a            # one deletion
-    assert (0, 1, 1) in a       # one insertion
-    assert (1, 1, 0) not in a   # needs a transposition plus an insertion
+    a = confusable_set(bytes((0, 1)), 2)
+    assert bytes((1, 0)) in a          # one transposition
+    assert bytes((1, 1)) in a          # one substitution
+    assert bytes((0,)) in a            # one deletion
+    assert bytes((0, 1, 1)) in a       # one insertion
+    assert bytes((1, 1, 0)) not in a   # needs a transposition plus an insertion
 
 
 def test_segment_sketches_single_segment():
@@ -277,10 +277,10 @@ def test_segment_sketches_single_segment():
     word = Word.parse("00110011")
     sk, hashes = segment_sketches(word, params, h)
     m = h.hash_range
-    t = 4 * m + h((0, 0, 1, 1))
+    t = 4 * m + h(bytes((0, 0, 1, 1)))
     assert sk.f == (1 * t + 2 * t) % params.f_mod
     assert sk.g1 == 2
-    assert hashes == tuple(sorted([h((0, 0, 1, 1))] * 2))
+    assert hashes == tuple(sorted([h(bytes((0, 0, 1, 1)))] * 2))
 
 
 def test_g2_changes_under_any_transposition():
@@ -379,11 +379,11 @@ def test_window_plan_geometry():
 
 
 def test_inner_sketch_example():
-    bits = (0, 1, 0, 1)
+    bits = bytes((0, 1, 0, 1))
     sk = inner_sketch(bits, 4)
     # components (6 mod 5, 5 mod 9) packed to 3 + 4 bits
-    assert sk == (0, 0, 1) + (0, 1, 0, 1)
-    assert inner_sketch((0,) * 4, 4) == (0,) * 7
+    assert sk == bytes((0, 0, 1) + (0, 1, 0, 1))
+    assert inner_sketch(bytes(4), 4) == bytes(7)
 
 
 @pytest.mark.parametrize("length", [4, 6, 8, 10])
@@ -392,27 +392,27 @@ def test_inner_sketch_pins_down_the_source(length):
     under one deletion or one adjacent transposition."""
     seen = {}
     for z in binary_words(length):
-        sk = inner_sketch(z.symbols, length)
-        for y in {apply(z, Deletion(d)).symbols for d in range(1, length + 1)}:
-            seen.setdefault((sk, y), set()).add(z.symbols)
-        swaps = {z.symbols}
+        sk = inner_sketch(z.raw, length)
+        for y in {apply(z, Deletion(d)).raw for d in range(1, length + 1)}:
+            seen.setdefault((sk, y), set()).add(z.raw)
+        swaps = {z.raw}
         for k in range(1, length):
-            if z.symbols[k - 1] != z.symbols[k]:
-                swaps.add(apply(z, Transposition(k)).symbols)
+            if z.raw[k - 1] != z.raw[k]:
+                swaps.add(apply(z, Transposition(k)).raw)
         for y in swaps:
-            seen.setdefault((sk, y), set()).add(z.symbols)
+            seen.setdefault((sk, y), set()).add(z.raw)
     assert all(len(sources) == 1 for sources in seen.values())
     rng = random.Random(length)
     for _ in range(50):
         z = Word(tuple(rng.getrandbits(1) for _ in range(length)), 2)
-        sk = inner_sketch(z.symbols, length)
+        sk = inner_sketch(z.raw, length)
         d = rng.randrange(1, length + 1)
-        assert inner_correct(apply(z, Deletion(d)).symbols, sk, length) == z.symbols
-        ks = [k for k in range(1, length) if z.symbols[k - 1] != z.symbols[k]]
+        assert inner_correct(apply(z, Deletion(d)).raw, sk, length) == z.raw
+        ks = [k for k in range(1, length) if z.raw[k - 1] != z.raw[k]]
         if ks:
             y = apply(z, Transposition(rng.choice(ks)))
-            assert inner_correct(y.symbols, sk, length) == z.symbols
-        assert inner_correct(z.symbols, sk, length) == z.symbols
+            assert inner_correct(y.raw, sk, length) == z.raw
+        assert inner_correct(z.raw, sk, length) == z.raw
 
 
 def _brute_force_inner_correct(window, sketch, length):
@@ -421,7 +421,7 @@ def _brute_force_inner_correct(window, sketch, length):
     found = set()
     for i in range(length):
         for b in (0, 1):
-            cand = window[:i] + (b,) + window[i:]
+            cand = window[:i] + bytes((b,)) + window[i:]
             if inner_sketch(cand, length) == sketch:
                 found.add(cand)
     if len(found) != 1:
@@ -439,10 +439,10 @@ def _repair_or_failure(repair, window, sketch, length):
 @pytest.mark.parametrize("length", range(1, 11))
 def test_deletion_repair_matches_brute_force_exhaustively(length):
     for z in binary_words(length):
-        sk = inner_sketch(z.symbols, length)
-        for y in {apply(z, Deletion(d)).symbols for d in range(1, length + 1)}:
+        sk = inner_sketch(z.raw, length)
+        for y in {apply(z, Deletion(d)).raw for d in range(1, length + 1)}:
             assert inner_correct(y, sk, length) == \
-                _brute_force_inner_correct(y, sk, length) == z.symbols
+                _brute_force_inner_correct(y, sk, length) == z.raw
 
 
 def test_deletion_repair_matches_brute_force_on_unrelated_sketches():
@@ -452,16 +452,31 @@ def test_deletion_repair_matches_brute_force_on_unrelated_sketches():
     failures = 0
     for _ in range(3000):
         length = rng.randrange(2, 40)
-        y = tuple(rng.getrandbits(1) for _ in range(length - 1))
+        y = bytes(rng.getrandbits(1) for _ in range(length - 1))
         if rng.random() < 0.5:
-            other = tuple(rng.getrandbits(1) for _ in range(length))
+            other = bytes(rng.getrandbits(1) for _ in range(length))
             sk = inner_sketch(other, length)
         else:
-            sk = tuple(rng.getrandbits(1) for _ in range(inner_fields(length).width))
+            sk = bytes(rng.getrandbits(1) for _ in range(inner_fields(length).width))
         got = _repair_or_failure(inner_correct, y, sk, length)
         assert got == _repair_or_failure(_brute_force_inner_correct, y, sk, length)
         failures += got is DecodeFailure
     assert 1000 <= failures < 3000
+
+
+def test_inner_correct_repairs_a_tuple_window_into_a_tuple():
+    """The repair is built from slices of the window, so a window of bits
+    given as a tuple (as perfbench's size ladder passes it) comes back as a
+    tuple equal to the bytes repair."""
+    rng = random.Random(43)
+    for length in (8, 33, 325):
+        z = bytes(rng.getrandbits(1) for _ in range(length))
+        sk = inner_sketch(z, length)
+        k = next(k for k in range(1, length) if z[k - 1] != z[k])
+        for y in (apply(Word(z, 2), Deletion(rng.randint(1, length))).raw,
+                  apply(Word(z, 2), Transposition(k)).raw, z):
+            assert inner_correct(tuple(y), sk, length) == tuple(z)
+            assert inner_correct(y, sk, length) == z
 
 
 def test_window_sketches_degenerate_plan():
@@ -469,7 +484,7 @@ def test_window_sketches_degenerate_plan():
     assert plan.t == 1
     word = Word.parse("0100110011")
     g1_hat, g2_hat = window_sketches(word, plan)
-    padded = word.symbols + (0,) * (plan.block - 10)
+    padded = word.raw + bytes(plan.block - 10)
     assert g1_hat == inner_sketch(padded, plan.block)
     assert g2_hat is None
 
@@ -478,11 +493,11 @@ def test_window_sketches_xor_cancellation():
     plan = WindowPlan(42, 10)
     word = Word(tuple([0, 1] * 21), 2)
     g1_hat, _ = window_sketches(word, plan)
-    sks = [inner_sketch(word.symbols[a - 1:b] + (0,) * max(0, b - 42), plan.block)
+    sks = [inner_sketch(word.raw[a - 1:b] + bytes(max(0, b - 42)), plan.block)
            for a, b in plan.primary]
     acc = sks[0]
     for sk in sks[1:]:
-        acc = tuple(x ^ y for x, y in zip(acc, sk))
+        acc = bytes(x ^ y for x, y in zip(acc, sk))
     assert acc == g1_hat
 
 

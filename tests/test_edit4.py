@@ -239,16 +239,16 @@ def test_rll_decode_rejects_markers_out_of_packing_order():
 
 
 def test_rep_guard_all_single_edits():
-    payload = (0, 3, 1, 2)
+    payload = bytes((0, 3, 1, 2))
     tail = rep_encode(payload)
     x = Word(tail, 4)
     for p in patterns(x, ErrorModel.SINGLE_EDIT):
-        window = apply(x, p).symbols
+        window = apply(x, p).raw
         assert rep_decode(window, len(payload)) == payload
     assert rep_decode(tail, len(payload)) == payload
     # a missing or an extra symbol at the front is just as recoverable
     assert rep_decode(tail[1:], len(payload)) == payload
-    assert rep_decode((2,) + tail, len(payload)) == payload
+    assert rep_decode(bytes((2,)) + tail, len(payload)) == payload
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 7])
@@ -464,7 +464,7 @@ def _reference_rll_decode(x):
 def _reference_encode(codec, z):
     x, _ = _reference_rll_encode(z)
     target = _reference_sketches(x, codec.params)
-    return Word(x.symbols + rep_encode(codec._serialize(target)), 4)
+    return Word(x.raw + rep_encode(codec._serialize(target)), 4)
 
 
 def _outcome(fn, *args):

@@ -12,7 +12,7 @@ from syncodec.words import Word
 def test_sketch_fields_widths_and_bits():
     fields = SketchFields((253, 2, 2, 2))
     assert fields.widths == (8, 1, 1, 1) and fields.width == 11
-    assert fields.pack((5, 1, 0, 1)) == (0, 0, 0, 0, 0, 1, 0, 1) + (1, 0, 1)
+    assert fields.pack((5, 1, 0, 1)) == bytes((0, 0, 0, 0, 0, 1, 0, 1) + (1, 0, 1))
     # a field mod 1 only holds 0 and takes no bits
     assert SketchFields((1, 3)).widths == (0, 2)
 
@@ -23,15 +23,15 @@ def test_sketch_fields_round_trip():
         bits = fields.pack(values)
         assert len(bits) == fields.width
         assert fields.unpack(bits) == values
-        assert fields.unpack(bits + (1, 0)) == values  # padding is ignored
+        assert fields.unpack(bits + bytes((1, 0))) == values  # padding is ignored
 
 
 def test_sketch_fields_reject_a_field_at_its_modulus():
     fields = SketchFields((5, 2))
-    assert fields.unpack((1, 0, 0, 1)) == (4, 1)
+    assert fields.unpack(bytes((1, 0, 0, 1))) == (4, 1)
     for bits in [(1, 0, 1, 0), (1, 1, 1, 1)]:  # first field reads 5, then 7
         with pytest.raises(DecodeFailure):
-            fields.unpack(bits)
+            fields.unpack(bytes(bits))
 
 
 def test_codec_tail_layouts_are_pinned():

@@ -176,7 +176,7 @@ def test_delsub_decodes_any_word_or_raises_decode_failure(data):
     assert 1 <= len(answers) <= 2
     for z in answers:
         assert z.q == 2 and len(z) == code.m
-        assert _reachable_one_del_one_sub(code.encode(z).symbols, y.symbols)
+        assert _reachable_one_del_one_sub(code.encode(z).raw, y.raw)
 
 
 @FIXED
@@ -247,3 +247,24 @@ def test_deltrans_desk_undoes_one_deletion_or_transposition(desk_code, data):
     error = data.draw(st.one_of(st.builds(Deletion, st.integers(1, n)),
                                 st.builds(Transposition, st.sampled_from(swaps))))
     assert desk_code.decode(apply(x, error)) == x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_deltrans_desk_two_errors_never_give_an_unreachable_answer(desk_code, data):
+    """Two deletions, or a deletion and an adjacent transposition, of a
+    codeword: an answer must reach y by one deletion or one adjacent
+    transposition, or the decode raises DecodeFailure; any other exception
+    fails the test.  The second error lands anywhere in the shortened word,
+    so the splice and the segment hashes see words the model never makes."""
+    x = data.draw(st.sampled_from(desk_code.codewords))
+    once = apply(x, Deletion(data.draw(st.integers(1, len(x)))))
+    swaps = [k for k in range(1, len(once)) if once[k - 1] != once[k]]
+    second = data.draw(st.one_of(st.builds(Deletion, st.integers(1, len(once))),
+                                 st.builds(Transposition, st.sampled_from(swaps))))
+    y = apply(once, second)
+    try:
+        answer = desk_code.decode(y)
+    except DecodeFailure:
+        return
+    assert y in forward_images(answer, ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,53 @@ def test_word_rejects_bad_symbols():
         Word((0, 2), 2)
     with pytest.raises(AlphabetError):
         Word((0,), 1)
+
+
+def test_words_equal_by_content_are_equal_however_built():
+    """A tuple, a list, bytes, a bytearray and a generator of the same
+    symbols give one word: equal, with one hash, and a tuple view equal to
+    the input."""
+    symbols = (0, 2, 1, 3, 3, 0)
+    words = [Word(symbols, 4), Word(list(symbols), 4), Word(bytes(symbols), 4),
+             Word(bytearray(symbols), 4), Word((s for s in symbols), 4)]
+    for w in words:
+        assert w == words[0] and hash(w) == hash(words[0])
+        assert type(w.symbols) is tuple and w.symbols == symbols
+        assert w.raw == bytes(symbols) and len(w) == len(symbols)
+    assert len(set(words)) == 1
+    assert Word(symbols, 4) != Word(symbols, 5)
+    assert Word(range(256), 256).symbols == tuple(range(256))
+
+
+@pytest.mark.parametrize("symbols, q", [
+    ((0, 1), 1),            # q < 2
+    ((0, 1), 0),
+    ((0, 1), 257),          # q > 256
+    ((0, 1), 300),
+    ((0, 2), 2),            # a symbol >= q
+    ((0, 255), 255),
+    ((0, -1), 2),           # a negative symbol
+    ((0, -1), 256),
+    ((0, 256), 256),        # a symbol >= 256
+    ([1, 2 ** 70], 256),
+    ((1.0,), 2),            # not an integer
+    (5, 2),                 # not a sequence
+])
+def test_word_validation_raises_alphabet_error(symbols, q):
+    """Every invalid word is an AlphabetError, never the ValueError,
+    OverflowError or TypeError of the byte conversion."""
+    with pytest.raises(AlphabetError):
+        Word(symbols, q)
+    if not isinstance(symbols, int):
+        with pytest.raises(AlphabetError):
+            Word(iter(symbols), q)
+
+
+def test_word_is_immutable():
+    w = Word.parse("0110")
+    with pytest.raises(AttributeError):
+        w.raw = b"\x00"
+    assert w.replace((1, 1)) == Word.parse("11")
 
 
 def test_apply_examples():
@@ -214,3 +262,20 @@ def test_non_binary_rejected_by_binary_ops():
         run_string(Word.parse("012", 4))
     with pytest.raises(AlphabetError):
         prefix_parity(Word.parse("012", 4))
+
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "syncodec"
+
+
+def test_only_words_converts_the_word_format():
+    """A word's symbols are bytes in `Word.raw`, and only words.py converts
+    them: no other module reads the tuple view or converts a word through a
+    bytearray or a numpy array's tuple."""
+    modules = sorted(SOURCES.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "words.py":
+            continue
+        text = path.read_text()
+        for banned in (".symbols", "bytearray(", ".tobytes())"):
+            assert banned not in text, f"{path.name} holds {banned!r}"
