@@ -297,7 +297,6 @@ class DeltransParams:
     delta: int
     hash_range: int
     locate_bound: int
-    profile: str
 
     @property
     def f_mod(self) -> int:
@@ -314,7 +313,7 @@ class DeltransParams:
     @classmethod
     def desk(cls, n: int, delta: int, hash_range: int) -> "DeltransParams":
         bound = max(c.window for c in _case_bounds(delta, hash_range).values())
-        params = cls(n, delta, hash_range, bound, "desk")
+        params = cls(n, delta, hash_range, bound)
         params.validate()
         return params
 
@@ -324,7 +323,7 @@ class DeltransParams:
         delta = 50 + 1000 * log_n
         hash_range = 1000 * delta * delta
         bound = 10 ** 10 * log_n ** 4
-        params = cls(n, delta, hash_range, bound, "paper")
+        params = cls(n, delta, hash_range, bound)
         params.validate()
         return params
 
@@ -351,16 +350,6 @@ class DeltransSketches:
     g2: int  # prefix-parity sum, mod 3
 
 
-def _hash_segments(segments: list[bytes], h,
-                   hashes: list[int] | None = None,
-                   ) -> tuple[list[int], tuple[int, ...]]:
-    """The segments' hashes (unless given) and their terms len * range + hash."""
-    if hashes is None:
-        hashes = [h(s) for s in segments]
-    m = h.hash_range
-    return hashes, tuple(len(s) * m + v for s, v in zip(segments, hashes))
-
-
 def segment_sketches(word: Word, params: DeltransParams, h,
                      hashes: list[int] | None = None,
                      ) -> tuple[DeltransSketches, tuple[int, ...]]:
@@ -372,8 +361,10 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     segments, residue = segment_lenient(word)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    hashes, terms = _hash_segments(segments, h, hashes)
-    f = vt_sum(terms) % params.f_mod
+    if hashes is None:
+        hashes = [h(s) for s in segments]
+    m = h.hash_range
+    f = vt_sum([len(s) * m + v for s, v in zip(segments, hashes)]) % params.f_mod
     g1 = len(segments) % 5
     g2 = vt_parity_sums(word.raw)[1] % 3
     return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
@@ -437,33 +428,27 @@ class LocateResult:
     bound: int
 
 
-def _multiset_delta(h_x: tuple[int, ...], h_y: list[int]) -> int:
-    cx = Counter(h_x)
-    cy = Counter(h_y)
-    extra = sum(v * (cx[v] - cy[v]) for v in cx if cx[v] > cy[v])
-    missing = sum(v * (cy[v] - cx[v]) for v in cy if cy[v] > cx[v])
-    return extra - missing
+def _hashable_segments(word: Word, h) -> tuple[list[bytes], bytes]:
+    """`segment_lenient`, refusing a segment longer than the hash domain."""
+    segments, residue = segment_lenient(word)
+    if max(map(len, segments), default=0) > 3 * h.cap:
+        raise LocateFailure("a segment is longer than the hash domain")
+    return segments, residue
 
 
-def _phi_scan(terms: tuple[int, ...], k: int, fdiff: int, start: int,
-              bound: CaseBound, factor: int, offset: int) -> int:
-    """Largest i' <= start with |phi(i') - fdiff| <= threshold.
+def _phi_scan(terms: list[int], k: int, fdiff: int, dl: int, threshold: int) -> int:
+    """Largest i' <= len(terms) - max(dl, 0) with |phi(i') - fdiff| <= threshold.
 
-    phi(i') = factor * sum(terms[j] for j > i' + offset) + i' * k, with terms
-    1-indexed; the scan walks right to left as the potential moves monotonically
-    by at least the case's step size.
+    phi(i') = -dl * sum(terms[j] for j > i' + max(dl, 0)) + i' * k, with terms
+    1-indexed, for a segment-count change dl; the scan walks right to left as
+    the potential moves monotonically by at least the case's step size.
     """
-    ly = len(terms)
+    grow = max(dl, 0)
     suffix = 0
-    for j in range(ly, start + offset, -1):
-        suffix += terms[j - 1]
-    for i in range(start, 0, -1):
-        phi = factor * suffix + i * k
-        if abs(phi - fdiff) <= bound.threshold:
+    for i in range(len(terms) - grow, 0, -1):
+        if abs(i * k - dl * suffix - fdiff) <= threshold:
             return i
-        j = i + offset
-        if 1 <= j <= ly:
-            suffix += terms[j - 1]
+        suffix += terms[i + grow - 1]
     raise LocateFailure("potential scan found no index within the threshold")
 
 
@@ -481,7 +466,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     if len(y) not in (n, n - 1):
         raise LocateFailure(f"length {len(y)} incompatible with n = {n}")
     deletion = len(y) == n - 1
-    segments, residue = segment_lenient(y)
+    segments, residue = _hashable_segments(y, h)
     ly = len(segments)
     bounds = params.case_bounds
     if not deletion:
@@ -489,8 +474,8 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             return LocateResult(True, "clean", None, 0)
     dl = signed_residue(ly - target.g1, 5)
     kind = "del" if deletion else "trans"
-    allowed = {-1, 0, 1} if deletion else {-2, -1, 0, 1, 2}
-    if dl not in allowed:
+    # a deletion destroys or creates at most one marker
+    if deletion and abs(dl) == 2:
         raise LocateFailure(f"segment-count change {dl} impossible for {kind}")
     if residue:
         if dl not in (-1, -2):
@@ -505,13 +490,13 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     def span_of(first: int, last: int) -> tuple[int, int]:
         return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
 
-    hashes, terms = _hash_segments(segments, h, y_hashes)
-    f_y = vt_sum(terms) % params.f_mod
-    fdiff = signed_residue(target.f - f_y, params.f_mod)
+    if y_hashes is None:
+        y_hashes = [h(s) for s in segments]
     m = h.hash_range
-    hash_delta = _multiset_delta(h_x, hashes)
+    terms = [len(s) * m + v for s, v in zip(segments, y_hashes)]
+    fdiff = signed_residue(target.f - vt_sum(terms) % params.f_mod, params.f_mod)
+    k = (m if deletion else 0) + sum(h_x) - sum(y_hashes)
     if dl == 0:
-        k = (m if deletion else 0) + hash_delta
         if k == 0 or fdiff % k:
             raise LocateFailure("sketch difference does not isolate a segment")
         i = fdiff // k
@@ -519,29 +504,11 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             raise LocateFailure("recovered segment index out of range")
         case = "same"
         return LocateResult(False, case, span_of(i, i), bounds[case].window)
-    if dl == -1:
-        case = f"merge-{kind}"
-        k = (m if deletion else 0) + hash_delta
-        stop = _phi_scan(terms, k, fdiff, ly, bounds[case], 1, 0)
-        lo_seg = max(1, stop - bounds[case].span)
-        window = span_of(lo_seg, stop)
-    elif dl == 1:
-        case = f"split-{kind}"
-        k = (m if deletion else 0) + hash_delta
-        stop = _phi_scan(terms, k, fdiff, ly - 1, bounds[case], -1, 1)
-        lo_seg = max(1, stop - bounds[case].span)
-        window = span_of(lo_seg, stop + 1)
-    elif dl == -2:
-        case = "merge2-trans"
-        stop = _phi_scan(terms, hash_delta, fdiff, ly, bounds[case], 2, 0)
-        lo_seg = max(1, stop - bounds[case].span)
-        window = span_of(lo_seg, stop)
-    else:
-        case = "split2-trans"
-        stop = _phi_scan(terms, hash_delta, fdiff, ly - 2, bounds[case], -2, 2)
-        lo_seg = max(1, stop - bounds[case].span)
-        window = span_of(lo_seg, stop + 2)
-    return LocateResult(False, case, window, bounds[case].window)
+    case = {-2: "merge2", -1: "merge", 1: "split", 2: "split2"}[dl] + f"-{kind}"
+    bound = bounds[case]
+    stop = _phi_scan(terms, k, fdiff, dl, bound.threshold)
+    window = span_of(max(1, stop - bound.span), stop + max(dl, 0))
+    return LocateResult(False, case, window, bound.window)
 
 
 # ---------------------------------------------------------------------------
@@ -654,22 +621,23 @@ def _padded_slice(bits: bytes, a: int, b: int) -> bytes:
     return chunk + bytes(b - a + 1 - len(chunk))
 
 
+def _fold(acc: bytes, bits: bytes, intervals: list[tuple[int, int]],
+          length: int) -> bytes:
+    """acc XOR the inner sketches of bits over each interval, zero past its end."""
+    for a, b in intervals:
+        sk = inner_sketch(_padded_slice(bits, a, b), length)
+        acc = bytes(x ^ s for x, s in zip(acc, sk))
+    return acc
+
+
 def window_sketches(word: Word, plan: WindowPlan,
                     ) -> tuple[bytes, bytes | None]:
     """XOR-folded inner sketches over the primary and shifted interval families."""
     require_binary(word)
     length = plan.block
-    width = inner_fields(length).width
-
-    def fold(intervals: list[tuple[int, int]]) -> bytes:
-        acc = bytes(width)
-        for a, b in intervals:
-            sk = inner_sketch(_padded_slice(word.raw, a, b), length)
-            acc = bytes(x ^ y for x, y in zip(acc, sk))
-        return acc
-
-    g1_hat = fold(plan.primary)
-    g2_hat = fold(plan.shifted) if plan.t > 1 else None
+    zero = bytes(inner_fields(length).width)
+    g1_hat = _fold(zero, word.raw, plan.primary, length)
+    g2_hat = _fold(zero, word.raw, plan.shifted, length) if plan.t > 1 else None
     return g1_hat, g2_hat
 
 
@@ -684,30 +652,24 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     loc = locate(y, target, h_x, params, h, y_hashes)
     n = params.n
     if loc.clean:
-        sk, hashes = segment_sketches(y, params, h, y_hashes)
-        if sk != target or hashes != h_x:
+        if segment_sketches(y, params, h, y_hashes) != (target, h_x):
             raise DecodeFailure("unchanged word contradicts the sketches")
         return y
-    deletion = len(y) == n - 1
+    shift = n - len(y)  # 1 after a deletion, else 0
     family, idx = plan.interval_for(loc.window)
     intervals = plan.primary if family == 1 else plan.shifted
     a, b = intervals[idx]
     lo = loc.window[0]
     length = plan.block
-    shift = 1 if deletion else 0
     acc = hats[0] if family == 1 else hats[1]
     if acc is None:
         raise DecodeFailure("the shifted family has no sketch at this size")
-    for j, (c, d) in enumerate(intervals):
-        if j == idx:
-            continue
-        # the family's other intervals lie wholly before the window, where y
-        # is the source, or wholly after it, where y lags by the deletion;
-        # the source is 0 past n
-        lag = shift if c > lo else 0
-        chunk = _padded_slice(y.raw, c - lag, d - lag)
-        sk = inner_sketch(chunk, length)
-        acc = bytes(x ^ s for x, s in zip(acc, sk))
+    # the family's other intervals lie wholly before the window, where y is
+    # the source, or wholly after it, where y lags by the deletion; the
+    # source is 0 past n
+    others = [(c - shift, d - shift) if c > lo else (c, d)
+              for j, (c, d) in enumerate(intervals) if j != idx]
+    acc = _fold(acc, y.raw, others, length)
     window_bits = _padded_slice(y.raw, a, b - shift)
     repaired = inner_correct(window_bits, acc, length)
     keep = min(b, n) - a + 1
@@ -715,8 +677,9 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     x = Word(y.raw[:a - 1] + repaired[:keep] + tail, 2)
     if len(x) != n:
         raise DecodeFailure("spliced word has the wrong length")
-    sk, hashes = segment_sketches(x, params, h)
-    if sk != target or hashes != h_x:
+    # a repair that destroys a marker can merge segments past the hash domain
+    _hashable_segments(x, h)
+    if segment_sketches(x, params, h) != (target, h_x):
         raise DecodeFailure("repaired word contradicts the sketches")
     return x
 
@@ -779,7 +742,6 @@ class DeltransDeskCode:
         self.target = target
         self.hats = hats
         self.codewords = codewords
-        self.multisets = multisets
         self.distinct_multisets = sorted(set(multisets))
         self.plan = WindowPlan(params.n, params.locate_bound)
 
@@ -823,9 +785,7 @@ class DeltransDeskCode:
     def recover_multiset(self, y: Word) -> tuple[tuple[int, ...], list[int]]:
         """The one code multiset within drift of y's segment hashes, and those
         hashes in segment order."""
-        segments, _ = segment_lenient(y)
-        if any(len(s) > 3 * self.hash.cap for s in segments):
-            raise DecodeFailure("a segment is longer than the hash domain")
+        segments, _ = _hashable_segments(y, self.hash)
         hashes = [self.hash(s) for s in segments]
         h_y = tuple(sorted(hashes))
         near = [ms for ms in self.distinct_multisets

@@ -405,6 +405,8 @@ class Edit4Code:
     list_bound = 1
 
     def __init__(self, m: int):
+        if m < 0:
+            raise AlphabetError("message length must not be negative")
         self.m = m
         self.params = Edit4Params.for_length(m + 4)
         self.fields = SketchFields(self.params.moduli)

@@ -180,6 +180,7 @@ def test_decode_failure_is_a_json_error(capsys):
     (["corrupt", "--word", "01a1", "--pattern", "del:1"], "AlphabetError"),
     (["decode", "--code", "edit4", "--m", "1", "--word", "0123", "--q", "300"],
      "AlphabetError"),
+    (["decode", "--code", "edit4", "--m", "-3", "--word", "0123"], "AlphabetError"),
     (["corrupt", "--word", "0101", "--q", "1", "--pattern", "del:1"], "AlphabetError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "-3"], "SyncodecError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "0"], "SyncodecError"),

@@ -37,7 +37,9 @@ from syncodec.errors import (
     RangeExhaustedError,
     SizeGuardError,
 )
-from syncodec.words import Deletion, ErrorModel, Transposition, Word, apply
+from syncodec.words import (
+    Deletion, ErrorModel, Transposition, Word, apply, forward_images,
+)
 from syncodec.oracle import verify_code
 
 DESK_DELTA = 5
@@ -359,7 +361,7 @@ def test_hash_multiset_drift_bound():
 
 def test_params_validation():
     with pytest.raises(ProfileError):
-        DeltransParams(24, 5, 67, 1, "desk").validate()  # bound too small
+        DeltransParams(24, 5, 67, 1).validate()  # bound too small
     p = DeltransParams.paper(1024)
     assert p.delta == 50 + 1000 * 10
     assert p.hash_range == 1000 * p.delta ** 2
@@ -521,8 +523,8 @@ def test_desk_code_build_and_membership(desk_code):
         sk, hx = segment_sketches(x, code.params, code.hash)
         assert (sk.f, sk.g1, sk.g2) == \
             (code.target.f, code.target.g1, code.target.g2)
-    for a in code.multisets:
-        for b in code.multisets:
+    for a in code.distinct_multisets:
+        for b in code.distinct_multisets:
             assert a == b or multiset_distance(a, b) >= 10
 
 
@@ -549,6 +551,37 @@ def test_desk_decode_of_random_words_raises_only_decode_failure(desk_code):
             desk_code.decode(y)
         except DecodeFailure:
             pass
+
+
+@pytest.mark.parametrize("hash_kind", ["closed-form", "greedy"])
+def test_correct_of_random_words_raises_only_decode_failure(desk_code, hash_kind):
+    """Random received words, some with a segment longer than the hash
+    domain (3 * cap), through `correct`: each answer is consistent with the
+    model, else the call raises DecodeFailure; any other exception fails."""
+    rng = random.Random(31)
+    if hash_kind == "greedy":
+        code = desk_code
+        x = code.codewords[0]
+        h, params, plan, hats = code.hash, code.params, code.plan, code.hats
+        target, hx = code.target, segment_sketches(x, params, h)[1]
+        tail = ()
+    else:
+        h = ClosedFormHash(12)
+        x = marker_word([10, 12, 9, 11, 8, 10], rng)
+        params = DeltransParams.desk(len(x), 12, h.hash_range)
+        plan = WindowPlan(len(x), params.locate_bound)
+        (target, hx), hats = segment_sketches(x, params, h), window_sketches(x, plan)
+        tail = (0, 0, 1, 1)
+    n = params.n
+    for _ in range(2000):
+        length = rng.choice((n - 1, n)) - len(tail)
+        y = Word(tuple(rng.getrandbits(1) for _ in range(length)) + tail, 2)
+        try:
+            out = correct(y, target, hx, hats, plan, params, h)
+        except DecodeFailure:
+            continue
+        model = ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION
+        assert out == y or y in forward_images(out, model)
 
 
 def test_desk_code_unique_decodability(desk_code):
@@ -603,9 +636,9 @@ def test_phi_scan_steps_are_large(desk_code):
         segs, residue = segment_lenient(y)
         if residue or len(segs) != len(hx) - 1:
             continue
-        from syncodec.deltrans import _hash_segments, _multiset_delta
-        hashes, terms = _hash_segments(segs, h)
-        k = m + _multiset_delta(hx, hashes)
+        hashes = [h(s) for s in segs]
+        terms = [len(s) * m + v for s, v in zip(segs, hashes)]
+        k = m + sum(hx) - sum(hashes)
         values = _phi_steps(terms, k, 1, 0)
         for a, b in zip(values, values[1:]):
             assert b - a >= m
