@@ -221,11 +221,12 @@ class _WordArrays(_WordStats):
                      slope: int, b_d: int, b_e: int, run_delta: int,
                      params: DelSubParams, target: DelSubSketches,
                      ) -> list[tuple[int, int]]:
-        """The (representative, q) hits among reps[lo:hi] of a flip stretch
-        of `_scan`, whose flip position in the word is q at reps[lo] and moves
-        by slope per representative: the scan's per-representative loop, with
-        the bit, run-count and f1r tests of every representative as array
-        masks, and the hits in the same order."""
+        """The (insert position, flip position) hits among reps[lo:hi] of a
+        flip stretch of `_scan`, whose flip position in the word is q at
+        reps[lo] and moves by slope per representative: the scan's
+        per-representative loop, with the bit, run-count and f1r tests of
+        every representative as array masks, and the hits in the same
+        order."""
         n, m = params.n, self.m
         ext, ranks = self.array, self.ranks
         rep = reps[lo:hi]
@@ -237,8 +238,7 @@ class _WordArrays(_WordStats):
         moved = qs == rep
         keep &= ~moved | ((rep < n) & (ext[rep] == b_d))
         at = np.flatnonzero(keep)
-        rep, qs, p = rep[at], qs[at], p[at]
-        d = rep + moved[at]
+        d, p = rep[at] + moved[at], p[at]
         a = ext[d - 1]
         a[p == d - 1] = b_e
         b = ext[d]
@@ -248,7 +248,7 @@ class _WordArrays(_WordStats):
                  - (a != b).view(np.int8))
         e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
         at = np.flatnonzero(e2 + delta == run_delta)  # the scalar run test
-        rep, qs, d, p = rep[at], qs[at], d[at], p[at]
+        d, p = d[at], p[at]
         c1, delta, e2 = c1[at], delta[at], e2[at]
         e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
         rank_d = ranks[d - 1] + c1 + np.where(
@@ -258,7 +258,7 @@ class _WordArrays(_WordStats):
         for i in np.flatnonzero((f1r - target.f1r) % params.f1r_mod == 0):
             f2r = self.edited_sums(int(d[i]), b_d, int(p[i]), b_e)[1]
             if f2r % params.f2r_mod == target.f2r:
-                hits.append((int(rep[i]), int(qs[i])))
+                hits.append((int(d[i]), int(p[i])))
         return hits
 
 
@@ -356,7 +356,8 @@ def _candidate_bits(y_bits: bytes, d: int, u: int,
 def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
           b_d: int, b_e: int | None, run_delta: int,
           ) -> list[tuple[int, int | None]]:
-    """All (insert position, flip position) pairs matching the sketch tuple.
+    """The (insert position, flip position) pairs matching the sketch tuple,
+    one for all the insertion positions in a run that give the same word.
 
     Insert b_d before position d of y and, unless b_e is None, flip one bit to
     b_e.  The weight sketch holds by the classification.  Inserting b_d
@@ -369,9 +370,11 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     each of their representatives the bit and run-count tests and f1r are
     O(1) on the table, and only the survivors pay for the exact f2r sum; a
     hit matches all five sketches exactly.  A `_WordArrays` runs those tests
-    on all the representatives of a stretch at once (`stretch_hits`).  Each
-    hit is then expanded over the insertion positions of its run, less q
-    itself, which give the same word.
+    on all the representatives of a stretch at once (`stretch_hits`).  A hit
+    inserts at its representative, or at the run's next position when the
+    flip falls on the representative itself.  Distinct hits have distinct q:
+    q is affine in the representative's index, and the two stretches lie
+    f_mod > len(reps) apart.
     """
     n, m = params.n, stats.m
     ext, ranks = stats.ext, stats.ranks
@@ -383,7 +386,7 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     # representative lies past one more bit 1 - b_d
     f0 = stats.vt + stats.weight + b_d - target.f
     step = 2 * b_d - 1
-    hits = []  # (representative, q or None)
+    hits = []  # (d, p or None)
     if b_e is None:
         k = -f0 * step % f_mod
         if k <= (stats.weight if b_d == 0 else m - stats.weight):
@@ -439,16 +442,8 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
                         - f1r_want) % f1r_mod:
                     continue
                 if stats.edited_sums(d, b_d, p, b_e)[1] % f2r_mod == f2r_want:
-                    hits.append((rep, q))
-    pairs = []
-    for d, q in hits:
-        while True:
-            if d != q:
-                pairs.append((d, None if q is None else q - 1 if q > d else q))
-            d += 1
-            if d > n or ext[d - 1] != b_d:
-                break
-    return pairs
+                    hits.append((d, p))
+    return hits
 
 
 def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
@@ -461,8 +456,8 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     the weight and run count from it, and each scan reads the rank sums of
     every candidate from it in O(1).  A scan's hits match the sketches
     exactly, so no candidate is checked again, and one word is built per
-    distinct word: the pairs of one hit share the flip's position q in the
-    word, and a few hits describe a word another hit describes too.
+    distinct word: a scan gives one pair per run of equivalent insertion
+    positions, and a few hits describe a word another hit describes too.
     """
     require_binary(y)
     n = params.n
@@ -482,12 +477,7 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     ranks = stats.ranks
     words = []
     for b_d, b_e in scans:
-        found = set()
         for d, p in _scan(stats, params, target, b_d, b_e, run_delta):
-            q = p if p is None or p < d else p + 1
-            if q in found:
-                continue
-            found.add(q)
             # a flip that only a run of y separates from the insertion: for
             # b_d != b_e the word is y with b_e inserted, which the lone
             # deletion scan finds; for b_d == b_e the same word has the flip

@@ -129,8 +129,8 @@ def _earlier_neighbour_keys(values: np.ndarray, length: int) -> np.ndarray:
     deletion, and one deletion followed by one insertion.  Insertions alone are
     left out, as longer strings come later, and so is every way to reach a
     string that another family here covers already.  A row may also hold the
-    string itself and same-length strings that come after it; callers keep
-    only the keys below the string's own.
+    string itself and same-length strings that come after it, which are not
+    assigned yet when the string is.
     """
     v = values[:, None]
     positions = np.arange(length, dtype=np.int64)
@@ -152,6 +152,9 @@ def _earlier_neighbour_keys(values: np.ndarray, length: int) -> np.ndarray:
 
 
 _BUILD_CHUNK = 128
+# the value of a string not assigned yet: above the widest row of
+# `_earlier_neighbour_keys`, so no smallest unused value reaches it
+_UNASSIGNED = 1 << 12
 
 
 class GreedyHash:
@@ -159,9 +162,9 @@ class GreedyHash:
     value the smallest one unused among already-assigned confusable strings
     (`confusable_set`).
 
-    `build` visits the strings in chunks of consecutive keys: the neighbours
-    assigned in earlier chunks are gathered for the whole chunk at once, and a
-    short loop assigns the chunk's own strings in order.
+    `build` gathers the neighbour keys of a chunk of consecutive strings at
+    once (`_earlier_neighbour_keys`), then assigns the chunk's strings one at
+    a time, each from a boolean array of the values its row holds.
     """
 
     def __init__(self, cap: int, table: dict[bytes, int],
@@ -176,49 +179,29 @@ class GreedyHash:
             raise SizeGuardError(
                 f"greedy hash build needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}")
         top = 3 * cap
-        assigned = np.zeros(2 << top, dtype=np.int64)
-        used = 0
+        assigned = np.full(2 << top, _UNASSIGNED, dtype=np.int64)
         for length in range(top + 1):
             for first in range(0, 1 << length, _BUILD_CHUNK):
                 values = np.arange(first, min(first + _BUILD_CHUNK, 1 << length),
                                    dtype=np.int64)
-                start = (1 << length) | first
-                keys = _earlier_neighbour_keys(values, length)
-                rows = len(values)
-                row_index = np.arange(rows)[:, None]
-                offset = keys - start
-                # one row of flags a string: the values of its neighbours from
-                # earlier chunks in columns [0, used), its neighbours earlier
-                # in this chunk by offset from column used + 1, and all its
-                # later neighbours in column used
-                column = np.where(offset < 0, assigned[keys],
-                                  np.where(offset < row_index, used + 1 + offset, used))
-                flags = np.zeros((rows, used + 1 + rows), dtype=bool)
-                flags[row_index, column] = True
-                width = (used + 7) // 8
-                packed = np.packbits(flags[:, :used], axis=1, bitorder="little").tobytes()
-                pair_rows, pair_offsets = np.nonzero(flags[:, used + 1:])
-                bounds = np.searchsorted(pair_rows, np.arange(rows + 1)).tolist()
-                offsets = pair_offsets.tolist()
-                chunk = []
-                for row in range(rows):
-                    mask = int.from_bytes(packed[row * width:(row + 1) * width], "little")
-                    for at in offsets[bounds[row]:bounds[row + 1]]:
-                        mask |= 1 << chunk[at]
-                    h = (~mask & (mask + 1)).bit_length() - 1
+                rows = _earlier_neighbour_keys(values, length)
+                for value, keys in zip(values.tolist(), rows):
+                    taken = np.zeros(_UNASSIGNED + 1, dtype=bool)
+                    taken[assigned[keys]] = True
+                    h = int(taken.argmin())
                     if hash_range is not None and h >= hash_range:
-                        bits = tuple(((first + row) >> (length - 1 - i)) & 1
+                        bits = tuple((value >> (length - 1 - i)) & 1
                                      for i in range(length))
                         raise RangeExhaustedError(
                             f"hash range {hash_range} exhausted at {bits}")
-                    chunk.append(h)
-                assigned[start:start + rows] = chunk
-                used = max(used, max(chunk) + 1)
+                    assigned[(1 << length) | value] = h
         table: dict[bytes, int] = {}
         for length in range(top + 1):
             table.update(zip(map(bytes, itertools.product((0, 1), repeat=length)),
                              assigned[1 << length:2 << length].tolist()))
-        return cls(cap, table, hash_range if hash_range is not None else used)
+        if hash_range is None:
+            hash_range = int(assigned[1:].max()) + 1
+        return cls(cap, table, hash_range)
 
     def __call__(self, bits: bytes) -> int:
         return self.table[bits]
@@ -306,7 +289,7 @@ class DeltransParams:
     def moduli(self) -> tuple[int, int, int]:
         return (self.f_mod, 5, 3)
 
-    @property
+    @functools.cached_property
     def case_bounds(self) -> dict[str, CaseBound]:
         return _case_bounds(self.delta, self.hash_range)
 
@@ -350,15 +333,24 @@ class DeltransSketches:
     g2: int  # prefix-parity sum, mod 3
 
 
+def _hashable_segments(word: Word, h) -> tuple[list[bytes], bytes]:
+    """`segment_lenient`, refusing a segment longer than the hash domain."""
+    segments, residue = segment_lenient(word)
+    if max(map(len, segments), default=0) > 3 * h.cap:
+        raise LocateFailure("a segment is longer than the hash domain")
+    return segments, residue
+
+
 def segment_sketches(word: Word, params: DeltransParams, h,
                      hashes: list[int] | None = None,
                      ) -> tuple[DeltransSketches, tuple[int, ...]]:
-    """Sketch triple and the hash multiset (sorted) of a marker-terminal word.
+    """Sketch triple and the hash multiset (sorted) of a marker-terminal word
+    whose segments lie in the hash domain.
 
     `hashes` are the hashes of the word's segments in order, when the caller
     has them already.
     """
-    segments, residue = segment_lenient(word)
+    segments, residue = _hashable_segments(word, h)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
     if hashes is None:
@@ -368,17 +360,6 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     g1 = len(segments) % 5
     g2 = vt_parity_sums(word.raw)[1] % 3
     return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
-
-
-def is_codeword(word: Word, params: DeltransParams, h,
-                target: DeltransSketches) -> bool:
-    if len(word) != params.n:
-        return False
-    segments, residue = segment_lenient(word)
-    if residue or any(len(s) > params.delta for s in segments):
-        return False
-    sk, _ = segment_sketches(word, params, h)
-    return sk == target
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +407,6 @@ class LocateResult:
     case: str
     window: tuple[int, int] | None
     bound: int
-
-
-def _hashable_segments(word: Word, h) -> tuple[list[bytes], bytes]:
-    """`segment_lenient`, refusing a segment longer than the hash domain."""
-    segments, residue = segment_lenient(word)
-    if max(map(len, segments), default=0) > 3 * h.cap:
-        raise LocateFailure("a segment is longer than the hash domain")
-    return segments, residue
 
 
 def _phi_scan(terms: list[int], k: int, fdiff: int, dl: int, threshold: int) -> int:
@@ -677,8 +650,8 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     x = Word(y.raw[:a - 1] + repaired[:keep] + tail, 2)
     if len(x) != n:
         raise DecodeFailure("spliced word has the wrong length")
-    # a repair that destroys a marker can merge segments past the hash domain
-    _hashable_segments(x, h)
+    # a repair that destroys a marker can merge segments past the hash
+    # domain, which segment_sketches refuses
     if segment_sketches(x, params, h) != (target, h_x):
         raise DecodeFailure("repaired word contradicts the sketches")
     return x

@@ -8,7 +8,7 @@ from syncodec.words import Word
 
 @pytest.fixture(scope="session")
 def desk_code():
-    # the cap-5 greedy hash is nearly all of the build's ~1.2 s; build once
+    # the cap-5 greedy hash is nearly all of the build's ~0.7 s; build once
     # and share
     return DeltransDeskCode.build(28, 5)
 

@@ -184,6 +184,9 @@ def test_decode_failure_is_a_json_error(capsys):
     (["corrupt", "--word", "0101", "--q", "1", "--pattern", "del:1"], "AlphabetError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "-3"], "SyncodecError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "0"], "SyncodecError"),
+    # a segment longer than the hash domain of the default cap 5
+    (["sketch", "--code", "deltrans", "--word", "1111111111111111111111110011"],
+     "LocateFailure"),
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),

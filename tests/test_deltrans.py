@@ -7,8 +7,10 @@ import pytest
 
 from conftest import binary_words
 from syncodec.deltrans import (
+    _UNASSIGNED,
     _earlier_neighbour_keys,
     _segment_options,
+    GREEDY_HASH_MAX_CAP,
     ClosedFormHash,
     DeltransDeskCode,
     DeltransParams,
@@ -236,6 +238,14 @@ def test_earlier_neighbours_are_the_earlier_confusable_strings(cap):
             bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
             expected = {key(b) for b in confusable_set(bytes(bits), cap) if key(b) < own}
             assert {k for k in row if k < own} == expected
+
+
+def test_unassigned_value_is_above_the_widest_neighbour_row():
+    """The build's smallest unused value is at most a row's width, and rows
+    widen with the length, so it never reaches the value that marks a string
+    not assigned yet."""
+    widest = _earlier_neighbour_keys(np.zeros(1, np.int64), 3 * GREEDY_HASH_MAX_CAP)
+    assert widest.shape[1] < _UNASSIGNED
 
 
 def test_greedy_hash_invariant_exhaustive():
