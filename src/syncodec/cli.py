@@ -130,9 +130,6 @@ def _cmd_sketch(args) -> int:
 
 def _cmd_encode(args) -> int:
     if args.code == "deltrans":
-        if args.profile == "paper":
-            raise SyncodecError(
-                "the paper profile proves existence only; encoding is desk-scale")
         code = deltrans.DeltransDeskCode.build(args.n, args.delta)
         print(code.encode(args.index))
     else:
@@ -203,8 +200,7 @@ def _cmd_measure(args) -> int:
         size, q = len(_largest_vt_class(args.n)), 2
     else:
         codec, module, _ = CODES[args.code]
-        # delsub reports tail lengths only, with or without --m
-        if args.m or args.code == "delsub":
+        if args.m:
             unit = "tail_bits" if codec.q == 2 else "tail_symbols"
             _emit({"code": args.code,
                    unit: {str(m): codec(m).redundancy for m in args.m}})
@@ -275,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--delta", type=int, default=5)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--profile", default="desk", choices=["desk", "paper"])
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a corrupted word")

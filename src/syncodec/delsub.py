@@ -492,9 +492,9 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
 
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
-    """Largest sketch bucket over all binary words of length n (n <= 22)."""
-    if n > 22:
-        raise AlphabetError("exhaustive target search capped at n <= 22")
+    """Largest sketch bucket over all binary words of length n (0 <= n <= 22)."""
+    if not 0 <= n <= 22:
+        raise AlphabetError("exhaustive target search needs 0 <= n <= 22")
     params = DelSubParams(n)
     buckets: dict[tuple[int, ...], int] = {}
     for bits in product((0, 1), repeat=n):

@@ -545,7 +545,8 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
     D = (VT target - sum(i * y_i)) mod (L+1) and w the weight of y, the
     insertion is a 0 with D ones to its right when D <= w, else a 1 with
     D - w - 1 zeros to its left.  A transposition is one substitution of the
-    prefix parities, at the smaller of its positions.  The repair is built
+    prefix parities, at the smaller of its positions k; the repair swaps bits
+    k and k+1 and is refused when they are equal.  The repair is built
     from slices of the window, so a tuple window gives a tuple repair.
     """
     vt_target, parity_target = inner_fields(length).unpack(sketch)
@@ -570,12 +571,13 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
         return window
     k = abs(diff)
     want = 1 if diff > 0 else 0
-    # the prefix parity p_k is the parity of the window's first k bits
-    if k > length - 1 or window[:k].count(1) % 2 != 1 - want:
+    # the prefix parity p_k is the parity of the window's first k bits;
+    # flipping it flips bits k and k + 1, which is a swap only when they
+    # differ (equal bits would take two substitutions)
+    if (k > length - 1 or window[:k].count(1) % 2 != 1 - want
+            or window[k - 1] == window[k]):
         raise DecodeFailure("no transposition matches the inner sketch")
-    # flipping the prefix parity p_k flips bits k and k + 1
-    cand = window[:k - 1] + type(window)((1 - window[k - 1], 1 - window[k])) \
-        + window[k + 1:]
+    cand = window[:k - 1] + window[k:k + 1] + window[k - 1:k] + window[k + 1:]
     if inner_sketch(cand, length) != sketch:
         raise DecodeFailure("transposition repair contradicts the inner sketch")
     return cand

@@ -83,44 +83,13 @@ class Edit4Sketches:
         return (self.f, self.h0, self.h1, self.h2)
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
-    zero_run_violations: tuple[tuple[int, int], ...]   # (start, length) in x'
-    three_run_violations: tuple[tuple[int, int], ...]  # (start, length) in x''
-
-    @property
-    def ok(self) -> bool:
-        return not self.zero_run_violations and not self.three_run_violations
-
-
-def _long_runs(seq: bytes, target: int, cap: int) -> tuple[tuple[int, int], ...]:
-    violations = []
-    i = 0
-    while i < len(seq):
-        if seq[i] == target:
-            j = i
-            while j < len(seq) and seq[j] == target:
-                j += 1
-            if j - i > cap:
-                violations.append((i + 1, j - i))
-            i = j
-        else:
-            i += 1
-    return tuple(violations)
-
-
-def regularity(word: Word, params: Edit4Params) -> RegularityWitness:
-    if word.q != 4:
-        raise AlphabetError("regularity is defined for 4-ary words")
-    proj02 = word.raw.translate(None, b"\x01\x03")
-    proj13 = word.raw.translate(None, b"\x00\x02")
-    cap = params.run_cap
-    return RegularityWitness(
-        _long_runs(proj02, 0, cap), _long_runs(proj13, 3, cap))
-
-
 def is_regular(word: Word, params: Edit4Params) -> bool:
-    return regularity(word, params).ok
+    """No run of more than run_cap 0s in the 0/2 projection, nor of 3s in the
+    1/3 projection."""
+    _require_quaternary(word)
+    long_run = params.run_cap + 1
+    return (b"\x00" * long_run not in word.raw.translate(None, b"\x01\x03")
+            and b"\x03" * long_run not in word.raw.translate(None, b"\x00\x02"))
 
 
 def _require_quaternary(word: Word) -> None:

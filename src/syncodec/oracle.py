@@ -19,6 +19,8 @@ from .words import ErrorModel, Word, forward_images
 
 SCHEMA_VERSION = 1
 ENUMERATION_MAX_N = 16
+# a failing report lists at most this many received words with too long a list
+WITNESS_CAP = 10
 
 
 @dataclass
@@ -78,8 +80,8 @@ def code_from_predicate(predicate: Callable[[Word], bool], n: int, q: int,
     return [w for w in all_words(n, q) if predicate(w)]
 
 
-def verify_code(codewords: list[Word], model: ErrorModel, list_bound: int,
-                witness_cap: int = 10) -> VerificationReport:
+def verify_code(codewords: list[Word], model: ErrorModel,
+                list_bound: int) -> VerificationReport:
     """Exhaustive list-size check: max |B(y) ∩ C| over every reachable y."""
     start = time.perf_counter()
     if not codewords:
@@ -98,7 +100,7 @@ def verify_code(codewords: list[Word], model: ErrorModel, list_bound: int,
         for symbols, c in sorted(counts.items()):
             if c > list_bound:
                 witnesses.append("".join(map(str, symbols)))
-                if len(witnesses) >= witness_cap:
+                if len(witnesses) >= WITNESS_CAP:
                     break
     return VerificationReport(
         model=model.value, n=n, q=q, code_size=len(codewords),

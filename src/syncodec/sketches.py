@@ -21,6 +21,8 @@ def signed_residue(value: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class ModularValue:
+    """A sketch value with its modulus, checked to lie in [0, modulus)."""
+
     value: int
     modulus: int
 
@@ -29,17 +31,6 @@ class ModularValue:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} outside [0, {self.modulus})")
-
-    def signed(self) -> int:
-        return signed_residue(self.value, self.modulus)
-
-    def __sub__(self, other: "ModularValue") -> "ModularValue":
-        if self.modulus != other.modulus:
-            raise ValueError("modular arithmetic requires equal moduli")
-        return ModularValue((self.value - other.value) % self.modulus, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,6 @@ class WeightFn:
 
     def __call__(self, symbol: int) -> int:
         return self.weights[symbol]
-
-    @classmethod
-    def identity(cls, q: int) -> "WeightFn":
-        return cls(tuple(range(q)))
 
 
 def vt_sum(symbols) -> int:

@@ -296,23 +296,6 @@ def run_count(word: Word) -> int:
     return run_string(word)[-1] + 1
 
 
-def word_from_run_string(ranks: tuple[int, ...]) -> Word:
-    """Invert run_string; ranks has length n+1."""
-    symbols = []
-    prev_rank = 0
-    prev_symbol = 0
-    for r in ranks[:-1]:
-        if r not in (prev_rank, prev_rank + 1):
-            raise AlphabetError("rank sequence must be non-decreasing in steps of 1")
-        symbol = prev_symbol ^ (1 if r == prev_rank + 1 else 0)
-        symbols.append(symbol)
-        prev_rank, prev_symbol = r, symbol
-    expected_last = prev_rank + (1 if prev_symbol == 0 else 0)
-    if ranks[-1] != expected_last:
-        raise AlphabetError("final rank inconsistent with the sentinel convention")
-    return Word(symbols, 2)
-
-
 def prefix_parity(word: Word) -> Word:
     """Running parity of x_1 .. x_i; a bijection on binary words."""
     require_binary(word)
@@ -321,14 +304,4 @@ def prefix_parity(word: Word) -> Word:
     for s in word.raw:
         acc ^= s
         out.append(acc)
-    return Word(out, 2)
-
-
-def prefix_parity_inverse(word: Word) -> Word:
-    require_binary(word)
-    out = []
-    prev = 0
-    for s in word.raw:
-        out.append(s ^ prev)
-        prev = s
     return Word(out, 2)

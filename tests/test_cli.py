@@ -97,13 +97,6 @@ def test_deltrans_cli_round_trip(capsys, desk_code):
     assert out == encoded
 
 
-def test_deltrans_paper_profile_encode_refused(capsys):
-    code, out = run_cli(capsys, "encode", "--code", "deltrans",
-                        "--profile", "paper", "--n", "1024")
-    assert code == 1
-    assert "error" in json.loads(out)
-
-
 def test_verify_code_delsub(capsys):
     code, out = run_cli(capsys, "verify-code", "--code", "delsub", "--n", "10")
     assert code == 0
@@ -136,9 +129,11 @@ def test_measure_delsub_tail(capsys):
     sizes = json.loads(out)["tail_bits"]
     assert sizes["64"] == DelSubCode(64).redundancy
     assert sizes["128"] == DelSubCode(128).redundancy
-    code, out = run_cli(capsys, "measure", "--code", "delsub")
+    # without --m, the desk bucket at --n, as for edit4
+    code, out = run_cli(capsys, "measure", "--code", "delsub", "--n", "8")
     assert code == 0
-    assert out == '{"code": "delsub", "tail_bits": {}}'
+    assert json.loads(out) == {"code": "delsub", "n": 8, "bucket_size": 2,
+                               "redundancy_bits": 7.0}
 
 
 def test_build_hash_writes_table(capsys, tmp_path):
@@ -190,6 +185,7 @@ def test_decode_failure_is_a_json_error(capsys):
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),
+    (["measure", "--code", "delsub", "--n", "-1"], "AlphabetError"),
     (["build-hash", "--cap", "-1", "--out", os.devnull], "SizeGuardError"),
     (["build-hash", "--cap", "0", "--out", os.devnull], "SizeGuardError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)

@@ -40,11 +40,17 @@ from syncodec.errors import (
     SizeGuardError,
 )
 from syncodec.words import (
-    Deletion, ErrorModel, Transposition, Word, apply, forward_images,
+    Deletion, ErrorModel, Substitution, Transposition, Word, apply,
+    forward_images,
 )
 from syncodec.oracle import verify_code
 
 DESK_DELTA = 5
+MODEL = ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION
+
+
+def flip(word, i):
+    return apply(word, Substitution(i, 1 - word[i - 1]))
 
 
 def equivalent_deletions(x, y):
@@ -551,6 +557,29 @@ def test_desk_code_corrects_everything(desk_code):
             assert code.decode(apply(x, Transposition(k))) == x
 
 
+def test_desk_decode_answers_reach_y_beyond_the_model(desk_code):
+    """Every word one or two substitutions from a codeword, or a substitution
+    and then a deletion or an adjacent transposition: an answer must reach y
+    by one deletion or adjacent transposition, else the decode raises
+    DecodeFailure.  A transposition repair that complements two equal bits
+    undoes two substitutions instead, and answers 48 of these words with a
+    codeword that cannot reach them."""
+    received = set()
+    for x in desk_code.codewords:
+        for once in (flip(x, i) for i in range(1, len(x) + 1)):
+            received.add(once)
+            received.update(flip(once, i) for i in range(1, len(x) + 1))
+            received.update(forward_images(once, MODEL))
+    received -= set(desk_code.codewords)
+    assert len(received) == 2960
+    for y in received:
+        try:
+            answer = desk_code.decode(y)
+        except DecodeFailure:
+            continue
+        assert y in forward_images(answer, MODEL)
+
+
 def test_desk_decode_of_random_words_raises_only_decode_failure(desk_code):
     rng = random.Random(29)
     n = desk_code.params.n
@@ -824,6 +853,30 @@ def test_big_sweep_random_words():
             assert correct(y, sk, hx, hats, plan, params, h) == x
     assert cases == {"same", "merge-del", "merge-trans", "split-del",
                      "split-trans", "merge2-trans", "terminal"}
+
+
+def test_big_adjacent_double_flips_never_give_an_unreachable_answer():
+    """Two adjacent substitutions of random n ~ 2000 words: correct() answers
+    only with a word that reaches y by one deletion or adjacent
+    transposition, or raises DecodeFailure: flipping two equal bits back is
+    not a transposition."""
+    rng = random.Random(53)
+    h = ClosedFormHash(BIG_DELTA)
+    options = {length: _segment_options(length) for length in range(4, BIG_DELTA + 1)}
+    for _ in range(3):
+        x = _random_marker_word(rng, options, 2000)
+        n = len(x)
+        params = DeltransParams.desk(n, BIG_DELTA, h.hash_range)
+        plan = WindowPlan(n, params.locate_bound)
+        sk, hx = segment_sketches(x, params, h)
+        hats = window_sketches(x, plan)
+        for i in rng.choices(range(1, n), k=100):
+            y = flip(flip(x, i), i + 1)
+            try:
+                answer = correct(y, sk, hx, hats, plan, params, h)
+            except DecodeFailure:
+                continue
+            assert y in forward_images(answer, MODEL)
 
 
 def test_segment_cap_probability_paper_profile():

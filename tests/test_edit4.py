@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import quaternary_words
@@ -19,7 +21,6 @@ from syncodec.edit4 import (
     is_codeword,
     is_regular,
     regular_fraction,
-    regularity,
     rll_decode,
     rll_encode,
     search_best_target,
@@ -56,19 +57,37 @@ def test_params_formulas():
 
 
 def test_regularity_examples():
-    params = Edit4Params.for_length(16)
+    params = Edit4Params.for_length(16)  # run_cap = 7
     assert is_regular(Word.parse("2121212121212121", 4), params)
-    witness = regularity(Word((0,) * 16, 4), params)
-    assert witness.zero_run_violations == ((1, 16),)
-    assert not witness.ok
+    assert not is_regular(Word((0,) * 16, 4), params)
     assert is_regular(Word.parse("0123" * 4, 4), params)
+    # the cap is inclusive: 7 zeros in the 0/2 projection pass, 8 do not
+    assert is_regular(Word.parse("0" * 7 + "2" + "0" * 7 + "2", 4), params)
+    assert not is_regular(Word.parse("0" * 8 + "2" * 8, 4), params)
 
 
 def test_regularity_checks_both_projections():
     params = Edit4Params.for_length(16)
     # long 3-run hidden inside the 1/3 projection
     word = Word.parse("3131" + "3" * 8 + "0123", 4)
-    assert regularity(word, params).three_run_violations != ()
+    assert not is_regular(word, params)
+    # the 3s between the 0s are not in the 0/2 projection, so its run is 8
+    assert not is_regular(Word.parse("03" * 8, 4), params)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_regular_matches_the_vectorised_mask_exhaustively(n):
+    """is_regular (two substring searches) and _regular_mask (running
+    counters over all 4^n words at once) agree on every word, at the
+    length's own run cap, which no word this short exceeds, and at every
+    smaller cap."""
+    words = list(quaternary_words(n))
+    symbols = np.array([list(w.raw) for w in words], dtype=np.int8)
+    own = Edit4Params.for_length(n)
+    for cap in range(own.run_cap + 1):
+        params = dataclasses.replace(own, log_n=cap - 3)  # run_cap = cap
+        mask = edit4._regular_mask(symbols, cap)
+        assert [is_regular(w, params) for w in words] == mask.tolist()
 
 
 def test_sketches_and_membership():
