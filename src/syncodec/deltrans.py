@@ -20,6 +20,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 MARKER = (0, 0, 1, 1)
 _MARKER_BYTES = bytes(MARKER)
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 MULTISET_SEPARATION = 10
 HASH_DRIFT_BOUND = 4
 GREEDY_HASH_MAX_CAP = 6
@@ -165,6 +167,8 @@ class GreedyHash:
     `build` gathers the neighbour keys of a chunk of consecutive strings at
     once (`_earlier_neighbour_keys`), then assigns the chunk's strings one at
     a time, each from a boolean array of the values its row holds.
+    `__call__` looks one string up; `hash_segments` looks every segment of a
+    word up at once in the table laid out as an array by key.
     """
 
     def __init__(self, cap: int, table: dict[bytes, int],
@@ -206,6 +210,26 @@ class GreedyHash:
     def __call__(self, bits: bytes) -> int:
         return self.table[bits]
 
+    @functools.cached_property
+    def _by_key(self) -> np.ndarray:
+        """The table as one array indexed by a string's key (1 << L) | value,
+        as `_earlier_neighbour_keys` keys strings."""
+        by_key = np.full(2 << 3 * self.cap, -1, dtype=np.int64)
+        by_key[[int(b"1" + bits.translate(_DIGITS), 2) for bits in self.table]] = \
+            list(self.table.values())
+        if by_key[1:].min() < 0:
+            raise ProfileError("the greedy hash table does not cover its domain")
+        return by_key
+
+    def hash_segments(self, bits: np.ndarray, starts: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """`self(s)` of each segment s of the word `bits` (uint8), given the
+        segments' starts and lengths, each at most 3 * cap."""
+        # the 3 * cap bits up to each position, first bit highest
+        windows = np.convolve(bits, np.int64(1) << np.arange(3 * self.cap, dtype=np.int64))
+        top = np.int64(1) << lengths
+        return self._by_key[(windows[starts + lengths - 1] & (top - 1)) | top]
+
     def to_json(self) -> str:
         entries = {"".join(map(str, k)): v for k, v in self.table.items()}
         return json.dumps({"cap": self.cap, "range": self.hash_range,
@@ -226,6 +250,9 @@ class ClosedFormHash:
     transposition moves the VT sum by exactly 1, and a cancelling transposition
     pair moves the parity sum by a nonzero amount below the modulus, so all the
     separations the locator relies on hold by construction.
+
+    `__call__` hashes one string; `hash_segments` hashes every segment of a
+    word in one array pass.
     """
 
     def __init__(self, cap: int):
@@ -237,9 +264,36 @@ class ClosedFormHash:
         if len(bits) > 3 * self.cap:
             raise AlphabetError("string longer than the hash domain")
         total, _, parity_vt = vt_parity_sums(bits)
-        weight = bits.count(1) % 5
-        return ((len(bits) * 5 + weight) * self.modulus + total % self.modulus) \
-            * self.modulus + parity_vt % self.modulus
+        return self._combine(len(bits), bits.count(1), total, parity_vt)
+
+    def _combine(self, length, weight, total, parity_vt):
+        m = self.modulus
+        return ((length * 5 + weight % 5) * m + total % m) * m + parity_vt % m
+
+    def hash_segments(self, bits: np.ndarray, starts: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """`self(s)` of each segment s of the word `bits` (uint8), given the
+        segments' starts and lengths, each at most 3 * cap.
+
+        Every sum is over one segment, at its own positions 1..L, so the
+        int64 arithmetic is exact while the hash values fit, at any word
+        length; a larger cap is refused.
+        """
+        if self.hash_range > 1 << 63:
+            raise SizeGuardError(f"hash values of cap {self.cap} overflow int64")
+        size = int(starts[-1] + lengths[-1])
+        bits = bits[:size]
+        parity = np.bitwise_xor.accumulate(bits)
+        # the parity of the bits before each segment flips its own parities
+        before = parity[starts - 1]
+        before[0] = 0
+        local = np.arange(1, size + 1, dtype=np.int64) - np.repeat(starts, lengths)
+        terms = np.empty((3, size), dtype=np.int64)
+        terms[0] = bits
+        np.multiply(local, bits, out=terms[1])
+        np.multiply(local, parity ^ np.repeat(before, lengths), out=terms[2])
+        weight, total, parity_vt = np.add.reduceat(terms, starts, axis=1)
+        return self._combine(lengths, weight, total, parity_vt)
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +387,51 @@ class DeltransSketches:
     g2: int  # prefix-parity sum, mod 3
 
 
-def _hashable_segments(word: Word, h) -> tuple[list[bytes], bytes]:
-    """`segment_lenient`, refusing a segment longer than the hash domain."""
-    segments, residue = segment_lenient(word)
-    if max(map(len, segments), default=0) > 3 * h.cap:
+class SegmentTable(NamedTuple):
+    """A word's segments, in order, and the length of its trailing residue."""
+
+    lengths: list[int]
+    hashes: list[int]
+    residue: int
+
+
+def _segment_table(word: Word, h) -> SegmentTable:
+    """`segment_lenient` and the hash of every segment in one array pass,
+    refusing a segment longer than the hash domain.
+
+    The marker 0011 cannot overlap itself, so every occurrence ends a
+    segment, as `segment_lenient` cuts the word.
+    """
+    require_binary(word)
+    bits = np.frombuffer(word.raw, dtype=np.uint8)
+    ends = np.flatnonzero((bits[2:-1] & bits[3:]) > (bits[:-3] | bits[1:-2])) + 4
+    if not len(ends):
+        return SegmentTable([], [], len(bits))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1]
+    lengths = ends - starts
+    if lengths.max() > 3 * h.cap:
         raise LocateFailure("a segment is longer than the hash domain")
-    return segments, residue
+    return SegmentTable(lengths.tolist(), h.hash_segments(bits, starts, lengths).tolist(),
+                        len(bits) - int(ends[-1]))
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
-                     hashes: list[int] | None = None,
+                     table: SegmentTable | None = None,
                      ) -> tuple[DeltransSketches, tuple[int, ...]]:
     """Sketch triple and the hash multiset (sorted) of a marker-terminal word
     whose segments lie in the hash domain.
 
-    `hashes` are the hashes of the word's segments in order, when the caller
-    has them already.
+    `table` is the word's `_segment_table`, when the caller has it already.
     """
-    segments, residue = _hashable_segments(word, h)
+    lengths, hashes, residue = table or _segment_table(word, h)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    if hashes is None:
-        hashes = [h(s) for s in segments]
     m = h.hash_range
-    f = vt_sum([len(s) * m + v for s, v in zip(segments, hashes)]) % params.f_mod
-    g1 = len(segments) % 5
+    # the VT sum of the terms length * m + hash, over Python ints
+    f = (m * vt_sum(lengths) + vt_sum(hashes)) % params.f_mod
+    g1 = len(lengths) % 5
     g2 = vt_parity_sums(word.raw)[1] % 3
     return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
 
@@ -425,22 +499,27 @@ def _phi_scan(terms: list[int], k: int, fdiff: int, dl: int, threshold: int) -> 
     raise LocateFailure("potential scan found no index within the threshold")
 
 
+def _check_length(y: Word, n: int) -> None:
+    """Refuse a received word that is neither of length n nor n - 1."""
+    require_binary(y)
+    if len(y) not in (n, n - 1):
+        raise LocateFailure(f"length {len(y)} incompatible with n = {n}")
+
+
 def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
            params: DeltransParams, h,
-           y_hashes: list[int] | None = None) -> LocateResult:
+           y_table: SegmentTable | None = None) -> LocateResult:
     """Window (1-based, inclusive, in source coordinates) containing the error.
 
     For a transposition the error position is the smaller affected index; a
-    clean word reports an empty window.  `y_hashes` are the hashes of y's
-    segments in order, when the caller has them already.
+    clean word reports an empty window.  `y_table` is y's `_segment_table`,
+    when the caller has it already.
     """
-    require_binary(y)
     n = params.n
-    if len(y) not in (n, n - 1):
-        raise LocateFailure(f"length {len(y)} incompatible with n = {n}")
+    _check_length(y, n)
     deletion = len(y) == n - 1
-    segments, residue = _hashable_segments(y, h)
-    ly = len(segments)
+    lengths, y_hashes, residue = y_table or _segment_table(y, h)
+    ly = len(lengths)
     bounds = params.case_bounds
     if not deletion:
         if vt_parity_sums(y.raw)[1] % 3 == target.g2:
@@ -454,20 +533,16 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         if dl not in (-1, -2):
             raise LocateFailure("trailing residue without a destroyed marker")
         case = "terminal"
-        lo = max(1, n - len(residue) - 5)
+        lo = max(1, n - residue - 5)
         return LocateResult(False, case, (lo, n), bounds[case].window)
-    starts = [1]
-    for s in segments:
-        starts.append(starts[-1] + len(s))
+    starts = list(itertools.accumulate(lengths, initial=1))
 
     def span_of(first: int, last: int) -> tuple[int, int]:
         return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
 
-    if y_hashes is None:
-        y_hashes = [h(s) for s in segments]
     m = h.hash_range
-    terms = [len(s) * m + v for s, v in zip(segments, y_hashes)]
-    fdiff = signed_residue(target.f - vt_sum(terms) % params.f_mod, params.f_mod)
+    f = m * vt_sum(lengths) + vt_sum(y_hashes)
+    fdiff = signed_residue(target.f - f % params.f_mod, params.f_mod)
     k = (m if deletion else 0) + sum(h_x) - sum(y_hashes)
     if dl == 0:
         if k == 0 or fdiff % k:
@@ -479,6 +554,7 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         return LocateResult(False, case, span_of(i, i), bounds[case].window)
     case = {-2: "merge2", -1: "merge", 1: "split", 2: "split2"}[dl] + f"-{kind}"
     bound = bounds[case]
+    terms = [length * m + v for length, v in zip(lengths, y_hashes)]
     stop = _phi_scan(terms, k, fdiff, dl, bound.threshold)
     window = span_of(max(1, stop - bound.span), stop + max(dl, 0))
     return LocateResult(False, case, window, bound.window)
@@ -552,7 +628,7 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
     vt_target, parity_target = inner_fields(length).unpack(sketch)
     if len(window) == length - 1:
         weight = window.count(1)
-        d = (vt_target - vt_sum(window)) % (length + 1)
+        d = (vt_target - vt_parity_sums(window)[0]) % (length + 1)
         if d <= weight:
             bit, pos = 0, _after_nth(window, 1, weight - d)
         else:
@@ -585,10 +661,10 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
 
 def _after_nth(bits: bytes, symbol: int, count: int) -> int:
     """Index just past the count-th occurrence of symbol in bits (0 for none)."""
-    pos = 0
-    for _ in range(count):
-        pos = bits.index(symbol, pos) + 1
-    return pos
+    if not count:
+        return 0
+    at = np.flatnonzero(np.frombuffer(bytes(bits), dtype=np.uint8) == symbol)
+    return int(at[count - 1]) + 1
 
 
 def _padded_slice(bits: bytes, a: int, b: int) -> bytes:
@@ -619,15 +695,18 @@ def window_sketches(word: Word, plan: WindowPlan,
 def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
             hats: tuple[bytes, bytes | None],
             plan: WindowPlan, params: DeltransParams, h,
-            y_hashes: list[int] | None = None) -> Word:
+            y_table: SegmentTable | None = None) -> Word:
     """Full repair: locate, pick the covering interval, repair it, splice.
 
-    `y_hashes` are passed on to `locate` and to the check of a clean word.
+    y is segmented once (or `y_table` is its `_segment_table`), for `locate`
+    and for the check of a clean word.
     """
-    loc = locate(y, target, h_x, params, h, y_hashes)
     n = params.n
+    _check_length(y, n)
+    y_table = y_table or _segment_table(y, h)
+    loc = locate(y, target, h_x, params, h, y_table)
     if loc.clean:
-        if segment_sketches(y, params, h, y_hashes) != (target, h_x):
+        if segment_sketches(y, params, h, y_table) != (target, h_x):
             raise DecodeFailure("unchanged word contradicts the sketches")
         return y
     shift = n - len(y)  # 1 after a deletion, else 0
@@ -757,23 +836,23 @@ class DeltransDeskCode:
                 f"message index outside [0, {len(self.codewords)})")
         return self.codewords[index]
 
-    def recover_multiset(self, y: Word) -> tuple[tuple[int, ...], list[int]]:
-        """The one code multiset within drift of y's segment hashes, and those
-        hashes in segment order."""
-        segments, _ = _hashable_segments(y, self.hash)
-        hashes = [self.hash(s) for s in segments]
-        h_y = tuple(sorted(hashes))
+    def recover_multiset(self, y: Word) -> tuple[tuple[int, ...], SegmentTable]:
+        """The one code multiset within drift of y's segment hashes, and y's
+        `_segment_table`."""
+        table = _segment_table(y, self.hash)
+        h_y = tuple(sorted(table.hashes))
         near = [ms for ms in self.distinct_multisets
                 if multiset_distance(ms, h_y) <= HASH_DRIFT_BOUND]
         if len(near) != 1:
             raise DecodeFailure(
                 f"{len(near)} code multisets within drift of the received word")
-        return near[0], hashes
+        return near[0], table
 
     def decode(self, y: Word) -> Word:
-        h_x, h_y = self.recover_multiset(y)
+        _check_length(y, self.params.n)
+        h_x, y_table = self.recover_multiset(y)
         return correct(y, self.target, h_x, self.hats, self.plan,
-                       self.params, self.hash, h_y)
+                       self.params, self.hash, y_table)
 
 
 def segment_cap_probability(n: int, delta: int, trials: int, seed: int) -> float:

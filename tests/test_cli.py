@@ -182,6 +182,8 @@ def test_decode_failure_is_a_json_error(capsys):
     # a segment longer than the hash domain of the default cap 5
     (["sketch", "--code", "deltrans", "--word", "1111111111111111111111110011"],
      "LocateFailure"),
+    # a received word of neither length n nor n - 1
+    (["decode", "--code", "deltrans", "--n", "28", "--word", "0011"], "LocateFailure"),
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),

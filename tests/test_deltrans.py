@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import binary_words
+from syncodec import deltrans
 from syncodec.deltrans import (
     _UNASSIGNED,
     _earlier_neighbour_keys,
     _segment_options,
+    _segment_table,
     GREEDY_HASH_MAX_CAP,
+    MARKER,
     ClosedFormHash,
     DeltransDeskCode,
     DeltransParams,
     GreedyHash,
+    SegmentTable,
     WindowPlan,
     confusable_set,
     correct,
@@ -34,6 +38,7 @@ from syncodec.deltrans import (
 )
 from syncodec.errors import (
     DecodeFailure,
+    LocateFailure,
     MissingTerminalMarkerError,
     ProfileError,
     RangeExhaustedError,
@@ -127,38 +132,134 @@ def test_segment_lenient_matches_the_sliding_scan():
         assert segment_lenient(Word(bits, 2)) == _sliding_segments(bytes(bits))
 
 
-def _count_hash_calls(monkeypatch) -> list:
+def _reference_segment_table(word, h):
+    """`_segment_table` by its definition: `segment_lenient`, the domain
+    check, and the scalar hash of each segment."""
+    segments, residue = segment_lenient(word)
+    if max(map(len, segments), default=0) > 3 * h.cap:
+        raise LocateFailure("a segment is longer than the hash domain")
+    return SegmentTable([len(s) for s in segments], [h(s) for s in segments],
+                        len(residue))
+
+
+def _table_outcome(segment_table, word, h):
+    try:
+        table = segment_table(word, h)
+    except LocateFailure as exc:
+        return str(exc)
+    assert all(type(v) is int for v in table.lengths + table.hashes)
+    return table
+
+
+@pytest.fixture(scope="module")
+def pass_hashes():
+    return [ClosedFormHash(12), *map(GreedyHash.build, range(1, 5)), desk_hash(5)]
+
+
+def test_segment_pass_matches_the_scalar_hashes_exhaustively(pass_hashes):
+    """Every word of up to 14 bits, lengths 0-3 included, under
+    ClosedFormHash(12) and the greedy hashes of caps 1-5."""
+    for n in range(15):
+        for w in binary_words(n):
+            for h in pass_hashes:
+                assert _table_outcome(_segment_table, w, h) == \
+                    _table_outcome(_reference_segment_table, w, h)
+
+
+def _pass_word(rng, kind, n):
+    """A seeded word of about n bits: uniform, marker-rich, marker-free, or
+    made of short segments, plain or with a residue or an over-long segment."""
+    if kind == "uniform":
+        return [rng.getrandbits(1) for _ in range(n)]
+    if kind == "pieces":
+        pieces = [(0, 0, 1, 1), (0,), (1,), (0, 0), (1, 1), (0, 0, 1), (0, 1, 1)]
+        bits = []
+        while len(bits) < n:
+            bits.extend(rng.choice(pieces))
+        return bits
+    if kind == "marker-free":
+        bits = []
+        for _ in range(n):
+            # a 1 that would complete the marker becomes a 0
+            bits.append(rng.getrandbits(1) and int(bits[-3:] != [0, 0, 1]))
+        return bits
+    longest = rng.choice((6, 9, 12, 15))
+    bits = []
+    while len(bits) < n:
+        bits.extend(rng.choice(_segment_options(rng.randint(4, longest))))
+    if kind == "residue":
+        bits.extend(rng.getrandbits(1) for _ in range(rng.randint(1, 6)))
+    elif kind == "over-long":
+        at = rng.randrange(len(bits) // 4) * 4
+        bits[at:at] = [1] * rng.randint(13, 60) + [0, 0, 1, 1]
+    return bits
+
+
+def test_segment_pass_matches_the_scalar_hashes_on_random_words(pass_hashes):
+    """2,000 seeded words of 15-2,100 bits, each under every hash: an
+    over-long segment gives the same LocateFailure, a residue the same
+    length."""
+    rng = random.Random(59)
+    kinds = ["uniform", "pieces", "marker-free", "segments", "residue", "over-long"]
+    for i in range(2000):
+        w = Word(_pass_word(rng, kinds[i % len(kinds)], rng.randrange(15, 2101)), 2)
+        for h in pass_hashes:
+            assert _table_outcome(_segment_table, w, h) == \
+                _table_outcome(_reference_segment_table, w, h)
+
+
+def test_closed_form_hash_pass_is_exact_at_its_largest_cap():
+    """hash_segments sums over one segment at a time, at the segment's own
+    positions, so the word's length bounds no int64 value; the hash values
+    do.  The largest cap whose values fit in int64 hashes a segment of
+    3 * cap bits, between short ones, as the scalar hash does, and the next
+    cap is refused."""
+    low, high = 1, 2 ** 20  # hash_range fits at low and not at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if ClosedFormHash(mid).hash_range <= 2 ** 63 else (low, mid)
+    h = ClosedFormHash(low)
+    length = 3 * low
+    longest = (b"\x01\x00" * length)[:length - 4] + bytes(MARKER)
+    w = Word(bytes(MARKER) + b"\x01" + bytes(MARKER) + longest + b"\x01\x00" + bytes(MARKER), 2)
+    table = _segment_table(w, h)
+    assert table.lengths == [4, 5, length, 6]
+    assert table == _reference_segment_table(w, h)
+    with pytest.raises(SizeGuardError):
+        _segment_table(w, ClosedFormHash(high))
+
+
+def _count_segment_passes(monkeypatch) -> list:
+    """The words `_segment_table` segments and hashes, in call order."""
     calls = []
-    lookup = GreedyHash.__call__
+    segment_table = deltrans._segment_table
 
-    def counting(self, bits):
-        calls.append(bits)
-        return lookup(self, bits)
+    def counting(word, h):
+        calls.append(word)
+        return segment_table(word, h)
 
-    monkeypatch.setattr(GreedyHash, "__call__", counting)
+    monkeypatch.setattr(deltrans, "_segment_table", counting)
     return calls
 
 
 def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
-    """One deletion decode hashes y's segments once (shared by the multiset
-    recovery and locate) and the repaired word's segments once."""
-    calls = _count_hash_calls(monkeypatch)
+    """One deletion decode segments and hashes y once (shared by the multiset
+    recovery, locate and correct) and the repaired word once."""
+    calls = _count_segment_passes(monkeypatch)
     x = desk_code.codewords[0]
     y = apply(x, Deletion(1))
     assert desk_code.decode(y) == x
-    segments_y, _ = segment_lenient(y)
-    segments_x, _ = segment_lenient(x)
-    assert calls == segments_y + segments_x
+    assert calls == [y, x]
 
 
 def test_desk_clean_decode_hashes_each_segment_once(desk_code, monkeypatch):
-    """An unchanged codeword's segments are hashed once, by the multiset
-    recovery; the clean check reuses those hashes."""
-    calls = _count_hash_calls(monkeypatch)
+    """An unchanged codeword is segmented and hashed once, by the multiset
+    recovery; the clean check reuses its table."""
+    calls = _count_segment_passes(monkeypatch)
     for x in desk_code.codewords[:8]:
         calls.clear()
         assert desk_code.decode(x) == x
-        assert calls == segment_lenient(x)[0]
+        assert calls == [x]
 
 
 def test_greedy_hash_tiny_example():

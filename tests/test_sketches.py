@@ -7,6 +7,8 @@ from conftest import binary_words
 from syncodec import delsub, edit4
 from syncodec.errors import AlphabetError
 from syncodec.sketches import (
+    VECTOR_MAX_BITS,
+    VECTOR_MIN_BITS,
     ModularValue,
     WeightFn,
     signed_residue,
@@ -166,17 +168,35 @@ def _reference_sums(bits):
 
 
 def test_sketch_primitives_match_reference():
+    """Tuples and bytes, on both sides of VECTOR_MIN_BITS, where
+    vt_parity_sums moves from its loop to numpy."""
     cases = [w.symbols for n in range(11) for w in binary_words(n)]
     rng = random.Random(17)
     cases += [tuple(rng.getrandbits(1) for _ in range(n))
-              for n in [rng.randrange(11, 2002) for _ in range(150)] + [2001]]
+              for n in [rng.randrange(11, 2002) for _ in range(150)] + [2001]
+              + [VECTOR_MIN_BITS - 1, VECTOR_MIN_BITS] * 10]
     for bits in cases:
         expected = _reference_sums(bits)
         assert vt_parity_sums(bits) == expected
+        sums = vt_parity_sums(bytes(bits))
+        assert sums == expected and all(type(v) is int for v in sums)
         assert vt_sum(bits) == expected[0]
     for _ in range(100):
         symbols = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 300)))
         assert vt_sum(symbols) == sum(i * s for i, s in enumerate(symbols, start=1))
+
+
+def test_vt_parity_sums_are_exact_at_the_longest_numpy_string():
+    """The numpy path's int64 sums stay below n(n+1)/2, which fits in int64
+    up to n = 2^32 - 1; the path stops at VECTOR_MAX_BITS, and one bit more
+    takes the loop.  At both lengths each sum reaches its largest value on
+    one of two strings, with closed forms: all ones (VT sum n(n+1)/2, prefix
+    parities 1, 0, 1, ...) and a 1 followed by zeros (every prefix parity 1)."""
+    assert VECTOR_MAX_BITS * (VECTOR_MAX_BITS + 1) // 2 < 2 ** 63
+    for n in (VECTOR_MAX_BITS, VECTOR_MAX_BITS + 1):
+        top, odd = n * (n + 1) // 2, (n + 1) // 2
+        assert vt_parity_sums(b"\x01" * n) == (top, odd, odd * odd)
+        assert vt_parity_sums(b"\x01" + bytes(n - 1)) == (1, n, top)
 
 
 def test_signed_residue_range():
