@@ -216,7 +216,7 @@ def _cmd_build_hash(args) -> int:
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(table.to_json())
     _emit({"cap": args.cap, "range": table.hash_range,
-           "entries": len(table.table), "out": args.out})
+           "entries": len(table.assigned) - 1, "out": args.out})
     return 0
 
 

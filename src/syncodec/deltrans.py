@@ -40,6 +40,7 @@ from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 MARKER = (0, 0, 1, 1)
 _MARKER_BYTES = bytes(MARKER)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")
 MULTISET_SEPARATION = 10
 HASH_DRIFT_BOUND = 4
 GREEDY_HASH_MAX_CAP = 6
@@ -59,13 +60,6 @@ def segment_lenient(word: Word) -> tuple[list[bytes], bytes]:
         segments.append(bits[start:at + 4])
         start = at + 4
     return segments, bits[start:]
-
-
-def segment(word: Word) -> list[Word]:
-    segments, residue = segment_lenient(word)
-    if residue:
-        raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    return [Word(s, 2) for s in segments]
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +158,21 @@ class GreedyHash:
     value the smallest one unused among already-assigned confusable strings
     (`confusable_set`).
 
-    `build` gathers the neighbour keys of a chunk of consecutive strings at
-    once (`_earlier_neighbour_keys`), then assigns the chunk's strings one at
-    a time, each from a boolean array of the values its row holds.
-    `__call__` looks one string up; `hash_segments` looks every segment of a
-    word up at once in the table laid out as an array by key.
+    The table is one int64 array, `assigned`, indexed by a string's key
+    `(1 << L) | value`, where value reads the L-bit string as a binary number,
+    first symbol highest; entry 0 belongs to no string.  Keys ascend in the
+    greedy order, so `build` fills the array in index order: it gathers the
+    neighbour keys of a chunk of consecutive strings at once
+    (`_earlier_neighbour_keys`), then assigns the chunk's strings one at a
+    time, each from a boolean array of the values its row holds.  `__call__`
+    looks one string up, `hash_segments` every segment of a word at once;
+    the JSON form lists the strings as digit strings in key order.  `table`
+    is the dict from string to value, derived from the array on each access.
     """
 
-    def __init__(self, cap: int, table: dict[bytes, int],
-                 hash_range: int):
+    def __init__(self, cap: int, assigned: np.ndarray, hash_range: int):
         self.cap = cap
-        self.table = table
+        self.assigned = assigned
         self.hash_range = hash_range
 
     @classmethod
@@ -199,27 +197,25 @@ class GreedyHash:
                         raise RangeExhaustedError(
                             f"hash range {hash_range} exhausted at {bits}")
                     assigned[(1 << length) | value] = h
-        table: dict[bytes, int] = {}
-        for length in range(top + 1):
-            table.update(zip(map(bytes, itertools.product((0, 1), repeat=length)),
-                             assigned[1 << length:2 << length].tolist()))
         if hash_range is None:
             hash_range = int(assigned[1:].max()) + 1
-        return cls(cap, table, hash_range)
+        return cls(cap, assigned, hash_range)
 
     def __call__(self, bits: bytes) -> int:
-        return self.table[bits]
+        if len(bits) > 3 * self.cap or bits.translate(None, b"\x00\x01"):
+            raise AlphabetError(
+                f"the hash domain is binary strings of at most {3 * self.cap} bits")
+        return int(self.assigned[int(b"1" + bits.translate(_DIGITS), 2)])
 
-    @functools.cached_property
-    def _by_key(self) -> np.ndarray:
-        """The table as one array indexed by a string's key (1 << L) | value,
-        as `_earlier_neighbour_keys` keys strings."""
-        by_key = np.full(2 << 3 * self.cap, -1, dtype=np.int64)
-        by_key[[int(b"1" + bits.translate(_DIGITS), 2) for bits in self.table]] = \
-            list(self.table.values())
-        if by_key[1:].min() < 0:
-            raise ProfileError("the greedy hash table does not cover its domain")
-        return by_key
+    def _digit_strings(self) -> list[str]:
+        """Every string of the domain as its digits, in key order."""
+        return [bin(key)[3:] for key in range(1, len(self.assigned))]
+
+    @property
+    def table(self) -> dict[bytes, int]:
+        """Each string of the domain and its value, in key order."""
+        return dict(zip((d.encode().translate(_SYMBOLS) for d in self._digit_strings()),
+                        self.assigned[1:].tolist()))
 
     def hash_segments(self, bits: np.ndarray, starts: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
@@ -228,18 +224,39 @@ class GreedyHash:
         # the 3 * cap bits up to each position, first bit highest
         windows = np.convolve(bits, np.int64(1) << np.arange(3 * self.cap, dtype=np.int64))
         top = np.int64(1) << lengths
-        return self._by_key[(windows[starts + lengths - 1] & (top - 1)) | top]
+        return self.assigned[(windows[starts + lengths - 1] & (top - 1)) | top]
 
     def to_json(self) -> str:
-        entries = {"".join(map(str, k)): v for k, v in self.table.items()}
+        entries = dict(zip(self._digit_strings(), self.assigned[1:].tolist()))
         return json.dumps({"cap": self.cap, "range": self.hash_range,
                            "table": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "GreedyHash":
+        """The hash `to_json` wrote; `ProfileError` unless the table gives
+        every binary string of at most 3 * cap bits one value in [0, range)."""
         data = json.loads(text)
-        table = {bytes(map(int, k)): v for k, v in data["table"].items()}
-        return cls(data["cap"], table, data["range"])
+        try:
+            cap, hash_range, entries = data["cap"], data["range"], data["table"]
+        except (KeyError, TypeError):
+            raise ProfileError("greedy hash JSON needs cap, range and table") from None
+        if (type(cap) is not int or not 1 <= cap <= GREEDY_HASH_MAX_CAP
+                or type(hash_range) is not int or not isinstance(entries, dict)):
+            raise ProfileError(f"greedy hash JSON needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}, "
+                               "an integer range and a table object")
+        top = 3 * cap
+        assigned = np.full(2 << top, -1, dtype=np.int64)
+        for digits, value in entries.items():
+            if len(digits) > top or digits.strip("01"):
+                raise ProfileError(
+                    f"table key {digits!r} is no binary string of at most {top} bits")
+            if type(value) is not int or not 0 <= value < hash_range:
+                raise ProfileError(
+                    f"table value {value!r} of {digits!r} is outside [0, {hash_range})")
+            assigned[int("1" + digits, 2)] = value
+        if assigned[1:].min() < 0:
+            raise ProfileError("the greedy hash table does not cover its domain")
+        return cls(cap, assigned, hash_range)
 
 
 class ClosedFormHash:

@@ -25,7 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlphabetError, DecodeFailure, MalformedEncodingError, NoCandidateError
+from .errors import (
+    AlphabetError,
+    DecodeFailure,
+    MalformedEncodingError,
+    NoCandidateError,
+    SizeGuardError,
+)
 from .inner import (
     REP,
     SketchFields,
@@ -39,6 +45,9 @@ from .inner import (
 )
 from .sketches import WeightFn, signed_residue, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word
+
+# the longest words enumerate_sketch_space searches exhaustively
+EXHAUSTIVE_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -426,8 +435,15 @@ def enumerate_sketch_space(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (keys, regular) where keys[i] encodes (f, h0, h1, h2) of word i
     (words in lexicographic order, symbol-major) as f*8 + h0*4 + h1*2 + h2.
+    The arrays hold int64 values for every symbol of every word (the search
+    peaks at 217 MB of resident memory at n = 10, and each further symbol
+    multiplies that by about four), so a length above EXHAUSTIVE_MAX_N is
+    refused before any of them is allocated.
     """
     params = Edit4Params.for_length(n)
+    if n > EXHAUSTIVE_MAX_N:
+        raise SizeGuardError(
+            f"exhaustive sketch search needs n <= {EXHAUSTIVE_MAX_N}")
     total = 4 ** n
     idx = np.arange(total, dtype=np.int64)
     symbols = np.empty((total, n), dtype=np.int8)

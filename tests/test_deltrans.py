@@ -1,5 +1,5 @@
 import hashlib
-import itertools
+import json
 import random
 
 import numpy as np
@@ -30,13 +30,13 @@ from syncodec.deltrans import (
     inner_sketch,
     locate,
     multiset_distance,
-    segment,
     segment_cap_probability,
     segment_lenient,
     segment_sketches,
     window_sketches,
 )
 from syncodec.errors import (
+    AlphabetError,
     DecodeFailure,
     LocateFailure,
     MissingTerminalMarkerError,
@@ -76,28 +76,30 @@ def marker_word(segment_lengths, rng):
 
 
 def test_segment_examples():
-    segs = segment(Word.parse("00110011"))
-    assert [str(s) for s in segs] == ["0011", "0011"]
-    segs = segment(Word.parse("0100110011"))
-    assert [str(s) for s in segs] == ["010011", "0011"]
-    assert [str(s) for s in segment(Word.parse("0011"))] == ["0011"]
+    for text, expected in [("00110011", ["0011", "0011"]),
+                           ("0100110011", ["010011", "0011"]),
+                           ("0011", ["0011"])]:
+        segs, residue = segment_lenient(Word.parse(text))
+        assert [str(Word(s, 2)) for s in segs] == expected and residue == b""
 
 
 def test_segment_requires_terminal_marker():
-    with pytest.raises(MissingTerminalMarkerError):
-        segment(Word.parse("001101"))
     segs, residue = segment_lenient(Word.parse("001101"))
     assert len(segs) == 1 and residue == bytes((0, 1))
+    h = desk_hash(DESK_DELTA)
+    params = DeltransParams.desk(8, DESK_DELTA, h.hash_range)
+    with pytest.raises(MissingTerminalMarkerError):
+        segment_sketches(Word.parse("001101"), params, h)
 
 
 def test_segments_concatenate_back():
     rng = random.Random(0)
     for _ in range(50):
         w = marker_word([rng.randrange(4, 9) for _ in range(5)], rng)
-        segs = segment(w)
-        joined = tuple(itertools.chain.from_iterable(s.symbols for s in segs))
-        assert joined == w.symbols
-        assert all(s.symbols[-4:] == (0, 0, 1, 1) for s in segs)
+        segs, residue = segment_lenient(w)
+        assert residue == b""
+        assert b"".join(segs) == w.raw
+        assert all(s[-4:] == bytes(MARKER) for s in segs)
 
 
 def _sliding_segments(bits):
@@ -295,7 +297,10 @@ def _reference_greedy_build(cap, hash_range=None):
                     f"hash range {hash_range} exhausted at {bits}")
             table[bytes(bits)] = h
             used = max(used, h + 1)
-    return GreedyHash(cap, table, hash_range if hash_range is not None else used)
+    entries = {"".join(map(str, k)): v for k, v in table.items()}
+    return GreedyHash.from_json(json.dumps(
+        {"cap": cap, "range": hash_range if hash_range is not None else used,
+         "table": entries}))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
@@ -367,6 +372,47 @@ def test_greedy_hash_round_trips_through_json():
     h = GreedyHash.build(2)
     again = GreedyHash.from_json(h.to_json())
     assert again.table == h.table and again.hash_range == h.hash_range
+
+
+@pytest.mark.parametrize("bits", [bytes(7), bytes((0, 2, 1)), b"01"],
+                         ids=["longer than 3 * cap", "symbol 2", "ascii digits"])
+def test_greedy_hash_refuses_a_string_outside_its_domain(bits):
+    with pytest.raises(AlphabetError):
+        GreedyHash.build(2)(bits)
+
+
+def _edited_json(edit):
+    data = json.loads(GreedyHash.build(2).to_json())
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["table"].update({"01x": 0}),
+    lambda d: d["table"].update({"1_0": 0}),
+    lambda d: d["table"].update({"0000000": 0}),
+    lambda d: d["table"].pop("0110"),
+    lambda d: d["table"].update({"0110": -1}),
+    lambda d: d["table"].update({"0110": d["range"]}),
+    lambda d: d["table"].update({"0110": "3"}),
+    lambda d: d.pop("range"),
+    lambda d: d.update({"cap": GREEDY_HASH_MAX_CAP + 1}),
+], ids=["non-binary key", "key with an underscore", "key longer than 3 * cap",
+        "missing string", "negative value", "value at the range", "string value",
+        "no range", "cap above the largest"])
+def test_greedy_hash_from_json_refuses_a_malformed_table(edit):
+    with pytest.raises(ProfileError):
+        GreedyHash.from_json(_edited_json(edit))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_greedy_build_is_the_desk_table_cut_to_its_domain(cap):
+    """A smaller cap runs the same greedy order over a prefix of the desk
+    domain, so its table is the desk table's strings of at most 3 * cap bits;
+    the benchmark's desk-scale probe checks this relation at cap 3."""
+    desk = desk_hash(DESK_DELTA).table
+    assert GreedyHash.build(cap).table == \
+        {k: v for k, v in desk.items() if len(k) <= 3 * cap}
 
 
 def test_closed_form_hash_invariant_exhaustive():
@@ -624,8 +670,8 @@ def test_candidates_enumeration():
     words = enumerate_candidates(12, 5)
     assert all(len(w) == 12 for w in words)
     for w in words:
-        segs = segment(w)
-        assert all(4 <= len(s) <= 5 for s in segs)
+        segs, residue = segment_lenient(w)
+        assert residue == b"" and all(4 <= len(s) <= 5 for s in segs)
     assert len(set(w.symbols for w in words)) == len(words)
     # compositions of 12 into {4,5}: 4+4+4 only
     assert len(words) == 1
@@ -635,8 +681,8 @@ def test_desk_code_build_and_membership(desk_code):
     code = desk_code
     assert code.codewords
     for x in code.codewords:
-        segs = segment(x)
-        assert all(len(s.symbols) <= code.params.delta for s in segs)
+        segs, residue = segment_lenient(x)
+        assert residue == b"" and all(len(s) <= code.params.delta for s in segs)
         sk, hx = segment_sketches(x, code.params, code.hash)
         assert (sk.f, sk.g1, sk.g2) == \
             (code.target.f, code.target.g1, code.target.g2)
