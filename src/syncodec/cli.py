@@ -117,8 +117,8 @@ def _cmd_sketch(args) -> int:
         value = vt(word, modulus)
         _emit({"f": {"value": value.value, "modulus": value.modulus}})
     elif args.code == "deltrans":
-        h = deltrans.desk_hash(args.delta)
-        params = deltrans.DeltransParams.desk(len(word), args.delta, h.hash_range)
+        h = deltrans.desk_hash(deltrans.DESK_DELTA)
+        params = deltrans.DeltransParams.desk(len(word), h.cap, h.hash_range)
         sk, hashes = deltrans.segment_sketches(word, params, h)
         _emit({**_sketch_record(sk, params.moduli), "hash_multiset": list(hashes)})
     else:
@@ -130,7 +130,7 @@ def _cmd_sketch(args) -> int:
 
 def _cmd_encode(args) -> int:
     if args.code == "deltrans":
-        code = deltrans.DeltransDeskCode.build(args.n, args.delta)
+        code = deltrans.DeltransDeskCode.build(args.n)
         print(code.encode(args.index))
     else:
         codec = CODES[args.code][0]
@@ -143,7 +143,7 @@ def _cmd_decode(args) -> int:
     codec_class = CODES[args.code][0]
     word = _read_word(args, codec_class.q)
     if args.code == "deltrans":
-        codec = codec_class.build(args.n, args.delta)
+        codec = codec_class.build(args.n)
     elif args.m is None:
         raise SyncodecError(f"decoding {args.code} needs --m (message length)")
     else:
@@ -163,7 +163,7 @@ def _cmd_verify_code(args) -> int:
     else:
         codec, module, _ = CODES[args.code]
         if module is None:
-            members = codec.build(args.n, args.delta).codewords
+            members = codec.build(args.n).codewords
         else:
             target, _ = module.search_best_target(args.n)
             members = module.codewords_for_target(args.n, target)
@@ -212,7 +212,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_build_hash(args) -> int:
-    table = deltrans.GreedyHash.build(args.cap, args.range)
+    table = deltrans.GreedyHash.build(args.cap)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(table.to_json())
     _emit({"cap": args.cap, "range": table.hash_range,
@@ -262,14 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_word_args(p)
     p.add_argument("--code", required=True, choices=["vt", *CODES])
     p.add_argument("--modulus", type=int)
-    p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("encode", help="encode a message word")
     add_word_args(p)
     p.add_argument("--code", required=True, choices=list(CODES))
     p.add_argument("--n", type=int, default=24)
-    p.add_argument("--delta", type=int, default=5)
     p.add_argument("--index", type=int, default=0)
     p.set_defaults(func=_cmd_encode)
 
@@ -278,13 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, choices=list(CODES))
     p.add_argument("--m", type=int, help="message length (edit4, delsub)")
     p.add_argument("--n", type=int, default=24)
-    p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("verify-code", help="exhaustive decodability check")
     p.add_argument("--code", required=True, choices=["vt", *CODES])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=5)
     p.set_defaults(func=_cmd_verify_code)
 
     p = sub.add_parser("search-params", help="best sketch target at small n")
@@ -307,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-hash", help="greedy segment hash table")
     p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--range", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_hash)
 

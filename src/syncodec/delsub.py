@@ -39,7 +39,7 @@ from operator import mul, ne, not_
 
 import numpy as np
 
-from .errors import AlphabetError, DecodeFailure, EmptyListError
+from .errors import AlphabetError, DecodeFailure, EmptyListError, SizeGuardError
 from .inner import REP, SketchFields, rep_decode, rep_encode
 from .oracle import all_words
 from .sketches import signed_residue, weighted_vt_sum
@@ -493,8 +493,10 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
 
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
     """Largest sketch bucket over all binary words of length n (0 <= n <= 22)."""
-    if not 0 <= n <= 22:
-        raise AlphabetError("exhaustive target search needs 0 <= n <= 22")
+    if n < 0:
+        raise AlphabetError("word length must not be negative")
+    if n > 22:
+        raise SizeGuardError("exhaustive target search needs n <= 22")
     params = DelSubParams(n)
     buckets: dict[tuple[int, ...], int] = {}
     for bits in product((0, 1), repeat=n):

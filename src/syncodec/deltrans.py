@@ -30,7 +30,6 @@ from .errors import (
     LocateFailure,
     MissingTerminalMarkerError,
     ProfileError,
-    RangeExhaustedError,
     SizeGuardError,
 )
 from .inner import SketchFields, ceil_log2
@@ -176,7 +175,7 @@ class GreedyHash:
         self.hash_range = hash_range
 
     @classmethod
-    def build(cls, cap: int, hash_range: int | None = None) -> "GreedyHash":
+    def build(cls, cap: int) -> "GreedyHash":
         if not 1 <= cap <= GREEDY_HASH_MAX_CAP:
             raise SizeGuardError(
                 f"greedy hash build needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}")
@@ -190,16 +189,8 @@ class GreedyHash:
                 for value, keys in zip(values.tolist(), rows):
                     taken = np.zeros(_UNASSIGNED + 1, dtype=bool)
                     taken[assigned[keys]] = True
-                    h = int(taken.argmin())
-                    if hash_range is not None and h >= hash_range:
-                        bits = tuple((value >> (length - 1 - i)) & 1
-                                     for i in range(length))
-                        raise RangeExhaustedError(
-                            f"hash range {hash_range} exhausted at {bits}")
-                    assigned[(1 << length) | value] = h
-        if hash_range is None:
-            hash_range = int(assigned[1:].max()) + 1
-        return cls(cap, assigned, hash_range)
+                    assigned[(1 << length) | value] = taken.argmin()
+        return cls(cap, assigned, int(assigned[1:].max()) + 1)
 
     def __call__(self, bits: bytes) -> int:
         if len(bits) > 3 * self.cap or bits.translate(None, b"\x00\x01"):
@@ -792,6 +783,10 @@ def enumerate_candidates(n: int, delta: int) -> list[Word]:
     return out
 
 
+# the segment cap of the desk code (`DeltransDeskCode.build`'s default, the CLI's)
+DESK_DELTA = 5
+
+
 @functools.lru_cache(maxsize=None)
 def desk_hash(delta: int) -> GreedyHash:
     return GreedyHash.build(delta)
@@ -817,7 +812,7 @@ class DeltransDeskCode:
         self.plan = WindowPlan(params.n, params.locate_bound)
 
     @classmethod
-    def build(cls, n: int, delta: int = 5) -> "DeltransDeskCode":
+    def build(cls, n: int, delta: int = DESK_DELTA) -> "DeltransDeskCode":
         h = desk_hash(delta)
         params = DeltransParams.desk(n, delta, h.hash_range)
         plan = WindowPlan(n, params.locate_bound)

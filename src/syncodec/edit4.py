@@ -4,18 +4,18 @@ The code fixes a weight function w = (0, 1, 2L+11, 2L+12) with L = ceil(log2 n)
 and keeps the words whose weighted VT sketch and symbol-count parities hit a
 chosen target, intersected with the regular words.  Regularity (no long 0-runs
 in the 0/2-projection, no long 3-runs in the 1/3-projection) is what makes the
-deletion/insertion scans unambiguous.
+deletion/insertion scan unambiguous.
 
 Each public function works on its word's bytes (`Word.raw`, one per symbol)
 and does its per-symbol work at array speed: numpy reads the bytes as one
-uint8 array without a copy,
-the weighted VT sum is the int64 dot product of w(x) with the positions, the
-count parities are `bytes.count`s, and each corrector scan is one cumulative
-sum and one equality search (the offsets stay below the modulus, so matching
-them mod the modulus is exact equality; see `correct_deletion`).  Every sum is
-at most (n+1)(n+2)/2 max(w), which fits in int64 for n up to 2^28.  The
-runlength code packs each projection as bytes and interleaves the two by the
-parity mask of the symbols.
+uint8 array without a copy, the weighted VT sum is the int64 dot product of
+w(x) with the positions, and the count parities are `bytes.count`s.
+`correct_edit`, the one corrector, finds a substitution's position by one
+division and a deleted or inserted symbol's position by one suffix sum and one
+equality search (the offsets stay below the modulus, so matching them mod the
+modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
+fits in int64 for n up to 2^28.  The runlength code packs each projection as
+bytes and interleaves the two by the parity mask of the symbols.
 """
 
 from __future__ import annotations
@@ -128,122 +128,71 @@ def _count_parities(raw: bytes) -> tuple[int, int, int]:
     return raw.count(0) & 1, raw.count(1) & 1, raw.count(2) & 1
 
 
-def _flipped(raw: bytes, target: Edit4Sketches) -> list[int]:
-    """The symbols whose count parity in y differs from the target's."""
-    hy = _count_parities(raw)
-    return [c for c, h in enumerate((target.h0, target.h1, target.h2)) if hy[c] != h]
+def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
+    """Recover the codeword x from y, at most one deletion, insertion or
+    substitution away.
 
-
-def correct_substitution(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    """Recover the codeword from y differing in at most one position."""
-    if len(y) != params.n:
-        raise NoCandidateError(f"expected length {params.n}, got {len(y)}")
+    The count parities y flips name the edited symbols, and f(x) - f(y) names
+    the position.  A substitution of a by b at position i moves f by
+    i (w(b) - w(a)), so one division finds i.  Let S(j) = sum_{i >= j} w(y_i).
+    Reinserting a deleted a before y_j (j = n appends) adds j w(a) + S(j) to
+    f(y); deleting an inserted y_j = a takes (j - 1) w(a) + S(j) off it.  Both
+    offsets lie in [0, (n + 1) max(w)], below the modulus, so matching them
+    mod the modulus is an exact equality: one suffix sum and one equality
+    search find every matching j, and the largest is kept, as a right-to-left
+    scan would.
+    """
+    n = params.n
+    d = len(y) - n  # -1 after a deletion, 1 after an insertion
+    if d not in (-1, 0, 1):
+        raise NoCandidateError(f"length {len(y)} incompatible with n = {n}")
     _require_quaternary(y)
     raw = y.raw
-    flipped = _flipped(raw, target)
-    f_y = weighted_vt_sum(_weights_of(raw, params))
-    diff = signed_residue(target.f - f_y, params.modulus)  # f(x) - f(y)
-    if not flipped:
-        if diff != 0:
-            raise NoCandidateError("count sketches match but the VT sketch does not")
-        return y
-    if len(flipped) == 2:
-        lo, hi = flipped
-    elif len(flipped) == 1:
-        lo, hi = flipped[0], 3
-    else:
-        raise NoCandidateError("three count parities flipped by one substitution")
-    # y holds b, the codeword holds a; f(y) - f(x) = i (w(b) - w(a))
+    hy = _count_parities(raw)
+    flipped = [c for c, h in enumerate((target.h0, target.h1, target.h2)) if hy[c] != h]
+    weighted = _weights_of(raw, params)
+    f_y = weighted_vt_sum(weighted)
     w = params.weights
-    a, b = (lo, hi) if diff < 0 else (hi, lo)
-    step = abs(w(b) - w(a))
-    if abs(diff) % step:
-        raise NoCandidateError("sketch difference is not a multiple of the weight gap")
-    i = abs(diff) // step
-    if not 1 <= i <= params.n or raw[i - 1] != b:
-        raise NoCandidateError("recovered position is inconsistent with y")
-    x = Word(raw[:i - 1] + SYMBOL_BYTES[a] + raw[i:], 4)
+    if d == 0:
+        diff = signed_residue(target.f - f_y, params.modulus)  # f(x) - f(y)
+        if not flipped:
+            if diff != 0:
+                raise NoCandidateError("count sketches match but the VT sketch does not")
+            return y
+        if len(flipped) == 3:
+            raise NoCandidateError("three count parities flipped by one substitution")
+        lo, hi = flipped if len(flipped) == 2 else (flipped[0], 3)
+        # y holds b, the codeword holds a; f(y) - f(x) = i (w(b) - w(a))
+        a, b = (lo, hi) if diff < 0 else (hi, lo)
+        i, rest = divmod(abs(diff), abs(w(b) - w(a)))
+        if rest or not 1 <= i <= n or raw[i - 1] != b:
+            raise NoCandidateError("no position matches the sketch difference")
+        x_raw = raw[:i - 1] + SYMBOL_BYTES[a] + raw[i:]
+    else:
+        if len(flipped) > 1:
+            raise NoCandidateError(
+                "one deletion or insertion flips at most one count parity")
+        a = flipped[0] if flipped else 3
+        offsets = np.zeros(len(raw) + 1, dtype=np.int64)
+        np.cumsum(weighted[::-1], out=offsets[-2::-1])  # offsets[j - 1] = S(j)
+        first = 1 if d < 0 else 0  # j w(a) for a reinsertion, (j - 1) w(a) for a deletion
+        offsets += np.arange(first, len(raw) + 1 + first, dtype=np.int64) * w(a)
+        # a reinsertion adds f(x) - f(y) to f(y), a deletion takes f(y) - f(x) off
+        hits = offsets == d * (f_y - target.f) % params.modulus
+        if d > 0:  # only an occurrence of a can be deleted
+            hits = hits[:-1] & (np.frombuffer(raw, dtype=np.uint8) == a)
+        hits = hits.nonzero()[0]
+        if not hits.size:
+            raise NoCandidateError("no position matches the VT sketch")
+        j = int(hits[-1]) + 1
+        if d < 0:
+            x_raw = raw[:j - 1] + SYMBOL_BYTES[a] + raw[j - 1:]
+        else:
+            x_raw = raw[:j - 1] + raw[j:]
+    x = Word(x_raw, 4)
     if sketches(x, params) != target:
         raise NoCandidateError("corrected word does not match the sketch target")
     return x
-
-
-def correct_deletion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    """Reinsert the deleted symbol a, found by the count parities.
-
-    Inserting a to the left of y_j (j = n appends) adds
-    D(j) = j w(a) + sum_{i >= j} w(y_i) to f(y).  As 0 <= D(j) <= n max(w)
-    lies below the modulus 1 + 2n max(w), D(j) = target.f - f(y) mod the
-    modulus is an exact equality, so one cumulative sum over y's weights and
-    one equality search find every matching j; the largest is kept, as a
-    right-to-left scan would.
-    """
-    n = params.n
-    if len(y) != n - 1:
-        raise NoCandidateError(f"expected length {n - 1}, got {len(y)}")
-    _require_quaternary(y)
-    raw = y.raw
-    flipped = _flipped(raw, target)
-    if len(flipped) > 1:
-        raise NoCandidateError("one deletion flips at most one count parity")
-    a = flipped[0] if flipped else 3
-    weighted = _weights_of(raw, params)
-    f_y = weighted_vt_sum(weighted)
-    before = np.zeros(n, dtype=np.int64)  # before[j - 1] = sum_{i < j} w(y_i)
-    np.cumsum(weighted, out=before[1:])
-    offsets = np.arange(1, n + 1, dtype=np.int64) * params.weights(a) \
-        + (before[-1] - before)
-    hits = (offsets == (target.f - f_y) % params.modulus).nonzero()[0]
-    if not hits.size:
-        raise NoCandidateError("no insertion position matches the VT sketch")
-    j = int(hits[-1]) + 1
-    x = Word(raw[:j - 1] + SYMBOL_BYTES[a] + raw[j - 1:], 4)
-    if sketches(x, params) != target:
-        raise NoCandidateError("reinserted word does not match the target")
-    return x
-
-
-def correct_insertion(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    """Remove the inserted symbol a, found by the count parities.
-
-    Deleting y_j = a takes E(j) = j w(a) + sum_{i > j} w(y_i) off f(y).  As
-    0 <= E(j) <= (n + 1) max(w) lies below the modulus, E(j) = f(y) -
-    target.f mod the modulus is an exact equality; of the occurrences of a
-    that match, the rightmost is kept.
-    """
-    n = params.n
-    if len(y) != n + 1:
-        raise NoCandidateError(f"expected length {n + 1}, got {len(y)}")
-    _require_quaternary(y)
-    raw = y.raw
-    flipped = _flipped(raw, target)
-    if len(flipped) > 1:
-        raise NoCandidateError("one insertion flips at most one count parity")
-    a = flipped[0] if flipped else 3
-    weighted = _weights_of(raw, params)
-    f_y = weighted_vt_sum(weighted)
-    through = np.cumsum(weighted)  # through[j - 1] = sum_{i <= j} w(y_i)
-    offsets = np.arange(1, n + 2, dtype=np.int64) * params.weights(a) \
-        + (through[-1] - through)
-    hits = ((offsets == (f_y - target.f) % params.modulus)
-            & (np.frombuffer(raw, dtype=np.uint8) == a)).nonzero()[0]
-    if not hits.size:
-        raise NoCandidateError("no occurrence of the inserted symbol matches the sketch")
-    j = int(hits[-1]) + 1
-    x = Word(raw[:j - 1] + raw[j:], 4)
-    if sketches(x, params) != target:
-        raise NoCandidateError("shortened word does not match the target")
-    return x
-
-
-def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
-    if len(y) == params.n:
-        return correct_substitution(y, target, params)
-    if len(y) == params.n - 1:
-        return correct_deletion(y, target, params)
-    if len(y) == params.n + 1:
-        return correct_insertion(y, target, params)
-    raise NoCandidateError(f"length {len(y)} incompatible with n = {params.n}")
 
 
 # Runlength replacement: the 0/2 projection is encoded against long 0-runs,

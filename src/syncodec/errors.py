@@ -41,10 +41,6 @@ class MissingTerminalMarkerError(DecodeFailure):
     """A word that must end with the segmentation marker does not."""
 
 
-class RangeExhaustedError(SyncodecError):
-    """The greedy hash construction ran out of values; the range is too small."""
-
-
 class LocateFailure(DecodeFailure):
     """The error-locating decoder could not produce a window."""
 

@@ -187,6 +187,7 @@ def test_decode_failure_is_a_json_error(capsys):
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "11"], "SizeGuardError"),
+    (["search-params", "--code", "delsub", "--n", "23"], "SizeGuardError"),
     (["measure", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["measure", "--code", "delsub", "--n", "-1"], "AlphabetError"),
     (["build-hash", "--cap", "-1", "--out", os.devnull], "SizeGuardError"),

@@ -22,7 +22,7 @@ from syncodec.delsub import (
     search_best_target,
     sketches,
 )
-from syncodec.errors import AlphabetError, DecodeFailure, EmptyListError
+from syncodec.errors import DecodeFailure, EmptyListError, SizeGuardError
 from syncodec.sketches import signed_residue, vt_sum
 from syncodec.words import (
     DelAndSub,
@@ -567,7 +567,7 @@ def _reference_search_best_target(n):
 def test_search_best_target_matches_the_reference_count():
     for n in range(1, 13):
         assert search_best_target(n) == _reference_search_best_target(n)
-    with pytest.raises(AlphabetError):
+    with pytest.raises(SizeGuardError):
         search_best_target(23)
 
 

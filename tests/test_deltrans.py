@@ -41,7 +41,6 @@ from syncodec.errors import (
     LocateFailure,
     MissingTerminalMarkerError,
     ProfileError,
-    RangeExhaustedError,
     SizeGuardError,
 )
 from syncodec.words import (
@@ -268,15 +267,12 @@ def test_greedy_hash_tiny_example():
     # the domain spans lengths up to 3*cap, so even cap=1 needs several values
     h = GreedyHash.build(1)
     assert h(bytes((0,))) != h(bytes((1,)))
-    assert GreedyHash.build(1, h.hash_range).table == h.table
-    with pytest.raises(RangeExhaustedError):
-        GreedyHash.build(1, 3)
     for cap in (-1, 0, 7):
         with pytest.raises(SizeGuardError):
             GreedyHash.build(cap)
 
 
-def _reference_greedy_build(cap, hash_range=None):
+def _reference_greedy_build(cap):
     """The greedy assignment one string at a time: each string's value is the
     smallest one unused among the assigned strings of its `confusable_set`."""
     table = {}
@@ -292,15 +288,11 @@ def _reference_greedy_build(cap, hash_range=None):
             h = 0
             while h in forbidden:
                 h += 1
-            if hash_range is not None and h >= hash_range:
-                raise RangeExhaustedError(
-                    f"hash range {hash_range} exhausted at {bits}")
             table[bytes(bits)] = h
             used = max(used, h + 1)
     entries = {"".join(map(str, k)): v for k, v in table.items()}
     return GreedyHash.from_json(json.dumps(
-        {"cap": cap, "range": hash_range if hash_range is not None else used,
-         "table": entries}))
+        {"cap": cap, "range": used, "table": entries}))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
@@ -320,19 +312,6 @@ def test_greedy_build_cap5_table_digest():
     h = desk_hash(5)
     assert h.hash_range == 67 and len(h.table) == 2 ** 16 - 1
     assert hashlib.sha256(h.to_json().encode()).hexdigest() == CAP5_TABLE_SHA256
-
-
-def _exhausted_message(build, cap, hash_range):
-    with pytest.raises(RangeExhaustedError) as info:
-        build(cap, hash_range)
-    return str(info.value)
-
-
-@pytest.mark.parametrize("cap", [1, 2])
-def test_greedy_build_exhausts_a_short_range_where_the_reference_does(cap):
-    for hash_range in range(GreedyHash.build(cap).hash_range):
-        assert _exhausted_message(GreedyHash.build, cap, hash_range) == \
-            _exhausted_message(_reference_greedy_build, cap, hash_range)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

@@ -13,10 +13,7 @@ from syncodec.edit4 import (
     Edit4Params,
     Edit4Sketches,
     codewords_for_target,
-    correct_deletion,
     correct_edit,
-    correct_insertion,
-    correct_substitution,
     enumerate_sketch_space,
     is_codeword,
     is_regular,
@@ -109,7 +106,7 @@ def test_correctors_round_trip_exhaustively(n):
         if not is_regular(x, params):
             continue
         target = sketches(x, params)
-        assert correct_substitution(x, target, params) == x
+        assert correct_edit(x, target, params) == x
         for p in patterns(x, ErrorModel.SINGLE_EDIT):
             assert correct_edit(apply(x, p), target, params) == x
 
@@ -119,14 +116,14 @@ def test_corrector_error_paths():
     x = Word.parse("01230", 4)
     target = sketches(x, params)
     with pytest.raises(NoCandidateError):
-        correct_substitution(Word.parse("11111", 4), target, params)
+        correct_edit(Word.parse("11111", 4), target, params)
     with pytest.raises(NoCandidateError):
-        correct_deletion(Word.parse("2222", 4), target, params)
+        correct_edit(Word.parse("2222", 4), target, params)
     # the count parities point at a symbol y does not contain at all
     from syncodec.edit4 import Edit4Sketches
     odd_zeros = Edit4Sketches(0, 1, 1, 1)
     with pytest.raises(NoCandidateError):
-        correct_insertion(Word.parse("121212", 4), odd_zeros, params)
+        correct_edit(Word.parse("121212", 4), odd_zeros, params)
 
 
 def test_localization_gap_never_ambiguous():
@@ -524,6 +521,26 @@ def test_correctors_match_the_reference_loops_exhaustively(n):
             for t in targets:
                 assert _outcome(correct_edit, y, t, params) == \
                     _outcome(_reference_correct_edit, y, t, params)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_corrector_matches_the_reference_loops_on_every_received_word(n):
+    """Every 4-ary word of length n - 1, n and n + 1, most of them outside
+    the single-edit ball of every codeword of the target: the same word or
+    the same exception as the loops.  The targets are the sketches of the
+    regular words of length n, every distinct one up to n = 3 and a seeded
+    sample of 32 at n = 4."""
+    params = Edit4Params.for_length(n)
+    targets = sorted({sketches(x, params).astuple()
+                      for x in quaternary_words(n) if is_regular(x, params)})
+    if n == 4:
+        targets = random.Random(47).sample(targets, 32)
+    received = [y for length in (n - 1, n, n + 1) for y in quaternary_words(length)]
+    for fields in targets:
+        t = Edit4Sketches(*fields)
+        for y in received:
+            assert _outcome(correct_edit, y, t, params) == \
+                _outcome(_reference_correct_edit, y, t, params)
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -23,19 +23,31 @@ def test_every_tracer_point_names_an_attribute_of_its_owner(monkeypatch):
     assert not missing
 
 
-def test_every_package_attribute_the_workloads_read_exists():
-    """Every `module.name` in perfbench/workloads.py, for each module it
-    imports from syncodec, read without importing the workloads."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    modules = {alias.asname or alias.name: importlib.import_module(f"syncodec.{alias.name}")
-               for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "syncodec"
+def _syncodec_names_read(path):
+    """The package names one perfbench file reads, as (module, attribute)
+    pairs: each `module.name` for a module it imports from syncodec, and each
+    name a `from syncodec.<module> import ...` brings in."""
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules = {alias.asname or alias.name: f"syncodec.{alias.name}"
+               for node in imports if node.module == "syncodec"
                for alias in node.names}
-    read = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules}
-    assert {"deltrans", "delsub", "edit4", "oracle"} <= set(modules)
-    assert ("deltrans", "desk_hash") in read
-    missing = sorted(f"{name}.{attr}" for name, attr in read
-                     if not hasattr(modules[name], attr))
+    read = {(node.module, alias.name) for node in imports
+            if (node.module or "").startswith("syncodec.") for alias in node.names}
+    read |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    return read
+
+
+def test_every_package_attribute_the_workloads_read_exists():
+    """Every package name a perfbench/*.py file reads, found without
+    importing the file, is an attribute of its syncodec module."""
+    read = {pair for path in PERFBENCH.glob("*.py") for pair in _syncodec_names_read(path)}
+    assert {"syncodec.deltrans", "syncodec.delsub", "syncodec.edit4",
+            "syncodec.oracle"} <= {module for module, _ in read}
+    assert ("syncodec.deltrans", "desk_hash") in read
+    assert ("syncodec.errors", "EmptyListError") in read
+    missing = sorted(f"{module}.{attr}" for module, attr in read
+                     if not hasattr(importlib.import_module(module), attr))
     assert not missing
