@@ -33,15 +33,15 @@ nothing, so it has one numpy implementation for every length.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product
 from operator import mul, ne, not_
 
 import numpy as np
 
-from .errors import AlphabetError, DecodeFailure, EmptyListError, SizeGuardError
+from .errors import AlphabetError, DecodeFailure, NoCandidateError, SizeGuardError
 from .inner import REP, SketchFields, rep_decode, rep_encode
-from .oracle import all_words
 from .sketches import signed_residue, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
@@ -62,6 +62,8 @@ VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
 # and VT sums (at most n^2) of a word of length n, and of its edits, are exact.
 VECTOR_MAX_N = 2 ** 21 - 3
+# the longest words search_best_target and codewords_for_target enumerate
+EXHAUSTIVE_MAX_N = 22
 
 
 @dataclass(frozen=True)
@@ -308,16 +310,16 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
     `stats` are y's rank tables when the caller has built them already.
     """
     if len(y) != params.n - 1:
-        raise EmptyListError(f"classification needs |y| = {params.n - 1}")
+        raise NoCandidateError(f"classification needs |y| = {params.n - 1}")
     if stats is None:
         stats = (_WordArrays if VECTOR_MIN_N <= params.n <= VECTOR_MAX_N
                  else _WordStats)(y.raw)
     h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
-        raise EmptyListError(f"weight difference {h_diff} matches no error pattern")
+        raise NoCandidateError(f"weight difference {h_diff} matches no error pattern")
     run_delta = signed_residue(target.hr - stats.runs, params.hr_mod)
     if run_delta not in _VALID_RUN_DELTAS:
-        raise EmptyListError(f"run-count difference {run_delta} matches no pattern")
+        raise NoCandidateError(f"run-count difference {run_delta} matches no pattern")
     x_d, x_e = _PATTERN_TABLE[h_diff]
     return x_d, x_e, run_delta
 
@@ -332,16 +334,16 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     if h_diff == 0 and sketches(y, params) == target:
         return [y]
     if h_diff not in (-1, 1):
-        raise EmptyListError("no single substitution explains the weight sketch")
+        raise NoCandidateError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
     vt = sum(compress(range(1, len(bits) + 1), bits))
     f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
-        raise EmptyListError("no position matches the VT sketch")
+        raise NoCandidateError("no position matches the VT sketch")
     x = Word(bits[:e - 1] + SYMBOL_BYTES[x_e] + bits[e:])
     if sketches(x, params) != target:
-        raise EmptyListError("substitution candidate fails the run sketches")
+        raise NoCandidateError("substitution candidate fails the run sketches")
     return [x]
 
 
@@ -487,29 +489,35 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
                 continue
             words.append(_candidate_bits(y.raw, d, b_d, p, b_e))
     if not words:
-        raise EmptyListError("no candidate is consistent with the sketches")
+        raise NoCandidateError("no candidate is consistent with the sketches")
     return [Word(bits) for bits in sorted(words)]
 
 
-def search_best_target(n: int) -> tuple[DelSubSketches, int]:
-    """Largest sketch bucket over all binary words of length n (0 <= n <= 22)."""
+def _sketch_classes(n: int):
+    """Every binary word of length n (0 <= n <= EXHAUSTIVE_MAX_N) with its
+    sketches, in lexicographic order: the one enumeration behind
+    `search_best_target` and `codewords_for_target`."""
     if n < 0:
         raise AlphabetError("word length must not be negative")
-    if n > 22:
-        raise SizeGuardError("exhaustive target search needs n <= 22")
+    if n > EXHAUSTIVE_MAX_N:
+        raise SizeGuardError(
+            f"exhaustive sketch search needs n <= {EXHAUSTIVE_MAX_N}")
     params = DelSubParams(n)
-    buckets: dict[tuple[int, ...], int] = {}
     for bits in product((0, 1), repeat=n):
-        key = sketches(Word(bits), params).astuple()
-        buckets[key] = buckets.get(key, 0) + 1
+        word = Word(bits)
+        yield word, sketches(word, params)
+
+
+def search_best_target(n: int) -> tuple[DelSubSketches, int]:
+    """Largest sketch bucket over all binary words of length n."""
+    buckets = Counter(sk.astuple() for _, sk in _sketch_classes(n))
     best_size = max(buckets.values())
     best = min(k for k, v in buckets.items() if v == best_size)
     return DelSubSketches(*best), best_size
 
 
 def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
-    params = DelSubParams(n)
-    return [w for w in all_words(n, 2) if sketches(w, params) == target]
+    return [w for w, sk in _sketch_classes(n) if sk == target]
 
 
 INNER_CAPACITY = 96
@@ -593,7 +601,7 @@ class DelSubCode:
         d_window = self._pad(v_window, short=-delta)
         try:
             inner_hits = list_decode(d_window, inner_target, self.inner_params)
-        except EmptyListError as exc:
+        except DecodeFailure as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
         pad = bytes(INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
@@ -611,14 +619,11 @@ class DelSubCode:
                 continue
             try:
                 target = DelSubSketches(*self.fields.unpack(v))
+                zs = list_decode(Word(raw[:self.m + delta]), target, self.params)
             except DecodeFailure:
                 continue
-            try:
-                out += [z for z in list_decode(
-                            Word(raw[:self.m + delta]), target, self.params)
-                        if _reachable_one_del_one_sub(z.raw + v + guard, raw)]
-            except EmptyListError:
-                continue
+            out += [z for z in zs
+                    if _reachable_one_del_one_sub(z.raw + v + guard, raw)]
         if not out:
             raise DecodeFailure("no payload candidate is consistent with y")
         return sorted(out, key=lambda z: z.raw)

@@ -14,8 +14,9 @@ w(x) with the positions, and the count parities are `bytes.count`s.
 division and a deleted or inserted symbol's position by one suffix sum and one
 equality search (the offsets stay below the modulus, so matching them mod the
 modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
-fits in int64 for n up to 2^28.  The runlength code packs each projection as
-bytes and interleaves the two by the parity mask of the symbols.
+fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
+words.  The runlength code packs each projection as bytes and interleaves
+the two by the parity mask of the symbols.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class Edit4Params:
     def for_length(cls, n: int) -> "Edit4Params":
         if n < 1:
             raise AlphabetError("word length must be positive")
+        if n > 2 ** 28:
+            raise SizeGuardError("edit4's int64 sums are exact only for n <= 2^28")
         log_n = ceil_log2(n)
         weights = WeightFn((0, 1, 2 * log_n + 11, 2 * log_n + 12))
         modulus = 1 + 2 * n * (2 * log_n + 12)

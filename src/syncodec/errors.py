@@ -34,7 +34,9 @@ class MalformedEncodingError(DecodeFailure):
 
 
 class EmptyListError(SyncodecError):
-    """The list decoder found no candidate; the input violates its contract."""
+    """No library code raises this.  It stays only because the benchmark's
+    tests import it as their example of an error that is not a
+    `DecodeFailure`; the delsub list decoder raises `NoCandidateError`."""
 
 
 class MissingTerminalMarkerError(DecodeFailure):

@@ -67,6 +67,8 @@ def measure_redundancy(code_size: int, n: int, q: int) -> float:
 
 def all_words(n: int, q: int) -> Iterable[Word]:
     """Every length-n word over {0, .., q-1}, in lexicographic order."""
+    if n < 0:
+        raise AlphabetError("word length must not be negative")
     if n > ENUMERATION_MAX_N:
         raise SizeGuardError(f"enumeration capped at n <= {ENUMERATION_MAX_N}")
     if q < 2:

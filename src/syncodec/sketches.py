@@ -7,7 +7,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import AlphabetError
+from .errors import AlphabetError, SizeGuardError
 from .words import Word
 
 
@@ -61,40 +61,24 @@ def vt_sum(symbols) -> int:
     return sum(map(mul, symbols, range(1, len(symbols) + 1)))
 
 
-# vt_parity_sums reads strings of VECTOR_MIN_BITS to VECTOR_MAX_BITS bits
-# with numpy.  The two cross near 100 bits (timeit on a 2-core x86_64, loop
-# against numpy: 6.7 and 7.2 µs at 100 bits, 10.6 and 5.6 at 128, 139 and 13
-# at 1,301).  The int64 sums stay below n(n+1)/2, exact up to n = 2^32 - 1;
-# the path stops at 2^21 bits, the longest string its exactness test reads,
-# and longer strings take the loop.
-VECTOR_MIN_BITS = 100
-VECTOR_MAX_BITS = 2 ** 21
-
-
 def vt_parity_sums(bits: bytes | tuple[int, ...]) -> tuple[int, int, int]:
     """VT sum, prefix-parity sum and prefix-parity VT sum of a binary string.
 
     With p_i = b_1 xor .. xor b_i these are sum(i * b_i), sum(p_i) and
     sum(i * p_i).  deltrans takes a word's parity sum and its inner
-    sketches from them; `bits` is bytes or a tuple of 0s and 1s.
+    sketches from them; `bits` is bytes or a tuple of 0s and 1s.  One numpy
+    pass computes all three at every length.  Each int64 sum is at most
+    n(n+1)/2, which is below 2^63 while n < 2^32, so longer strings are
+    refused.
     """
     n = len(bits)
-    if VECTOR_MIN_BITS <= n <= VECTOR_MAX_BITS:
-        b = np.frombuffer(bytes(bits), dtype=np.uint8)
-        parity = np.bitwise_xor.accumulate(b)
-        positions = np.arange(1, n + 1, dtype=np.int64)
-        return (int(b.dot(positions)), int(np.count_nonzero(parity)),
-                int(parity.dot(positions)))
-    total = parity_total = parity_vt = 0
-    parity = 0
-    for i, b in enumerate(bits, start=1):
-        if b:
-            total += i
-            parity ^= 1
-        if parity:
-            parity_total += 1
-            parity_vt += i
-    return total, parity_total, parity_vt
+    if n >= 1 << 32:
+        raise SizeGuardError("prefix-parity sums need fewer than 2^32 bits")
+    b = np.frombuffer(bytes(bits), dtype=np.uint8)
+    parity = np.bitwise_xor.accumulate(b)
+    positions = np.arange(1, n + 1, dtype=np.int64)
+    return (int(b.dot(positions)), int(np.count_nonzero(parity)),
+            int(parity.dot(positions)))
 
 
 def vt(word: Word, modulus: int) -> ModularValue:

@@ -185,6 +185,9 @@ def test_decode_failure_is_a_json_error(capsys):
     # a received word of neither length n nor n - 1
     (["decode", "--code", "deltrans", "--n", "28", "--word", "0011"], "LocateFailure"),
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
+    (["verify-code", "--code", "vt", "--n", "-1"], "AlphabetError"),
+    (["measure", "--code", "vt", "--n", "-1"], "AlphabetError"),
+    (["search-inner", "--model", "single-edit", "--length", "-1"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "11"], "SizeGuardError"),
     (["search-params", "--code", "delsub", "--n", "23"], "SizeGuardError"),

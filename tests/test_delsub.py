@@ -7,6 +7,7 @@ import pytest
 from conftest import binary_words
 import syncodec.delsub as delsub_module
 from syncodec.delsub import (
+    EXHAUSTIVE_MAX_N,
     VECTOR_MAX_N,
     VECTOR_MIN_N,
     DelSubCode,
@@ -17,12 +18,19 @@ from syncodec.delsub import (
     _reachable_one_del_one_sub,
     _sums_vector,
     classify_error,
+    codewords_for_target,
     is_codeword,
     list_decode,
     search_best_target,
     sketches,
 )
-from syncodec.errors import DecodeFailure, EmptyListError, SizeGuardError
+from syncodec.errors import (
+    AlphabetError,
+    DecodeFailure,
+    NoCandidateError,
+    SizeGuardError,
+    SyncodecError,
+)
 from syncodec.sketches import signed_residue, vt_sum
 from syncodec.words import (
     DelAndSub,
@@ -185,7 +193,7 @@ def test_list_decode_returns_exactly_the_ball_intersection():
                 if y in forward_images(x, ErrorModel.ONE_DEL_ONE_SUB)}
             try:
                 got = {w.symbols for w in list_decode(y, target, params)}
-            except EmptyListError:
+            except NoCandidateError:
                 got = set()
             assert got == expected
 
@@ -195,7 +203,7 @@ def test_list_decode_is_the_sketch_consistent_ball_for_every_word(n):
     """For every y of length n - 1 or n, list_decode(y) returns exactly the
     words of a sketch class whose one-deletion-one-substitution ball holds y,
     sorted, for every class that has one.  Up to n = 7 every other class is
-    tried too, and must raise EmptyListError."""
+    tried too, and must raise NoCandidateError."""
     params = DelSubParams(n)
     sources = {}  # y -> target -> sorted words of that class reaching y
     for x in binary_words(n):
@@ -209,7 +217,7 @@ def test_list_decode_is_the_sketch_consistent_ball_for_every_word(n):
             if target in expected:
                 assert list_decode(y, target, params) == expected[target]
             else:
-                with pytest.raises(EmptyListError):
+                with pytest.raises(NoCandidateError):
                     list_decode(y, target, params)
 
 
@@ -278,7 +286,7 @@ def _reference_list_decode(y, target, params):
              for b_d, b_e in _scans(target, y, params)
              for d, p in _reference_scan(y, target, params, b_d, b_e)}
     if not words:
-        raise EmptyListError("no candidate is consistent with the sketches")
+        raise NoCandidateError("no candidate is consistent with the sketches")
     return [Word(bits, 2) for bits in sorted(words)]
 
 
@@ -306,8 +314,8 @@ def test_scan_hits_are_the_reference_pairs(n):
 def _decode_or_error(decoder, *args):
     try:
         return decoder(*args)
-    except EmptyListError:
-        return "EmptyListError"
+    except NoCandidateError:
+        return "NoCandidateError"
 
 
 @pytest.mark.parametrize("n,trials", [(12, 400), (97, 200), (1000, 30),
@@ -406,7 +414,7 @@ def test_list_decode_builds_one_tuple_per_distinct_word(n, monkeypatch):
             calls.clear()
             try:
                 out = list_decode(y, target, params)
-            except EmptyListError:
+            except NoCandidateError:
                 out = []
             assert len(calls) == len(out)
             decoded += len(out)
@@ -421,8 +429,39 @@ def test_list_decode_rejects_junk():
     # a received word whose weight difference matches no pattern
     bad_target = DelSubSketches(target.f, target.f1r, target.f2r,
                                 (target.h + 3) % 5, target.hr)
-    with pytest.raises(EmptyListError):
+    with pytest.raises(NoCandidateError):
         list_decode(Word.parse("01010"), bad_target, params)
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_only_decode_failures_escape_list_decode(n):
+    """Seeded random targets, each the sketches of a random word x, against
+    random received words of length n - 2 .. n + 1 and against x with one
+    deletion and at most one flip: list_decode returns one or two words (x
+    among them for x's own images) or raises a DecodeFailure, never another
+    error."""
+    rng = random.Random(n)
+    params = DelSubParams(n)
+    failures = 0
+    for trial in range(600):
+        x = bytes(rng.getrandbits(1) for _ in range(n))
+        target = sketches(Word(x), params)
+        if trial % 2:
+            y = bytes(rng.getrandbits(1) for _ in range(rng.randint(n - 2, n + 1)))
+        else:
+            d = rng.randrange(n)
+            y = bytearray(x[:d] + x[d + 1:])
+            if rng.getrandbits(1):
+                y[rng.randrange(n - 1)] ^= 1
+        try:
+            out = list_decode(Word(y), target, params)
+        except DecodeFailure:
+            assert trial % 2
+            failures += 1
+            continue
+        assert 1 <= len(out) <= 2
+        assert trial % 2 or Word(x) in out
+    assert failures > 0
 
 
 def _case_instances(n, want_run_delta, want_xd, want_xe, rng, count):
@@ -569,6 +608,31 @@ def test_search_best_target_matches_the_reference_count():
         assert search_best_target(n) == _reference_search_best_target(n)
     with pytest.raises(SizeGuardError):
         search_best_target(23)
+
+
+def test_exhaustive_pair_accepts_and_refuses_the_same_lengths(monkeypatch):
+    """search_best_target and codewords_for_target share one guard: with its
+    cap lowered both accept the cap and refuse one more, and both refuse a
+    negative length and one past the real cap before enumerating."""
+    def outcomes(n):
+        got = []
+        for call in (lambda: search_best_target(n),
+                     lambda: codewords_for_target(n, DelSubSketches(0, 0, 0, 0, 0))):
+            try:
+                call()
+                got.append(None)
+            except SyncodecError as exc:
+                got.append(type(exc))
+        return got
+
+    assert outcomes(-1) == [AlphabetError] * 2
+    assert outcomes(EXHAUSTIVE_MAX_N + 1) == [SizeGuardError] * 2
+    monkeypatch.setattr(delsub_module, "EXHAUSTIVE_MAX_N", 5)
+    for n in range(6):
+        assert outcomes(n) == [None] * 2
+    assert outcomes(6) == [SizeGuardError] * 2
+    target, size = search_best_target(5)
+    assert len(codewords_for_target(5, target)) == size
 
 
 def test_search_best_target_bucket_bound():

@@ -749,6 +749,34 @@ def test_correct_of_random_words_raises_only_decode_failure(desk_code, hash_kind
         assert out == y or y in forward_images(out, model)
 
 
+def test_correct_refuses_a_repair_that_contradicts_the_sketches():
+    """Beyond the model, a deletion plus an adjacent transposition can make
+    the located window's repair pass its inner sketch and still give a word
+    whose segment sketches differ from x's: `correct`'s final check refuses
+    it.  The seeded search over ClosedFormHash(12) words of about 2001 bits
+    finds such a word."""
+    h = ClosedFormHash(12)
+    for seed in range(300):
+        rng = random.Random(seed)
+        lengths = []
+        while sum(lengths) < 1997:
+            lengths.append(rng.randint(4, 12))
+        x = marker_word(lengths, rng)
+        params = DeltransParams.desk(len(x), 12, h.hash_range)
+        plan = WindowPlan(len(x), params.locate_bound)
+        (target, hx), hats = segment_sketches(x, params, h), window_sketches(x, plan)
+        y = apply(x, Deletion(rng.randint(1, len(x))))
+        k = rng.randint(1, len(y) - 1)
+        while y[k - 1] == y[k]:
+            k = rng.randint(1, len(y) - 1)
+        try:
+            correct(apply(y, Transposition(k)), target, hx, hats, plan, params, h)
+        except DecodeFailure as exc:
+            if str(exc) == "repaired word contradicts the sketches":
+                return
+    pytest.fail("no seed reached the final sketch check")
+
+
 def test_desk_code_unique_decodability(desk_code):
     report = verify_code(desk_code.codewords,
                          ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION, 1)

@@ -29,6 +29,7 @@ from syncodec.errors import (
     DecodeFailure,
     MalformedEncodingError,
     NoCandidateError,
+    SizeGuardError,
 )
 from syncodec.inner import bits_to_int, int_to_bits, rep_decode, rep_encode
 from syncodec.sketches import signed_residue
@@ -51,6 +52,16 @@ def test_params_formulas():
     assert p.modulus == 1 + 2 * 8 * 18
     p = Edit4Params.for_length(6)  # non-power-of-two lengths take the ceiling
     assert p.log_n == 3
+
+
+def test_params_refuse_lengths_whose_sums_overflow():
+    """Every sum is at most (n+1)(n+2)/2 max(w), exact in int64 at n = 2^28;
+    one symbol more is refused.  Neither call allocates a word."""
+    n = 2 ** 28
+    p = Edit4Params.for_length(n)
+    assert (n + 1) * (n + 2) // 2 * max(p.weights.weights) < 2 ** 63
+    with pytest.raises(SizeGuardError):
+        Edit4Params.for_length(n + 1)
 
 
 def test_regularity_examples():
@@ -217,6 +228,9 @@ def test_rll_encode_matches_quadratic_packer_on_run_heavy_messages():
 def test_rll_decode_rejects_malformed():
     with pytest.raises(MalformedEncodingError):
         rll_decode(Word.parse("2222", 4))
+    for short in ("", "0", "02", "021"):
+        with pytest.raises(MalformedEncodingError, match="shorter than the fixed"):
+            rll_decode(Word.parse(short, 4))
     # an empty projection with a marker suffix, slots that do not match the
     # projection lengths, a suffix out of place, and a 0/2 projection that
     # still holds a run of cap = 3 zeros

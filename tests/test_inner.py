@@ -5,7 +5,7 @@ import pytest
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
 from syncodec.errors import DecodeFailure
-from syncodec.inner import SketchFields
+from syncodec.inner import REP, SketchFields, rep_decode, rep_encode
 from syncodec.words import Word
 
 
@@ -32,6 +32,17 @@ def test_sketch_fields_reject_a_field_at_its_modulus():
     for bits in [(1, 0, 1, 0), (1, 1, 1, 1)]:  # first field reads 5, then 7
         with pytest.raises(DecodeFailure):
             fields.unpack(bytes(bits))
+
+
+def test_rep_decode_takes_windows_within_one_symbol_of_the_encoding():
+    symbols = bytes((1, 0, 1))
+    encoded = rep_encode(symbols)
+    for window in (encoded[1:], encoded, encoded + b"\x00"):
+        assert rep_decode(window, len(symbols)) == symbols
+    for window in (encoded[2:], encoded + b"\x00\x00"):
+        with pytest.raises(DecodeFailure, match="does not hold 3 blocks"):
+            rep_decode(window, len(symbols))
+    assert len(encoded) == REP * len(symbols)
 
 
 def test_codec_tail_layouts_are_pinned():

@@ -85,6 +85,8 @@ def test_enumeration_guards():
         list(all_words(17, 2))
     with pytest.raises(AlphabetError):
         list(all_words(3, 1))
+    with pytest.raises(AlphabetError):
+        list(all_words(-1, 2))
     with pytest.raises(SizeGuardError):
         search_inner_code(ErrorModel.SINGLE_EDIT, 17)
 

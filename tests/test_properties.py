@@ -69,11 +69,11 @@ def received_and_target(draw):
 @given(received_and_target())
 def test_list_decode_is_the_reference_for_any_word_and_sketches(case):
     """list_decode equals the reference scan's list of at most two words, or
-    both raise EmptyListError."""
+    both raise NoCandidateError."""
     y, target, params = case
     got = _decode_or_error(list_decode, y, target, params)
     assert got == _decode_or_error(_reference_list_decode, y, target, params)
-    assert got == "EmptyListError" or 1 <= len(got) <= 2
+    assert got == "NoCandidateError" or 1 <= len(got) <= 2
 
 
 edit4_code = lru_cache(maxsize=None)(Edit4Code)

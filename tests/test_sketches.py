@@ -5,10 +5,8 @@ import pytest
 
 from conftest import binary_words
 from syncodec import delsub, edit4
-from syncodec.errors import AlphabetError
+from syncodec.errors import AlphabetError, SizeGuardError
 from syncodec.sketches import (
-    VECTOR_MAX_BITS,
-    VECTOR_MIN_BITS,
     ModularValue,
     WeightFn,
     signed_residue,
@@ -168,13 +166,13 @@ def _reference_sums(bits):
 
 
 def test_sketch_primitives_match_reference():
-    """Tuples and bytes, on both sides of VECTOR_MIN_BITS, where
-    vt_parity_sums moves from its loop to numpy."""
+    """Tuples and bytes of every length to 10 bits and of random lengths to
+    2001 bits."""
     cases = [w.symbols for n in range(11) for w in binary_words(n)]
     rng = random.Random(17)
     cases += [tuple(rng.getrandbits(1) for _ in range(n))
               for n in [rng.randrange(11, 2002) for _ in range(150)] + [2001]
-              + [VECTOR_MIN_BITS - 1, VECTOR_MIN_BITS] * 10]
+              + [99, 100] * 10]
     for bits in cases:
         expected = _reference_sums(bits)
         assert vt_parity_sums(bits) == expected
@@ -186,17 +184,25 @@ def test_sketch_primitives_match_reference():
         assert vt_sum(symbols) == sum(i * s for i, s in enumerate(symbols, start=1))
 
 
-def test_vt_parity_sums_are_exact_at_the_longest_numpy_string():
-    """The numpy path's int64 sums stay below n(n+1)/2, which fits in int64
-    up to n = 2^32 - 1; the path stops at VECTOR_MAX_BITS, and one bit more
-    takes the loop.  At both lengths each sum reaches its largest value on
-    one of two strings, with closed forms: all ones (VT sum n(n+1)/2, prefix
-    parities 1, 0, 1, ...) and a 1 followed by zeros (every prefix parity 1)."""
-    assert VECTOR_MAX_BITS * (VECTOR_MAX_BITS + 1) // 2 < 2 ** 63
-    for n in (VECTOR_MAX_BITS, VECTOR_MAX_BITS + 1):
+def test_vt_parity_sums_are_exact_up_to_their_guard():
+    """Each int64 sum stays at most n(n+1)/2, below 2^63 for every n < 2^32,
+    and a string of 2^32 bits is refused before anything is read.  At 2^21
+    and 2^21 + 1 bits each sum reaches its largest value on one of two
+    strings, with closed forms: all ones (VT sum n(n+1)/2, prefix parities
+    1, 0, 1, ...) and a 1 followed by zeros (every prefix parity 1)."""
+    longest = 2 ** 32 - 1
+    assert longest * (longest + 1) // 2 < 2 ** 63 <= (longest + 1) * (longest + 2) // 2
+    for n in (2 ** 21, 2 ** 21 + 1):
         top, odd = n * (n + 1) // 2, (n + 1) // 2
         assert vt_parity_sums(b"\x01" * n) == (top, odd, odd * odd)
         assert vt_parity_sums(b"\x01" + bytes(n - 1)) == (1, n, top)
+
+    class TooLong:
+        def __len__(self):
+            return longest + 1
+
+    with pytest.raises(SizeGuardError):
+        vt_parity_sums(TooLong())
 
 
 def test_signed_residue_range():
