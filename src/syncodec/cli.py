@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SyncodecError as exc:
+    except (SyncodecError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
 

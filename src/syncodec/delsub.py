@@ -18,23 +18,20 @@ sketch fields and guard, which are what `encode` writes, and keeps the
 candidates whose codeword reaches the received word.
 
 Each O(n) pass has two implementations, chosen by the codeword length n.
-Below VECTOR_MIN_N the passes are Python loops over the word's bytes
-(`Word.raw`, one per bit), whose fixed cost per call is a few microseconds.
-From VECTOR_MIN_N on, numpy views the same bytes as a uint8 array:
-the ranks are one cumulative sum of the boundary mask, the sketch sums are
-int64 sums and dot products, and a flip stretch of the scan tests all its
-representatives at once as array masks.  A numpy pass costs tens of
-microseconds however short the word, so the crossover is measured (see
-VECTOR_MIN_N).  Every int64 sum is exact while (n + 2)^3 < 2^63, so longer
-words take the Python loops again (VECTOR_MAX_N).  Both paths give the same
-results, exceptions included.  `DelSubCode.decode`'s reachability check sums
-nothing, so it has one numpy implementation for every length.
+Below VECTOR_MIN_N they are Python loops over the word's bytes (`Word.raw`,
+one per bit), whose fixed cost per call is a few microseconds.  From
+VECTOR_MIN_N on, numpy views the same bytes as a uint8 array, and a flip
+stretch of the scan tests all its representatives at once as array masks.
+Both give the same results, exceptions included.  The int64 sums are exact
+up to VECTOR_MAX_N, and longer codewords are refused.  `DelSubCode.decode`'s
+reachability check sums nothing, so it has one numpy implementation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress, count, islice, product
 from operator import mul, ne, not_
 
@@ -60,7 +57,8 @@ _VALID_RUN_DELTAS = {-2, 0, 2, 4}
 #   sketches              11/12   14/12   20/12   26/12   33/13   39/13
 VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
-# and VT sums (at most n^2) of a word of length n, and of its edits, are exact.
+# and VT sums (at most n^2) of a word of length n, and of its edits, are
+# exact, so sketches and list_decode refuse longer codewords.
 VECTOR_MAX_N = 2 ** 21 - 3
 # the longest words search_best_target and codewords_for_target enumerate
 EXHAUSTIVE_MAX_N = 22
@@ -123,6 +121,7 @@ class _WordStats:
         ranks.append(ranks[-1] + (0 if bits and bits[-1] else 1))
         self.ranks = ranks
         self.r1 = list(accumulate(islice(ranks, m + 1)))  # sum of r_j, j <= i
+        self.f1r = self.r1[m]
         self.squares = sum(map(mul, islice(ranks, m + 1), ranks))  # r_j^2, j <= m
         self.weight = bits.count(1)
         self.vt = sum(compress(range(1, m + 1), bits))  # positions of the 1s
@@ -136,75 +135,108 @@ class _WordStats:
         marks = self.bits if u == 0 else map(not_, self.bits)
         return [1, *compress(range(2, self.m + 2), marks)]
 
-    def flip_steps(self, p: int) -> tuple[int, int]:
-        """Rank changes (e1 at p, e2 after p) of flipping y_p."""
-        ranks = self.ranks
-        e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
-        return e1, e1 + 1 - 2 * (ranks[p + 1] - ranks[p])
-
     def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
                     ) -> tuple[int, int, int, int]:
         """Raw (f1r, f2r, run count, weight) of flip(p -> t) then insert u at d."""
-        m, ext, ranks, r1 = self.m, self.ext, self.ranks, self.r1
+        m, ext, ranks, r1, r1m = self.m, self.ext, self.ranks, self.r1, self.f1r
         if p is None:
             e1 = e2 = 0
             p = m  # no flip: every zone below is empty or moves by 0
             a, b = ext[d - 1], ext[d]
             weight = self.weight + u
         else:
-            e1, e2 = self.flip_steps(p)
+            e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
+            e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
             a = t if d - 1 == p else ext[d - 1]
             b = t if d == p else ext[d]
             weight = self.weight + u + 2 * t - 1
         # ranks of the flipped word, summed over 1..m, and their squares
-        sum1 = r1[m] + e1 + e2 * (m - p)
+        sum1 = r1m + e1 + e2 * (m - p)
         sum2 = (self.squares + 2 * e1 * ranks[p] + e1 * e1
-                + 2 * e2 * (r1[m] - r1[p]) + e2 * e2 * (m - p))
+                + 2 * e2 * (r1m - r1[p]) + e2 * e2 * (m - p))
         # the inserted bit takes rank r(d-1) + c1; the m - d + 1 bits after it
         # move by delta; tail is their flipped-word rank sum
         c1 = u != a
         delta = c1 + (b != u) - (a != b)
         rank_d = ranks[d - 1] + (e2 if d - 1 > p else e1 if d - 1 == p else 0) + c1
         after = m - d + 1
-        tail = (r1[m] - r1[d - 1] + (e1 if d <= p else 0)
+        tail = (r1m - r1[d - 1] + (e1 if d <= p else 0)
                 + e2 * (m - max(d - 1, p)))
         f1r = sum1 + rank_d + delta * after
         squares = sum2 + rank_d * rank_d + 2 * delta * tail + delta * delta * after
         runs = ranks[m + 1] + e2 + delta + 1
         return f1r, squares - f1r, runs, weight
 
-
-def _rank_array(ext: np.ndarray) -> np.ndarray:
-    """Ranks r_0 .. r_k of a uint8 word x_0 .. x_k whose x_0 is the sentinel
-    0: r_i counts the boundaries x_{j-1} != x_j, j <= i."""
-    ranks = np.zeros(len(ext), dtype=np.int64)
-    np.cumsum(ext[1:] != ext[:-1], out=ranks[1:])
-    return ranks
+    def stretch_hits(self, reps: list[int], lo: int, hi: int, q: int,
+                     slope: int, b_d: int, b_e: int, run_delta: int,
+                     params: DelSubParams, target: DelSubSketches,
+                     ) -> list[tuple[int, int]]:
+        """The (insert position, flip position) hits among reps[lo:hi] of a
+        flip stretch of `_scan`, whose flip position in the word is q at
+        reps[lo] and moves by slope per representative, in order."""
+        n, m, ext, ranks, r1m = params.n, self.m, self.ext, self.ranks, self.f1r
+        f1r_mod, f2r_mod = params.f1r_mod, params.f2r_mod
+        f1r_want, f2r_want = target.f1r, target.f2r
+        hits = []
+        for rep, q in zip(islice(reps, lo, hi), count(q, slope)):
+            d = rep
+            if q == d:
+                # q is the inserted bit itself: the run's next position,
+                # if it has one, gives the word of this representative
+                d += 1
+                if d > n or ext[rep] != b_d:
+                    continue
+            p = q - 1 if q > d else q
+            if ext[p] == b_e:
+                continue
+            a = b_e if p == d - 1 else ext[d - 1]
+            b = b_e if p == d else ext[d]
+            c1 = b_d != a
+            delta = c1 + (b != b_d) - (a != b)
+            e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
+            # |e2 + delta| <= 4 and run_delta is a signed residue mod 13,
+            # so the run sketch holds exactly when they are equal
+            if e2 + delta != run_delta:
+                continue
+            e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
+            rank_d = ranks[d - 1] + c1 + (
+                e2 if d - 1 > p else e1 if d - 1 == p else 0)
+            if (r1m + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
+                    - f1r_want) % f1r_mod:
+                continue
+            if self.edited_sums(d, b_d, p, b_e)[1] % f2r_mod == f2r_want:
+                hits.append((d, p))
+        return hits
 
 
 class _WordArrays(_WordStats):
     """The rank tables of `_WordStats` as numpy arrays, for codeword lengths
     from VECTOR_MIN_N on, built from one byte per bit: the ranks are one
-    cumulative sum of the boundary mask, the sum of their squares one int64
-    dot product, the weight a count of nonzero bytes and the VT sum one dot
-    product with the positions.  The ranks are int64 so that the dot product
-    and the O(1) queries on them are exact; `ext` stays `bytes`, whose items
-    are Python ints, and `array` is its uint8 view.  A flip stretch of the
-    scan is tested as array masks, and only its survivors pay for the exact
-    `edited_sums`."""
+    cumulative sum of the boundary mask, f1r and the sum of their squares
+    int64 sums, the weight a count of nonzero bytes and the VT sum one dot
+    product with the positions.  `sketches` reads these, so the prefix sums
+    `r1`, which only the O(1) queries read, are built on first use.  `ext`
+    stays `bytes`, whose items are Python ints, and `array` is its uint8
+    view.  A flip stretch of the scan is tested as array masks, and only its
+    survivors pay for the exact `edited_sums`."""
 
     def __init__(self, bits: bytes):
         m = len(bits)
         self.m = m
         self.ext = ext = b"\x00" + bits + b"\x01"
         self.array = array = np.frombuffer(ext, dtype=np.uint8)
-        self.ranks = ranks = _rank_array(array)
+        self.ranks = ranks = np.zeros(m + 2, dtype=np.int64)
+        np.cumsum(array[1:] != array[:-1], out=ranks[1:])
         head = ranks[:m + 1]
-        self.r1 = np.cumsum(head)
+        self.f1r = int(head.sum())
         self.squares = int(head.dot(head))
         self.weight = int(np.count_nonzero(array)) - 1
         self.vt = weighted_vt_sum(array[1:m + 1])
         self.runs = int(ranks[m + 1]) + 1
+
+    @cached_property
+    def r1(self) -> np.ndarray:
+        return np.cumsum(self.ranks[:self.m + 1])
 
     def reps(self, u: int) -> np.ndarray:
         """`_WordStats.reps` as an int64 array."""
@@ -223,12 +255,8 @@ class _WordArrays(_WordStats):
                      slope: int, b_d: int, b_e: int, run_delta: int,
                      params: DelSubParams, target: DelSubSketches,
                      ) -> list[tuple[int, int]]:
-        """The (insert position, flip position) hits among reps[lo:hi] of a
-        flip stretch of `_scan`, whose flip position in the word is q at
-        reps[lo] and moves by slope per representative: the scan's
-        per-representative loop, with the bit, run-count and f1r tests of
-        every representative as array masks, and the hits in the same
-        order."""
+        """`_WordStats.stretch_hits`, with the bit, run-count and f1r tests
+        of every representative as array masks."""
         n, m = params.n, self.m
         ext, ranks = self.array, self.ranks
         rep = reps[lo:hi]
@@ -255,7 +283,7 @@ class _WordArrays(_WordStats):
         e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
         rank_d = ranks[d - 1] + c1 + np.where(
             d - 1 > p, e2, np.where(d - 1 == p, e1, 0))
-        f1r = self.r1[m] + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
+        f1r = self.f1r + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
         hits = []
         for i in np.flatnonzero((f1r - target.f1r) % params.f1r_mod == 0):
             f2r = self.edited_sums(int(d[i]), b_d, int(p[i]), b_e)[1]
@@ -264,24 +292,22 @@ class _WordArrays(_WordStats):
         return hits
 
 
-def _sums_vector(bits: bytes) -> tuple[int, int, int, int, int]:
-    """Raw (VT sum, f1r, sum of squared ranks, weight, run count) of a word
-    from its bytes, for `sketches`: positions are 1-based indices of the
-    uint8 word behind the sentinel x_0 = 0."""
-    ext = b"\x00" + bits
-    array = np.frombuffer(ext, dtype=np.uint8)
-    ranks = _rank_array(array)
-    return (weighted_vt_sum(array[1:]), int(ranks.sum()), int(ranks.dot(ranks)),
-            int(np.count_nonzero(array)), int(ranks[-1]) + (ext[-1] == 0) + 1)
+def _table_class(n: int) -> type[_WordStats]:
+    """The rank-table class for codeword length n, refusing n past the
+    int64 bound: the one place that chooses the path."""
+    if n > VECTOR_MAX_N:
+        raise SizeGuardError(f"delsub's int64 sums need n <= {VECTOR_MAX_N}")
+    return _WordArrays if n >= VECTOR_MIN_N else _WordStats
 
 
 def sketches(word: Word, params: DelSubParams) -> DelSubSketches:
     require_binary(word)
     bits = word.raw
-    # the Python loop and the range test are inline: at desk scale a sketch
+    # the Python loop and the length test are inline: at desk scale a sketch
     # takes a few microseconds, and every call on the way counts
-    if VECTOR_MIN_N <= len(bits) <= VECTOR_MAX_N:
-        f, f1r, squares, weight, runs = _sums_vector(bits)
+    if len(bits) >= VECTOR_MIN_N:
+        t = _table_class(len(bits))(bits)
+        f, f1r, squares, weight, runs = t.vt, t.f1r, t.squares, t.weight, t.runs
     else:
         f = weight = f1r = squares = rank = prev = 0
         for i, b in enumerate(bits, 1):
@@ -312,8 +338,7 @@ def classify_error(target: DelSubSketches, y: Word, params: DelSubParams,
     if len(y) != params.n - 1:
         raise NoCandidateError(f"classification needs |y| = {params.n - 1}")
     if stats is None:
-        stats = (_WordArrays if VECTOR_MIN_N <= params.n <= VECTOR_MAX_N
-                 else _WordStats)(y.raw)
+        stats = _table_class(params.n)(y.raw)
     h_diff = signed_residue(target.h - stats.weight, params.h_mod)
     if h_diff not in _PATTERN_TABLE:
         raise NoCandidateError(f"weight difference {h_diff} matches no error pattern")
@@ -336,7 +361,7 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     if h_diff not in (-1, 1):
         raise NoCandidateError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
-    vt = sum(compress(range(1, len(bits) + 1), bits))
+    vt = weighted_vt_sum(np.frombuffer(bits, dtype=np.uint8))
     f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
@@ -369,20 +394,15 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     most one k matches the VT sketch, found in O(1).  With a flip the VT
     sketch forces the flip's position q in the word after the insertion, also
     affine in k, and the k with 1 <= q <= n form at most two stretches.  At
-    each of their representatives the bit and run-count tests and f1r are
-    O(1) on the table, and only the survivors pay for the exact f2r sum; a
-    hit matches all five sketches exactly.  A `_WordArrays` runs those tests
-    on all the representatives of a stretch at once (`stretch_hits`).  A hit
-    inserts at its representative, or at the run's next position when the
+    each of their representatives `stretch_hits` runs the bit and run-count
+    tests and f1r, O(1) on the table (on a `_WordArrays`, as array masks over
+    the stretch), and only the survivors pay for the exact f2r sum; a hit
+    matches all five sketches exactly.  A hit inserts at its representative, or at the run's next position when the
     flip falls on the representative itself.  Distinct hits have distinct q:
     q is affine in the representative's index, and the two stretches lie
     f_mod > len(reps) apart.
     """
-    n, m = params.n, stats.m
-    ext, ranks = stats.ext, stats.ranks
     f_mod = params.f_mod
-    f1r_mod, f2r_mod = params.f1r_mod, params.f2r_mod
-    f1r_want, f2r_want = target.f1r, target.f2r
     # the VT sum after inserting b_d at the k-th representative, less the
     # target: inserting within a run of b_d's moves no 1, and each later
     # representative lies past one more bit 1 - b_d
@@ -391,16 +411,15 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     hits = []  # (d, p or None)
     if b_e is None:
         k = -f0 * step % f_mod
-        if k <= (stats.weight if b_d == 0 else m - stats.weight):
+        if k <= (stats.weight if b_d == 0 else stats.m - stats.weight):
             d = int(stats.reps(b_d)[k])
             f1r, f2r, runs, _ = stats.edited_sums(d, b_d, None, None)
-            if (runs - stats.runs == run_delta and f1r % f1r_mod == f1r_want
-                    and f2r % f2r_mod == f2r_want):
+            if (runs - stats.runs == run_delta
+                    and f1r % params.f1r_mod == target.f1r
+                    and f2r % params.f2r_mod == target.f2r):
                 hits.append((d, None))
     else:
-        reps = stats.reps(b_d)
-        r1m = stats.r1[m]
-        vector = isinstance(stats, _WordArrays)
+        n, reps = params.n, stats.reps(b_d)
         # q = -(f0 + step * k) * sign mod f_mod moves by slope per k; from
         # the k where q = q_first, the next n values of k keep 1 <= q <= n
         sign = 2 * b_e - 1
@@ -409,42 +428,10 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
         first = (q_first + f0 * sign) * slope % f_mod
         for start in (first - f_mod, first):
             lo, hi = max(start, 0), min(start + n, len(reps))
-            if lo >= hi:
-                continue
-            if vector:
+            if lo < hi:
                 hits += stats.stretch_hits(
                     reps, lo, hi, q_first + slope * (lo - start), slope, b_d,
                     b_e, run_delta, params, target)
-                continue
-            for rep, q in zip(islice(reps, lo, hi),
-                              count(q_first + slope * (lo - start), slope)):
-                d = rep
-                if q == d:
-                    # q is the inserted bit itself: the run's next position,
-                    # if it has one, gives the word of this representative
-                    d += 1
-                    if d > n or ext[rep] != b_d:
-                        continue
-                p = q - 1 if q > d else q
-                if ext[p] == b_e:
-                    continue
-                a = b_e if p == d - 1 else ext[d - 1]
-                b = b_e if p == d else ext[d]
-                c1 = b_d != a
-                delta = c1 + (b != b_d) - (a != b)
-                e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
-                # |e2 + delta| <= 4 and run_delta is a signed residue mod 13,
-                # so the run sketch holds exactly when they are equal
-                if e2 + delta != run_delta:
-                    continue
-                e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
-                rank_d = ranks[d - 1] + c1 + (
-                    e2 if d - 1 > p else e1 if d - 1 == p else 0)
-                if (r1m + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
-                        - f1r_want) % f1r_mod:
-                    continue
-                if stats.edited_sums(d, b_d, p, b_e)[1] % f2r_mod == f2r_want:
-                    hits.append((d, p))
     return hits
 
 
@@ -463,13 +450,12 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
     """
     require_binary(y)
     n = params.n
+    tables = _table_class(n)
     if len(y) == n:
         return _correct_one_substitution(y, target, params)
     if len(y) != n - 1:
         raise DecodeFailure(f"length {len(y)} incompatible with n = {n}")
-    # the range test of VECTOR_MIN_N and VECTOR_MAX_N, inline as in sketches
-    stats = (_WordArrays if VECTOR_MIN_N <= n <= VECTOR_MAX_N
-             else _WordStats)(y.raw)
+    stats = tables(y.raw)
     x_d, x_e, run_delta = classify_error(target, y, params, stats)
     scans = [(x_d, x_e)]
     h_diff = x_d + 2 * x_e - 1

@@ -195,6 +195,10 @@ def test_decode_failure_is_a_json_error(capsys):
     (["measure", "--code", "delsub", "--n", "-1"], "AlphabetError"),
     (["build-hash", "--cap", "-1", "--out", os.devnull], "SizeGuardError"),
     (["build-hash", "--cap", "0", "--out", os.devnull], "SizeGuardError"),
+    (["build-hash", "--cap", "2", "--out", "/nonexistent/dir/x.json"],
+     "FileNotFoundError"),
+    # more desk candidates than the build enumerates in a few seconds
+    (["encode", "--code", "deltrans", "--n", "200"], "SizeGuardError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_input_is_a_json_error(capsys, argv, error_type):
     code, out = run_cli(capsys, *argv)

@@ -16,7 +16,6 @@ from syncodec.delsub import (
     _WordArrays,
     _WordStats,
     _reachable_one_del_one_sub,
-    _sums_vector,
     classify_error,
     codewords_for_target,
     is_codeword,
@@ -827,7 +826,8 @@ def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
         x = _sweep_word(rng, n, kind)
         received = _received_words(rng, x, kind)
         for w in [x, *received]:
-            sums = _sums_vector(w)
+            stats = _WordArrays(w)
+            sums = (stats.vt, stats.f1r, stats.squares, stats.weight, stats.runs)
             f1r, f2r, runs, weight = _raw_sums(w)
             assert sums == (vt_sum(w), f1r, f2r + f1r, weight, runs)
             assert _all_python_ints(sums)
@@ -838,7 +838,7 @@ def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
             if len(y) != n - 1:
                 continue
             scalar, vector = _WordStats(y), _WordArrays(y)
-            for name in ("m", "weight", "vt", "runs", "squares"):
+            for name in ("m", "weight", "vt", "runs", "squares", "f1r"):
                 assert getattr(vector, name) == getattr(scalar, name)
                 assert type(getattr(vector, name)) is int
             assert vector.ranks.tolist() == scalar.ranks
@@ -881,12 +881,13 @@ def test_int64_sums_are_exact_up_to_the_largest_vector_length():
     word = b"\x01\x00" * (n // 2) + b"\x01" * (n % 2)
     ones = (n + 1) // 2
     runs = n + (word[-1] == 0) + 1
-    assert _sums_vector(word) == (ones * ones, n * (n + 1) // 2,
-                                  n * (n + 1) * (2 * n + 1) // 6, ones, runs)
+    stats = _WordArrays(word)
+    assert (stats.vt, stats.f1r, stats.squares, stats.weight, stats.runs) == (
+        ones * ones, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, ones, runs)
     m = n - 1
     stats = _WordArrays(word[:m])
     assert stats.squares == m * (m + 1) * (2 * m + 1) // 6
-    assert int(stats.r1[m]) == m * (m + 1) // 2
+    assert stats.f1r == int(stats.r1[m]) == m * (m + 1) // 2
     assert stats.vt == ((m + 1) // 2) ** 2
 
 
@@ -895,19 +896,14 @@ class _Chosen(Exception):
 
 
 def _spy_paths(monkeypatch, seen, stop=False):
-    """Record which path list_decode's rank tables take, and when sketches
-    takes the vector one, with the word length; stop=True raises _Chosen at
-    the choice instead of running it."""
+    """Record which rank tables list_decode builds, and when sketches builds
+    the vector ones, with the word length; stop=True raises _Chosen at the
+    choice instead of running it."""
     def record(name, length):
         seen.append((name, length))
         if stop:
             raise _Chosen(name)
 
-    def sums_vector(bits, fn=delsub_module._sums_vector):
-        record("_sums_vector", len(bits))
-        return fn(bits)
-
-    monkeypatch.setattr(delsub_module, "_sums_vector", sums_vector)
     for name in ("_WordStats", "_WordArrays"):
         cls = getattr(delsub_module, name)
 
@@ -921,8 +917,9 @@ def _spy_paths(monkeypatch, seen, stop=False):
 
 def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
     """DelSubCode(16384): the payload's sketches and rank tables run on
-    numpy; the n = 96 inner sketch fields and the n = 12 desk-scale sketches
-    and list decodes stay on the Python loops."""
+    numpy, in a deletion plus substitution decode and in a substitution
+    decode; the n = 96 inner sketch fields and the n = 12 desk-scale
+    sketches and list decodes stay on the Python loops."""
     seen = []
     _spy_paths(monkeypatch, seen)
     rng = random.Random(16384)
@@ -930,11 +927,15 @@ def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
     n = codec.n_total
     z = Word(tuple(rng.getrandbits(1) for _ in range(codec.m)), 2)
     x = codec.encode(z)
-    assert seen == [("_sums_vector", 16384)]
+    assert seen == [("_WordArrays", 16384)]
     seen.clear()
     assert z in codec.decode(apply(x, DelAndSub(rng.randint(1, n // 2),
                                                 rng.randint(n // 2, n))))
     assert set(seen) == {("_WordStats", 95), ("_WordArrays", 16383)}
+    seen.clear()
+    e = rng.randint(1, codec.m)
+    assert codec.decode(apply(x, Substitution(e, 1 - x.symbols[e - 1]))) == [z]
+    assert seen == [("_WordArrays", 16384)]
     seen.clear()
     params = DelSubParams(12)
     w = Word.parse("100110100011")
@@ -945,17 +946,28 @@ def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
 
 @pytest.mark.parametrize("n,path", [
     (VECTOR_MIN_N - 1, "scalar"), (VECTOR_MIN_N, "vector"),
-    (VECTOR_MAX_N, "vector"), (VECTOR_MAX_N + 1, "scalar")])
+    (VECTOR_MAX_N, "vector"), (VECTOR_MAX_N + 1, "refused")])
 def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
     """Each public entry chooses its path from n alone: numpy from
-    VECTOR_MIN_N to VECTOR_MAX_N, the Python loops below and above, so no
-    int64 sum can overflow.  The spies stop each call at its choice; the
-    Python loop of sketches runs, on a word of zeros."""
+    VECTOR_MIN_N to VECTOR_MAX_N, the Python loops below, and past
+    VECTOR_MAX_N, where an int64 sum could overflow, a SizeGuardError before
+    any table is built.  The spies stop each call at its choice; the Python
+    loop of sketches runs, on a word of zeros."""
     seen = []
     _spy_paths(monkeypatch, seen, stop=True)
     zeros = Word(bytes(n))
     params = DelSubParams(n)
     target = DelSubSketches(0, 0, 0, 0, 2)
+    if path == "refused":
+        short = Word(zeros.raw[1:])
+        for call, args in [(sketches, (zeros, params)),
+                           (list_decode, (zeros, target, params)),
+                           (list_decode, (short, target, params)),
+                           (classify_error, (target, short, params))]:
+            with pytest.raises(SizeGuardError):
+                call(*args)
+        assert seen == []
+        return
     if path == "vector":
         with pytest.raises(_Chosen):
             sketches(zeros, params)
@@ -963,5 +975,5 @@ def test_the_path_follows_the_codeword_length(n, path, monkeypatch):
         assert sketches(zeros, params) == target
     with pytest.raises(_Chosen):
         list_decode(Word(zeros.raw[1:]), target, params)
-    want = {"scalar": ["_WordStats"], "vector": ["_sums_vector", "_WordArrays"]}
+    want = {"scalar": ["_WordStats"], "vector": ["_WordArrays", "_WordArrays"]}
     assert [name for name, _ in seen] == want[path]

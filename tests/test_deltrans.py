@@ -654,6 +654,13 @@ def test_candidates_enumeration():
     assert len(set(w.symbols for w in words)) == len(words)
     # compositions of 12 into {4,5}: 4+4+4 only
     assert len(words) == 1
+    # the guard counts before it builds: n = 52 under cap 5 is the largest
+    # count it allows, and 53,530 at n = 53 or 99,745 at n = 36 under cap 6
+    # are refused
+    assert len(enumerate_candidates(52, 5)) == deltrans.DESK_MAX_CANDIDATES
+    for n, delta in [(53, 5), (36, 6)]:
+        with pytest.raises(SizeGuardError):
+            enumerate_candidates(n, delta)
 
 
 def test_desk_code_build_and_membership(desk_code):
