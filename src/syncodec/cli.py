@@ -27,8 +27,8 @@ from .words import (
 
 # --code -> (codec class, sketch-class module, its params at length n).  A
 # codec declares its alphabet q, error model and list bound; the module's
-# largest sketch class at length n (search_best_target, codewords_for_target)
-# is the desk code that verify-code checks.
+# largest sketch class at length n (largest_class) is the desk code that
+# verify-code checks.
 CODES = {
     "edit4": (edit4.Edit4Code, edit4, edit4.Edit4Params.for_length),
     "delsub": (delsub.DelSubCode, delsub, delsub.DelSubParams),
@@ -165,8 +165,7 @@ def _cmd_verify_code(args) -> int:
         if module is None:
             members = codec.build(args.n).codewords
         else:
-            target, _ = module.search_best_target(args.n)
-            members = module.codewords_for_target(args.n, target)
+            members = module.largest_class(args.n)[1]
         report = oracle.verify_code(members, codec.model, codec.list_bound)
     print(report.to_json())
     return 0 if report.ok else 1

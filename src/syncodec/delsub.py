@@ -13,9 +13,11 @@ O(1) tests on the table, and the survivors get the second run sum, also O(1)
 from the table, as the one exact check.  A decode is O(n) overall, and its
 hits are exactly the sketch-consistent members of the error ball, which the
 exhaustive oracle bounds by two; one word is built per distinct word.
-`DelSubCode.decode` builds each candidate's codeword from the recovered
-sketch fields and guard, which are what `encode` writes, and keeps the
-candidates whose codeword reaches the received word.
+`DelSubCode` appends the message's sketch fields, padded to an inner length
+of at least INNER_CAPACITY bits, and a repetition guard of their own sketches.
+Its decode builds each candidate's codeword from the recovered fields and
+guard, which are what `encode` writes, and keeps the candidates whose
+codeword reaches the received word.
 
 Each O(n) pass has two implementations, chosen by the codeword length n.
 Below VECTOR_MIN_N they are Python loops over the word's bytes (`Word.raw`,
@@ -23,13 +25,13 @@ one per bit), whose fixed cost per call is a few microseconds.  From
 VECTOR_MIN_N on, numpy views the same bytes as a uint8 array, and a flip
 stretch of the scan tests all its representatives at once as array masks.
 Both give the same results, exceptions included.  The int64 sums are exact
-up to VECTOR_MAX_N, and longer codewords are refused.  `DelSubCode.decode`'s
-reachability check sums nothing, so it has one numpy implementation.
+up to VECTOR_MAX_N, and longer codewords and messages are refused.
+`DelSubCode.decode`'s reachability check sums nothing, so it has one numpy
+implementation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, product
@@ -482,7 +484,7 @@ def list_decode(y: Word, target: DelSubSketches, params: DelSubParams,
 def _sketch_classes(n: int):
     """Every binary word of length n (0 <= n <= EXHAUSTIVE_MAX_N) with its
     sketches, in lexicographic order: the one enumeration behind
-    `search_best_target` and `codewords_for_target`."""
+    `largest_class` and `codewords_for_target`."""
     if n < 0:
         raise AlphabetError("word length must not be negative")
     if n > EXHAUSTIVE_MAX_N:
@@ -494,18 +496,31 @@ def _sketch_classes(n: int):
         yield word, sketches(word, params)
 
 
+def largest_class(n: int) -> tuple[DelSubSketches, list[Word]]:
+    """The largest sketch bucket over all binary words of length n, ties to
+    the smallest tuple, and the bucket's words, from one enumeration."""
+    ids: dict[tuple, int] = {}  # sketch tuple -> its bucket's number
+    labels = np.fromiter((ids.setdefault(sk.astuple(), len(ids))
+                          for _, sk in _sketch_classes(n)), dtype=np.int64)
+    counts = np.bincount(labels).tolist()
+    size = max(counts)
+    best = min(k for k, i in ids.items() if counts[i] == size)
+    return DelSubSketches(*best), [
+        Word(bytes((i >> (n - 1 - j)) & 1 for j in range(n)))
+        for i in np.flatnonzero(labels == ids[best]).tolist()]
+
+
 def search_best_target(n: int) -> tuple[DelSubSketches, int]:
-    """Largest sketch bucket over all binary words of length n."""
-    buckets = Counter(sk.astuple() for _, sk in _sketch_classes(n))
-    best_size = max(buckets.values())
-    best = min(k for k, v in buckets.items() if v == best_size)
-    return DelSubSketches(*best), best_size
+    """Largest sketch bucket over all binary words of length n, and its size."""
+    target, members = largest_class(n)
+    return target, len(members)
 
 
 def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
     return [w for w, sk in _sketch_classes(n) if sk == target]
 
 
+# the shortest inner length; the fields of every m <= 741,455 fit in it
 INNER_CAPACITY = 96
 
 
@@ -535,7 +550,7 @@ def _reachable_one_del_one_sub(x_bits: bytes, y_bits: bytes) -> bool:
 
 class DelSubCode:
     """Systematic encoder: message, its sketch fields, then a repetition guard
-    protecting the sketch fields' own sketches at a fixed inner capacity."""
+    of the fields' own sketches at an inner length of at least `INNER_CAPACITY`."""
 
     q = 2
     model = ErrorModel.ONE_DEL_ONE_SUB
@@ -544,21 +559,17 @@ class DelSubCode:
     def __init__(self, m: int):
         if m < 1:
             raise AlphabetError("message length must be positive")
+        _table_class(m)  # the payload's list_decode refuses m past VECTOR_MAX_N
         self.m = m
         self.params = DelSubParams(m)
         self.fields = SketchFields(self.params.moduli)
         self.v_bits = self.fields.width
-        if self.v_bits > INNER_CAPACITY:
-            raise AlphabetError(
-                f"message length {m} needs more than {INNER_CAPACITY} sketch bits")
-        self.inner_params = DelSubParams(INNER_CAPACITY)
+        inner_n = max(INNER_CAPACITY, self.v_bits)
+        self.pad = bytes(inner_n - self.v_bits)
+        self.inner_params = DelSubParams(inner_n)
         self.inner_fields = SketchFields(self.inner_params.moduli)
-        self.guard_len = REP * self.inner_fields.width
-        self.redundancy = self.v_bits + self.guard_len
+        self.redundancy = self.v_bits + REP * self.inner_fields.width
         self.n_total = m + self.redundancy
-
-    def _pad(self, v_bits: bytes, short: int = 0) -> Word:
-        return Word(v_bits + bytes(INNER_CAPACITY - short - len(v_bits)))
 
     def encode(self, z: Word) -> Word:
         require_binary(z)
@@ -566,7 +577,7 @@ class DelSubCode:
             raise AlphabetError(f"message must have length {self.m}")
         v = self.fields.pack(sketches(z, self.params).astuple())
         t = self.inner_fields.pack(
-            sketches(self._pad(v), self.inner_params).astuple())
+            sketches(Word(v + self.pad), self.inner_params).astuple())
         return Word(z.raw + v + rep_encode(t), 2)
 
     def decode(self, y: Word) -> list[Word]:
@@ -575,21 +586,18 @@ class DelSubCode:
         if delta not in (-1, 0):
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
-        raw = y.raw
-        guard_at = len(raw) - (self.guard_len + delta)
-        t = rep_decode(raw[guard_at:], self.inner_fields.width)
+        raw, m, v_bits = y.raw, self.m, self.v_bits
+        # len(y) = n_total + delta: the guard window, the last |guard| + delta
+        # bits, starts at m + |v| whatever the edit, and the tail at m.  Under
+        # exactly -delta deletions and at most one substitution, the tail's
+        # first |v| + delta bits are always v.
+        t = rep_decode(raw[m + v_bits:], self.inner_fields.width)
         inner_target = DelSubSketches(*self.inner_fields.unpack(t))
-        # within the whole-tail window (the last |v| + |guard| + delta bits),
-        # the first |v| + delta bits are always v under exactly -delta
-        # deletions and at most one substitution
-        tail_at = len(raw) - (self.v_bits + self.guard_len + delta)
-        v_window = raw[tail_at:tail_at + self.v_bits + delta]
-        d_window = self._pad(v_window, short=-delta)
+        d_window = Word(raw[m:m + v_bits + delta] + self.pad)
         try:
             inner_hits = list_decode(d_window, inner_target, self.inner_params)
         except DecodeFailure as exc:
             raise DecodeFailure("sketch fields are unrecoverable") from exc
-        pad = bytes(INNER_CAPACITY - self.v_bits)
         guard = rep_encode(t)
         # every inner hit matches inner_target exactly, so its fields v and
         # the guard t are what encode() writes for any payload z whose
@@ -600,12 +608,12 @@ class DelSubCode:
         # lists share no z.
         out = []
         for hit in inner_hits:
-            v = hit.raw[:self.v_bits]
-            if hit.raw[self.v_bits:] != pad:
+            v = hit.raw[:v_bits]
+            if hit.raw[v_bits:] != self.pad:
                 continue
             try:
                 target = DelSubSketches(*self.fields.unpack(v))
-                zs = list_decode(Word(raw[:self.m + delta]), target, self.params)
+                zs = list_decode(Word(raw[:m + delta]), target, self.params)
             except DecodeFailure:
                 continue
             out += [z for z in zs

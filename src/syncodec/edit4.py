@@ -360,25 +360,26 @@ class Edit4Code:
         if delta not in (-1, 0, 1):
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
-        raw = y.raw
-        window = raw[len(raw) - (self.tail_len + delta):]
+        raw, n = y.raw, self.m + 4
+        # len(y) = n + tail_len + delta, so the repetition window, the last
+        # tail_len + delta symbols, starts at n whatever the edit
+        window = raw[n:]
         bits = quaternary_to_bits(rep_decode(window, self.tail_blocks))
         target = Edit4Sketches(*self.fields.unpack(bits))
         expected_tail = rep_encode(self._serialize(target))
-        if raw[len(raw) - self.tail_len:] != expected_tail:
+        if raw[n + delta:] != expected_tail:
             # the edit hit the tail, so the payload part is intact
-            payload = Word(raw[:self.m + 4], 4)
+            payload = Word(raw[:n], 4)
             z = rll_decode(payload)
             # z's codeword is payload + expected_tail when the payload's
             # sketches are the target, and reaches y when y's tail part is
             # within one edit of expected_tail
-            if not _within_one_edit(raw[self.m + 4:], expected_tail):
+            if not _within_one_edit(window, expected_tail):
                 raise DecodeFailure("tail is more than one edit from its guard")
             if sketches(payload, self.params) != target:
                 raise DecodeFailure("intact payload does not match the tail's sketches")
             return z
-        payload_window = Word(raw[:len(raw) - self.tail_len], 4)
-        x = correct_edit(payload_window, target, self.params)
+        x = correct_edit(Word(raw[:n + delta], 4), target, self.params)
         return rll_decode(x)
 
 
@@ -424,26 +425,30 @@ def _regular_mask(symbols: np.ndarray, cap: int) -> np.ndarray:
     return ok
 
 
-def search_best_target(n: int) -> tuple[Edit4Sketches, int]:
-    """Sketch target with the largest regular bucket; ties to the smallest tuple."""
+def largest_class(n: int) -> tuple[Edit4Sketches, list[Word]]:
+    """The sketch target with the largest regular bucket, ties to the
+    smallest tuple, and the bucket's words, from one enumeration."""
     keys, regular = enumerate_sketch_space(n)
-    counts = np.bincount(keys[regular])
-    best = int(np.argmax(counts))
-    f, rest = divmod(best, 8)
-    h0, rest = divmod(rest, 4)
-    h1, h2 = divmod(rest, 2)
-    return Edit4Sketches(f, h0, h1, h2), int(counts[best])
+    best = int(np.argmax(np.bincount(keys[regular])))
+    target = Edit4Sketches(best >> 3, best >> 2 & 1, best >> 1 & 1, best & 1)
+    return target, _bucket(n, keys, regular, best)
+
+
+def search_best_target(n: int) -> tuple[Edit4Sketches, int]:
+    """Sketch target with the largest regular bucket, and the bucket's size."""
+    target, members = largest_class(n)
+    return target, len(members)
 
 
 def codewords_for_target(n: int, target: Edit4Sketches) -> list[Word]:
-    keys, regular = enumerate_sketch_space(n)
     key = ((target.f * 2 + target.h0) * 2 + target.h1) * 2 + target.h2
-    members = np.nonzero(regular & (keys == key))[0]
-    out = []
-    for idx in members:
-        idx = int(idx)
-        out.append(Word(bytes((idx >> (2 * (n - 1 - j))) & 3 for j in range(n)), 4))
-    return out
+    return _bucket(n, *enumerate_sketch_space(n), key)
+
+
+def _bucket(n: int, keys: np.ndarray, regular: np.ndarray, key: int) -> list[Word]:
+    """The regular words of length n whose sketch key is key, in order."""
+    return [Word(bytes((idx >> (2 * (n - 1 - j))) & 3 for j in range(n)), 4)
+            for idx in np.flatnonzero(regular & (keys == key)).tolist()]
 
 
 def regular_fraction(n: int, trials: int, seed: int) -> float:

@@ -8,17 +8,14 @@ agreement of the two formulations is itself covered by tests at tiny sizes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
-from .errors import AlphabetError, SizeGuardError
-from .words import ErrorModel, Word, forward_images
+from .words import ErrorModel, Word, all_words, forward_images
 
 SCHEMA_VERSION = 1
-ENUMERATION_MAX_N = 16
 # a failing report lists at most this many received words with too long a list
 WITNESS_CAP = 10
 
@@ -65,18 +62,6 @@ def measure_redundancy(code_size: int, n: int, q: int) -> float:
     return n * math.log2(q) - math.log2(code_size)
 
 
-def all_words(n: int, q: int) -> Iterable[Word]:
-    """Every length-n word over {0, .., q-1}, in lexicographic order."""
-    if n < 0:
-        raise AlphabetError("word length must not be negative")
-    if n > ENUMERATION_MAX_N:
-        raise SizeGuardError(f"enumeration capped at n <= {ENUMERATION_MAX_N}")
-    if q < 2:
-        raise AlphabetError(f"alphabet size must be >= 2, got {q}")
-    for symbols in itertools.product(range(q), repeat=n):
-        yield Word(symbols, q)
-
-
 def code_from_predicate(predicate: Callable[[Word], bool], n: int, q: int,
                         ) -> list[Word]:
     return [w for w in all_words(n, q) if predicate(w)]
@@ -115,8 +100,6 @@ def search_inner_code(model: ErrorModel, length: int, q: int = 2) -> list[Word]:
     """Greedy maximal code for the model: keep a word whenever its image set
     is disjoint from the images of everything kept so far (lexicographic
     order, so the result is reproducible)."""
-    if length > ENUMERATION_MAX_N:
-        raise SizeGuardError(f"greedy search capped at length <= {ENUMERATION_MAX_N}")
     kept: list[Word] = []
     claimed: set[bytes] = set()
     for w in all_words(length, q):
@@ -138,8 +121,7 @@ def sketch_class_sweep(n: int, model: ErrorModel,
     maximum is attained at least once at 2, and the histogram of list sizes.
     """
     counts: dict[tuple, int] = {}
-    for value in range(2 ** n):
-        x = Word(bytes((value >> (n - 1 - i)) & 1 for i in range(n)), 2)
+    for x in all_words(n, 2):
         key = sketch_fn(x)
         for y in forward_images(x, model):
             pair = (key, y.raw)

@@ -13,7 +13,8 @@ from typing import Iterator, Union
 
 from .errors import AlphabetError, PositionError, SizeGuardError
 
-ERROR_BALL_MAX_N = 16
+# the exhaustive oracles enumerate at most this many words q^n
+ENUMERATION_MAX_WORDS = 2 ** 16
 
 
 _ALPHABET = bytes(range(256))
@@ -251,26 +252,30 @@ def compatible_lengths(model: ErrorModel, n: int) -> tuple[int, ...]:
     raise TypeError(f"unknown model {model!r}")
 
 
+def all_words(n: int, q: int) -> Iterator[Word]:
+    """Every length-n word over {0, .., q-1}, in lexicographic order; more than
+    ENUMERATION_MAX_WORDS are refused (q >= 2, so n = 17 is already too many)."""
+    if n < 0:
+        raise AlphabetError("word length must not be negative")
+    if q < 2:
+        raise AlphabetError(f"alphabet size must be >= 2, got {q}")
+    if q ** min(n, 17) > ENUMERATION_MAX_WORDS:
+        raise SizeGuardError(f"enumeration capped at q^n <= {ENUMERATION_MAX_WORDS}")
+    return (Word(symbols, q) for symbols in itertools.product(range(q), repeat=n))
+
+
 def error_ball(y: Word, model: ErrorModel, n: int, q: int | None = None) -> set[Word]:
     """Exact set B(y) of length-n sources mapping to y under the model.
 
     Computed by filtration over all q^n candidates; this is the trusted oracle,
-    so simplicity wins over speed.  Cost is O(q^n); n is capped at
-    ERROR_BALL_MAX_N.
+    so simplicity wins over speed.  Cost is O(q^n); q^n is capped at
+    ENUMERATION_MAX_WORDS.
     """
-    if q is None:
-        q = y.q
-    if n > ERROR_BALL_MAX_N:
-        raise SizeGuardError(f"error_ball capped at n <= {ERROR_BALL_MAX_N}")
+    candidates = all_words(n, y.q if q is None else q)
     if len(y) not in compatible_lengths(model, n):
         raise PositionError(
             f"|y| = {len(y)} incompatible with model {model.value} at n = {n}")
-    ball = set()
-    for symbols in itertools.product(range(q), repeat=n):
-        x = Word(symbols, q)
-        if y in forward_images(x, model):
-            ball.add(x)
-    return ball
+    return {x for x in candidates if y in forward_images(x, model)}
 
 
 def run_string(word: Word) -> tuple[int, ...]:

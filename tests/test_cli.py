@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from syncodec.cli import main
+from syncodec.cli import CODES, main
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
 from syncodec.words import Word
@@ -105,6 +105,26 @@ def test_verify_code_delsub(capsys):
     assert record["max_list_size"] <= 2
 
 
+@pytest.mark.parametrize("code_name, enumeration, n", [
+    ("delsub", "_sketch_classes", 8), ("edit4", "enumerate_sketch_space", 6)])
+def test_verify_code_enumerates_once(code_name, enumeration, n, capsys,
+                                     monkeypatch):
+    """verify-code finds the largest sketch class and its members in one
+    enumeration of the q^n words."""
+    module = CODES[code_name][1]
+    calls = []
+    enumerate_words = getattr(module, enumeration)
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_words(*args)
+
+    monkeypatch.setattr(module, enumeration, counted)
+    code, out = run_cli(capsys, "verify-code", "--code", code_name, "--n", str(n))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == [(n,)]
+
+
 def test_verify_code_vt(capsys):
     code, out = run_cli(capsys, "verify-code", "--code", "vt", "--n", "8")
     assert code == 0
@@ -134,6 +154,11 @@ def test_measure_delsub_tail(capsys):
     assert code == 0
     assert json.loads(out) == {"code": "delsub", "n": 8, "bucket_size": 2,
                                "redundancy_bits": 7.0}
+    # past m = 741,455 the sketch fields outgrow INNER_CAPACITY and the inner
+    # length follows them: 98 field bits and a 225-bit guard
+    code, out = run_cli(capsys, "measure", "--code", "delsub", "--m", "1048576")
+    assert code == 0
+    assert json.loads(out) == {"code": "delsub", "tail_bits": {"1048576": 323}}
 
 
 def test_build_hash_writes_table(capsys, tmp_path):
@@ -188,6 +213,9 @@ def test_decode_failure_is_a_json_error(capsys):
     (["verify-code", "--code", "vt", "--n", "-1"], "AlphabetError"),
     (["measure", "--code", "vt", "--n", "-1"], "AlphabetError"),
     (["search-inner", "--model", "single-edit", "--length", "-1"], "AlphabetError"),
+    # 4^14 words: the word count, not the length, is past the enumeration cap
+    (["search-inner", "--model", "single-edit", "--length", "14", "--q", "4"],
+     "SizeGuardError"),
     (["search-params", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["search-params", "--code", "edit4", "--n", "11"], "SizeGuardError"),
     (["search-params", "--code", "delsub", "--n", "23"], "SizeGuardError"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from operator import ne
@@ -8,6 +9,7 @@ from conftest import binary_words
 import syncodec.delsub as delsub_module
 from syncodec.delsub import (
     EXHAUSTIVE_MAX_N,
+    INNER_CAPACITY,
     VECTOR_MAX_N,
     VECTOR_MIN_N,
     DelSubCode,
@@ -19,6 +21,7 @@ from syncodec.delsub import (
     classify_error,
     codewords_for_target,
     is_codeword,
+    largest_class,
     list_decode,
     search_best_target,
     sketches,
@@ -632,6 +635,7 @@ def test_exhaustive_pair_accepts_and_refuses_the_same_lengths(monkeypatch):
     assert outcomes(6) == [SizeGuardError] * 2
     target, size = search_best_target(5)
     assert len(codewords_for_target(5, target)) == size
+    assert largest_class(5) == (target, codewords_for_target(5, target))
 
 
 def test_search_best_target_bucket_bound():
@@ -687,6 +691,54 @@ def test_redundancy_grows_with_fixed_offset():
         codec = DelSubCode(2 ** k)
         offsets.add(codec.redundancy - 4 * k)
     assert len(offsets) == 1
+
+
+# SHA-256 of the seeded DelSubCode encodings that encodings_digest hashes
+ENCODINGS_SHA256 = "912f9d3c479c1f88b365c9f7387653aeb39b88c6e19b41ce5e8a8bdd0491a7fd"
+
+
+def encodings_digest():
+    rng = random.Random(2021)
+    h = hashlib.sha256()
+    for m in (1, 2, 5, 8, 64, 150, 1024, 16384):
+        codec = DelSubCode(m)
+        for _ in range(4):
+            z = Word(bytes(rng.randrange(2) for _ in range(m)))
+            h.update(codec.encode(z).raw + b"\n")
+    return h.hexdigest()
+
+
+def test_encodings_digest():
+    """The codeword bytes are pinned: a change to them is a format change."""
+    assert encodings_digest() == ENCODINGS_SHA256
+
+
+@pytest.mark.parametrize("m", [741_456, 2 ** 20])
+def test_round_trip_past_the_inner_capacity(m):
+    """Past m = 741,455 the sketch fields outgrow INNER_CAPACITY bits and the
+    inner length follows them; a deletion, a substitution and both still
+    decode to the message."""
+    rng = random.Random(m)
+    codec = DelSubCode(m)
+    assert codec.v_bits > INNER_CAPACITY and codec.pad == b""
+    assert codec.inner_params.n == codec.v_bits
+    z = Word(bytes(rng.randrange(2) for _ in range(m)))
+    x = codec.encode(z)
+    n = codec.n_total
+    assert len(x) == n and x.raw[:m] == z.raw
+    d, e = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
+    for y in (apply(x, Deletion(d)),
+              apply(x, Substitution(e, 1 - x.symbols[e - 1])),
+              apply(x, DelAndSub(d, e)) if d != e else apply(x, Deletion(d))):
+        out = codec.decode(y)
+        assert z in out and len(out) <= 2
+
+
+def test_message_lengths_past_the_int64_bound_are_refused():
+    """DelSubCode refuses m past VECTOR_MAX_N at construction, through the
+    guard its payload's list_decode applies."""
+    with pytest.raises(SizeGuardError):
+        DelSubCode(VECTOR_MAX_N + 1)
 
 
 def reachable_reference(x_bits, y_bits):

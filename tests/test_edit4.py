@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from syncodec.edit4 import (
     enumerate_sketch_space,
     is_codeword,
     is_regular,
+    largest_class,
     regular_fraction,
     rll_decode,
     rll_encode,
@@ -332,6 +334,27 @@ def test_search_best_target_matches_slow_enumeration():
     assert target.astuple() == best_key
     assert {w.symbols for w in codewords_for_target(n, target)} == \
         {w.symbols for w in buckets[best_key]}
+    assert largest_class(n) == (target, codewords_for_target(n, target))
+
+
+# SHA-256 of the seeded Edit4Code encodings that encodings_digest hashes
+ENCODINGS_SHA256 = "eb12d95ec458257de592af4d5658f7b9d232727a30eb52352f985c3b3663e544"
+
+
+def encodings_digest():
+    rng = random.Random(2021)
+    h = hashlib.sha256()
+    for m in (0, 1, 7, 64, 4096):
+        codec = Edit4Code(m)
+        for _ in range(4):
+            z = Word(bytes(rng.randrange(4) for _ in range(m)), 4)
+            h.update(codec.encode(z).raw + b"\n")
+    return h.hexdigest()
+
+
+def test_encodings_digest():
+    """The codeword bytes are pinned: a change to them is a format change."""
+    assert encodings_digest() == ENCODINGS_SHA256
 
 
 def test_size_lower_bound_held_at_small_n():

@@ -89,6 +89,15 @@ def test_enumeration_guards():
         list(all_words(-1, 2))
     with pytest.raises(SizeGuardError):
         search_inner_code(ErrorModel.SINGLE_EDIT, 17)
+    # the cap is on the word count q^n: 2^16 words are enumerated, at any q
+    assert next(iter(all_words(8, 4))) == Word((0,) * 8, 4)
+    assert next(iter(all_words(16, 2))) == Word((0,) * 16, 2)
+    with pytest.raises(SizeGuardError):
+        list(all_words(9, 4))
+    with pytest.raises(SizeGuardError):
+        search_inner_code(ErrorModel.SINGLE_EDIT, 14, q=4)
+    with pytest.raises(SizeGuardError):
+        sketch_class_sweep(40, ErrorModel.ONE_DEL_ONE_SUB, lambda w: ())
 
 
 def test_measure_redundancy():

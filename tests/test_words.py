@@ -178,6 +178,11 @@ def test_error_ball_examples():
 def test_error_ball_guard():
     with pytest.raises(SizeGuardError):
         error_ball(Word.parse("0"), ErrorModel.SINGLE_EDIT, 17)
+    # the cap is on the word count q^n, so 4^9 candidates are refused too
+    with pytest.raises(SizeGuardError):
+        error_ball(Word((0,) * 8, 4), ErrorModel.SINGLE_EDIT, 9)
+    with pytest.raises(SizeGuardError):
+        error_ball(Word.parse("0"), ErrorModel.SINGLE_EDIT, 9, q=4)
     with pytest.raises(PositionError):
         error_ball(Word.parse("0101"), ErrorModel.ONE_DEL_ONE_SUB, 9)
 
