@@ -3,8 +3,9 @@
 The construction splits a word after each occurrence of the marker 0011,
 embeds a per-segment hash into a VT-type sketch over the segment vector, and
 expurgates so that distinct codeword hash multisets are far apart.  Decoding
-first locates a short window around the error via a right-to-left scan of a
-potential function, then repairs the window with an XOR-folded inner sketch.
+first locates a short window around the error from the last segment where a
+potential function meets its threshold, then repairs the window with an
+XOR-folded inner sketch.
 
 Paper-profile parameters are far beyond exhaustive testing, so profiles are
 explicit: the shipped desk profile uses a small segment cap with a greedily
@@ -18,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +35,7 @@ from .errors import (
     SizeGuardError,
 )
 from .inner import SketchFields, ceil_log2
-from .sketches import signed_residue, vt_parity_sums, vt_sum
+from .sketches import signed_residue, vt_parity_sums, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 MARKER = (0, 0, 1, 1)
@@ -392,10 +394,11 @@ class DeltransSketches:
 
 
 class SegmentTable(NamedTuple):
-    """A word's segments, in order, and the length of its trailing residue."""
+    """A word's segments, in order, as int64 arrays of their lengths and
+    hashes, and the length of its trailing residue."""
 
-    lengths: list[int]
-    hashes: list[int]
+    lengths: np.ndarray
+    hashes: np.ndarray
     residue: int
 
 
@@ -410,15 +413,38 @@ def _segment_table(word: Word, h) -> SegmentTable:
     bits = np.frombuffer(word.raw, dtype=np.uint8)
     ends = np.flatnonzero((bits[2:-1] & bits[3:]) > (bits[:-3] | bits[1:-2])) + 4
     if not len(ends):
-        return SegmentTable([], [], len(bits))
+        return SegmentTable(ends, ends, len(bits))  # both empty
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1]
     lengths = ends - starts
     if lengths.max() > 3 * h.cap:
         raise LocateFailure("a segment is longer than the hash domain")
-    return SegmentTable(lengths.tolist(), h.hash_segments(bits, starts, lengths).tolist(),
+    return SegmentTable(lengths, h.hash_segments(bits, starts, lengths),
                         len(bits) - int(ends[-1]))
+
+
+def _require_exact_sums(n: int, h) -> None:
+    """Refuse words of n bits whose segment sums could overflow int64.
+
+    Such a word has at most S = n // 4 segments, and each term
+    length * m + hash is below (3 * cap + 1) * m, for the hash range m.  So
+    the VT sum of the terms (the sketch f), and the potential scan's i * k
+    and dl * suffix (`_phi_scan`, over y and x's hash multiset, x at most
+    one bit longer than y), all stay below (S + 1)^2 * (3 * cap + 2) * m;
+    a length where that bound reaches 2^63 is refused.
+    """
+    rows = n // 4 + 1  # S + 1
+    if rows * rows * (3 * h.cap + 2) * h.hash_range >= 1 << 63:
+        raise SizeGuardError(f"segment sums of {n} bits under cap {h.cap} "
+                             "may overflow int64")
+
+
+def _parity_count(raw: bytes) -> int:
+    """The prefix-parity sum sum(p_i), p_i = b_1 xor .. xor b_i: the number
+    of odd prefixes."""
+    return int(np.count_nonzero(
+        np.bitwise_xor.accumulate(np.frombuffer(raw, dtype=np.uint8))))
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
@@ -428,16 +454,18 @@ def segment_sketches(word: Word, params: DeltransParams, h,
     whose segments lie in the hash domain.
 
     `table` is the word's `_segment_table`, when the caller has it already.
+    f is the VT sum of the terms length * m + hash, one int64 dot product
+    that `_require_exact_sums` keeps exact.
     """
+    _require_exact_sums(len(word), h)
     lengths, hashes, residue = table or _segment_table(word, h)
     if residue:
         raise MissingTerminalMarkerError("word does not end with the marker 0011")
-    m = h.hash_range
-    # the VT sum of the terms length * m + hash, over Python ints
-    f = (m * vt_sum(lengths) + vt_sum(hashes)) % params.f_mod
+    f = weighted_vt_sum(lengths * h.hash_range + hashes) % params.f_mod
     g1 = len(lengths) % 5
-    g2 = vt_parity_sums(word.raw)[1] % 3
-    return DeltransSketches(f, g1, g2), tuple(sorted(hashes))
+    g2 = _parity_count(word.raw) % 3
+    # sorted over Python ints: a first np.sort maps more library pages
+    return DeltransSketches(f, g1, g2), tuple(sorted(hashes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +515,27 @@ class LocateResult:
     bound: int
 
 
-def _phi_scan(terms: list[int], k: int, fdiff: int, dl: int, threshold: int) -> int:
+def _phi_scan(terms: np.ndarray, k: int, fdiff: int, dl: int, threshold: int) -> int:
     """Largest i' <= len(terms) - max(dl, 0) with |phi(i') - fdiff| <= threshold.
 
     phi(i') = -dl * sum(terms[j] for j > i' + max(dl, 0)) + i' * k, with terms
-    1-indexed, for a segment-count change dl; the scan walks right to left as
-    the potential moves monotonically by at least the case's step size: the
-    hash range m for merge-del, 2m for merge-trans and the single splits, 5m
-    for the double merge and split.
+    1-indexed, for a segment-count change dl; the potential moves
+    monotonically by at least the case's step size: the hash range m for
+    merge-del, 2m for merge-trans and the single splits, 5m for the double
+    merge and split.  One array pass takes phi at every i' (each suffix sum
+    is the total less a prefix sum, exact in int64 under
+    `_require_exact_sums`), masks it by the threshold and keeps the last hit.
     """
     grow = max(dl, 0)
-    suffix = 0
-    for i in range(len(terms) - grow, 0, -1):
-        if abs(i * k - dl * suffix - fdiff) <= threshold:
-            return i
-        suffix += terms[i + grow - 1]
+    top = len(terms) - grow
+    if top > 0:
+        prefix = np.cumsum(terms)
+        phi = (np.arange(1, top + 1, dtype=np.int64) * k
+               - dl * (prefix[-1] - prefix[grow:]))
+        # bounds as Python ints: fdiff can lie beyond int64 where phi cannot
+        hits = np.flatnonzero((phi >= fdiff - threshold) & (phi <= fdiff + threshold))
+        if len(hits):
+            return int(hits[-1]) + 1
     raise LocateFailure("potential scan found no index within the threshold")
 
 
@@ -523,12 +557,13 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     """
     n = params.n
     _check_length(y, n)
+    _require_exact_sums(n, h)
     deletion = len(y) == n - 1
     lengths, y_hashes, residue = y_table or _segment_table(y, h)
     ly = len(lengths)
     bounds = params.case_bounds
     if not deletion:
-        if vt_parity_sums(y.raw)[1] % 3 == target.g2:
+        if _parity_count(y.raw) % 3 == target.g2:
             return LocateResult(True, "clean", None, 0)
     dl = signed_residue(ly - target.g1, 5)
     kind = "del" if deletion else "trans"
@@ -541,15 +576,18 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         case = "terminal"
         lo = max(1, n - residue - 5)
         return LocateResult(False, case, (lo, n), bounds[case].window)
-    starts = list(itertools.accumulate(lengths, initial=1))
+    # before[j]: the bits of y's first j segments
+    before = np.zeros(ly + 1, dtype=np.int64)
+    np.cumsum(lengths, out=before[1:])
 
     def span_of(first: int, last: int) -> tuple[int, int]:
-        return starts[first - 1], min(n, starts[last] - 1 + (1 if deletion else 0))
+        return (int(before[first - 1]) + 1,
+                min(n, int(before[last]) + (1 if deletion else 0)))
 
     m = h.hash_range
-    f = m * vt_sum(lengths) + vt_sum(y_hashes)
-    fdiff = signed_residue(target.f - f % params.f_mod, params.f_mod)
-    k = (m if deletion else 0) + sum(h_x) - sum(y_hashes)
+    terms = lengths * m + y_hashes
+    fdiff = signed_residue(target.f - weighted_vt_sum(terms) % params.f_mod, params.f_mod)
+    k = (m if deletion else 0) + sum(h_x) - int(y_hashes.sum())
     if dl == 0:
         if k == 0 or fdiff % k:
             raise LocateFailure("sketch difference does not isolate a segment")
@@ -560,7 +598,6 @@ def locate(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         return LocateResult(False, case, span_of(i, i), bounds[case].window)
     case = {-2: "merge2", -1: "merge", 1: "split", 2: "split2"}[dl] + f"-{kind}"
     bound = bounds[case]
-    terms = [length * m + v for length, v in zip(lengths, y_hashes)]
     stop = _phi_scan(terms, k, fdiff, dl, bound.threshold)
     window = span_of(max(1, stop - bound.span), stop + max(dl, 0))
     return LocateResult(False, case, window, bound.window)
@@ -592,14 +629,21 @@ class WindowPlan:
         lb = self.window_bound
         return [(a + lb, b + lb) for a, b in self.primary[:self.t - 1]]
 
+    @property
+    def families(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(bits before the first interval, interval count) of the primary
+        and the shifted family; each family's intervals abut."""
+        return (0, self.t), (self.window_bound, self.t - 1)
+
     def interval_for(self, window: tuple[int, int]) -> tuple[int, int]:
+        """(family, index): the first interval, primary before shifted, that
+        holds the window.  Only the interval holding lo can, so each family
+        takes one division."""
         lo, hi = window
-        for idx, (a, b) in enumerate(self.primary):
-            if a <= lo and hi <= b:
-                return 1, idx
-        for idx, (a, b) in enumerate(self.shifted):
-            if a <= lo and hi <= b:
-                return 2, idx
+        for family, (start, count) in enumerate(self.families, 1):
+            idx = (lo - 1 - start) // self.block
+            if 0 <= idx < count and hi <= start + (idx + 1) * self.block:
+                return family, idx
         raise LocateFailure(f"window {window} fits no interval of the plan")
 
 
@@ -673,28 +717,35 @@ def _after_nth(bits: bytes, symbol: int, count: int) -> int:
     return int(at[count - 1]) + 1
 
 
-def _padded_slice(bits: bytes, a: int, b: int) -> bytes:
-    chunk = bits[a - 1:min(b, len(bits))]
-    return chunk + bytes(b - a + 1 - len(chunk))
+def _folded_sketch(bits: bytes, length: int) -> bytes:
+    """The XOR of `inner_sketch` over consecutive length-`length` intervals
+    of bits (a whole number of them), in one array pass.
 
-
-def _fold(acc: bytes, bits: bytes, intervals: list[tuple[int, int]],
-          length: int) -> bytes:
-    """acc XOR the inner sketches of bits over each interval, zero past its end."""
-    for a, b in intervals:
-        sk = inner_sketch(_padded_slice(bits, a, b), length)
-        acc = bytes(x ^ s for x, s in zip(acc, sk))
-    return acc
+    The rows of the reshaped bits give each interval's VT sum and
+    prefix-parity VT sum.  Fields pack big-endian at fixed widths, so the
+    XOR of the packed sketches is the packing of the XORed field values.
+    """
+    rows = np.frombuffer(bits, dtype=np.uint8).reshape(-1, length)
+    positions = np.arange(1, length + 1, dtype=np.int64)
+    total = rows.dot(positions) % (length + 1)
+    parity_vt = np.bitwise_xor.accumulate(rows, axis=1).dot(positions) % (2 * length + 1)
+    return inner_fields(length).pack((int(np.bitwise_xor.reduce(total)),
+                                      int(np.bitwise_xor.reduce(parity_vt))))
 
 
 def window_sketches(word: Word, plan: WindowPlan,
                     ) -> tuple[bytes, bytes | None]:
-    """XOR-folded inner sketches over the primary and shifted interval families."""
+    """XOR-folded inner sketches over the primary and shifted interval
+    families, the word zero past its end: one `_folded_sketch` per family,
+    the shifted one None when the plan has a single interval."""
     require_binary(word)
     length = plan.block
-    zero = bytes(inner_fields(length).width)
-    g1_hat = _fold(zero, word.raw, plan.primary, length)
-    g2_hat = _fold(zero, word.raw, plan.shifted, length) if plan.t > 1 else None
+    size = plan.t * length
+    padded = word.raw[:size].ljust(size, b"\x00")
+    start, count = plan.families[1]
+    g1_hat = _folded_sketch(padded, length)
+    g2_hat = (_folded_sketch(padded[start:start + count * length], length)
+              if count else None)
     return g1_hat, g2_hat
 
 
@@ -705,7 +756,9 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     """Full repair: locate, pick the covering interval, repair it, splice.
 
     y is segmented once (or `y_table` is its `_segment_table`), for `locate`
-    and for the check of a clean word.
+    and for the check of a clean word.  The interval's inner sketch is its
+    family's hat XOR the sketches of the family's other intervals, read
+    from y in one `_folded_sketch` pass.
     """
     n = params.n
     _check_length(y, n)
@@ -717,20 +770,22 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         return y
     shift = n - len(y)  # 1 after a deletion, else 0
     family, idx = plan.interval_for(loc.window)
-    intervals = plan.primary if family == 1 else plan.shifted
-    a, b = intervals[idx]
-    lo = loc.window[0]
-    length = plan.block
-    acc = hats[0] if family == 1 else hats[1]
+    acc = hats[family - 1]
     if acc is None:
         raise DecodeFailure("the shifted family has no sketch at this size")
+    length = plan.block
+    start, count = plan.families[family - 1]
+    a = start + idx * length + 1
+    b = a + length - 1
     # the family's other intervals lie wholly before the window, where y is
     # the source, or wholly after it, where y lags by the deletion; the
-    # source is 0 past n
-    others = [(c - shift, d - shift) if c > lo else (c, d)
-              for j, (c, d) in enumerate(intervals) if j != idx]
-    acc = _fold(acc, y.raw, others, length)
-    window_bits = _padded_slice(y.raw, a, b - shift)
+    # source is 0 past n, so y is read zero past the family's last bit
+    size = start + count * length - shift
+    covered = y.raw[:size].ljust(size, b"\x00")
+    window_bits = covered[a - 1:b - shift]
+    if count > 1:  # a lone interval's sketch is its hat
+        others = _folded_sketch(covered[start:a - 1] + covered[b - shift:], length)
+        acc = bytes(map(operator.xor, acc, others))
     repaired = inner_correct(window_bits, acc, length)
     keep = min(b, n) - a + 1
     tail = y.raw[b - shift:] if b < n else b""
@@ -863,7 +918,7 @@ class DeltransDeskCode:
         """The one code multiset within drift of y's segment hashes, and y's
         `_segment_table`."""
         table = _segment_table(y, self.hash)
-        h_y = tuple(sorted(table.hashes))
+        h_y = tuple(sorted(table.hashes.tolist()))
         near = [ms for ms in self.distinct_multisets
                 if multiset_distance(ms, h_y) <= HASH_DRIFT_BOUND]
         if len(near) != 1:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from syncodec import deltrans
 from syncodec.deltrans import (
     _UNASSIGNED,
     _earlier_neighbour_keys,
+    _phi_scan,
     _segment_options,
     _segment_table,
     GREEDY_HASH_MAX_CAP,
@@ -18,6 +21,7 @@ from syncodec.deltrans import (
     DeltransDeskCode,
     DeltransParams,
     GreedyHash,
+    LocateResult,
     SegmentTable,
     WindowPlan,
     confusable_set,
@@ -48,6 +52,7 @@ from syncodec.words import (
     forward_images,
 )
 from syncodec.oracle import verify_code
+from syncodec.sketches import vt_sum
 
 DESK_DELTA = 5
 MODEL = ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION
@@ -139,8 +144,18 @@ def _reference_segment_table(word, h):
     segments, residue = segment_lenient(word)
     if max(map(len, segments), default=0) > 3 * h.cap:
         raise LocateFailure("a segment is longer than the hash domain")
-    return SegmentTable([len(s) for s in segments], [h(s) for s in segments],
+    return SegmentTable(np.array([len(s) for s in segments], dtype=np.int64),
+                        np.array([h(s) for s in segments], dtype=np.int64),
                         len(residue))
+
+
+def _table_values(table):
+    """A segment table's values as Python ints, its fields checked to be
+    int64 arrays and an int."""
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.int64
+               for a in (table.lengths, table.hashes))
+    assert type(table.residue) is int
+    return table.lengths.tolist(), table.hashes.tolist(), table.residue
 
 
 def _table_outcome(segment_table, word, h):
@@ -148,8 +163,7 @@ def _table_outcome(segment_table, word, h):
         table = segment_table(word, h)
     except LocateFailure as exc:
         return str(exc)
-    assert all(type(v) is int for v in table.lengths + table.hashes)
-    return table
+    return _table_values(table)
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +237,76 @@ def test_closed_form_hash_pass_is_exact_at_its_largest_cap():
     length = 3 * low
     longest = (b"\x01\x00" * length)[:length - 4] + bytes(MARKER)
     w = Word(bytes(MARKER) + b"\x01" + bytes(MARKER) + longest + b"\x01\x00" + bytes(MARKER), 2)
-    table = _segment_table(w, h)
-    assert table.lengths == [4, 5, length, 6]
-    assert table == _reference_segment_table(w, h)
+    lengths, hashes, residue = _table_values(_segment_table(w, h))
+    assert lengths == [4, 5, length, 6]
+    assert (lengths, hashes, residue) == _table_values(_reference_segment_table(w, h))
     with pytest.raises(SizeGuardError):
         _segment_table(w, ClosedFormHash(high))
+
+
+def _exact_sums_word(rng, n, cap):
+    """A marker-terminal word of exactly n bits: mostly short segments, so
+    that it has many, and now and then one of 3 * cap bits."""
+    segments = []
+    remaining = n
+    while remaining >= 16:
+        length = 3 * cap if remaining >= 3 * cap + 16 and rng.random() < 0.01 \
+            else rng.choice((4, 4, 5, 6, 7, 12))
+        segments.append(length)
+        remaining -= length
+    segments += [remaining] if remaining <= 12 else [remaining - 6, 6]
+    return Word(b"".join(b"\x01" * (length - 4) + bytes(MARKER) if length > 12
+                         else rng.choice(_segment_options(length))
+                         for length in segments), 2)
+
+
+def test_segment_sums_are_exact_at_the_largest_length_that_fits():
+    """The sketch f and the potential scan sum in int64, under a bound of
+    (n // 4 + 1)^2 * (3 * cap + 2) * m that `_require_exact_sums` keeps
+    below 2^63.  Under ClosedFormHash(50) the largest length it admits,
+    119,135 bits, gives the f of the Python-int definition (whose unreduced
+    sum exceeds 2^53, past float precision) and the reference scan's index,
+    and a deletion is repaired; one bit more is refused by segment_sketches
+    and by locate."""
+    h = ClosedFormHash(50)
+    m = h.hash_range
+
+    def fits(n):
+        return (n // 4 + 1) ** 2 * (3 * h.cap + 2) * m < 2 ** 63
+
+    low, high = 8, 2 ** 30  # fits at low and not at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    n = low
+    assert n == 119_135 and n % 4 == 3
+    x = _exact_sums_word(random.Random(71), n, h.cap)
+    params = DeltransParams.desk(n, h.cap, m)
+    sk, hx = segment_sketches(x, params, h)
+    segments, _ = segment_lenient(x)
+    lengths = [len(seg) for seg in segments]
+    hashes = [h(seg) for seg in segments]
+    assert max(lengths) == 3 * h.cap and hx == tuple(sorted(hashes))
+    f = m * vt_sum(lengths) + vt_sum(hashes)
+    assert f > 2 ** 53 and sk.f == f % params.f_mod
+
+    # a merge-del scan over the segments of y, hitting at about its middle
+    y = apply(x, Deletion(n // 2))
+    y_segments, _ = segment_lenient(y)
+    terms = [len(seg) * m + h(seg) for seg in y_segments]
+    k = m + sum(hx) - sum(term % m for term in terms)
+    at = len(terms) // 2
+    fdiff = at * k + sum(terms[at:])
+    assert _phi_scan(np.array(terms), k, fdiff, -1, 0) == \
+        _reference_phi_scan(terms, k, fdiff, -1, 0) == at
+    plan = WindowPlan(n, params.locate_bound)
+    assert correct(y, sk, hx, window_sketches(x, plan), plan, params, h) == x
+
+    longer = DeltransParams.desk(n + 1, h.cap, m)
+    with pytest.raises(SizeGuardError):
+        segment_sketches(Word(x.raw + b"\x00", 2), longer, h)
+    with pytest.raises(SizeGuardError):
+        locate(x, sk, hx, longer, h)
 
 
 def _count_segment_passes(monkeypatch) -> list:
@@ -522,6 +601,34 @@ def test_window_plan_geometry():
     assert plan.interval_for((96, 100)) == (1, 4)  # inside the padded tail
 
 
+def _reference_interval_for(plan, window):
+    """`WindowPlan.interval_for` by its definition: the first interval,
+    primary before shifted, that holds the window."""
+    lo, hi = window
+    for family, intervals in ((1, plan.primary), (2, plan.shifted)):
+        for idx, (a, b) in enumerate(intervals):
+            if a <= lo and hi <= b:
+                return family, idx
+    return None
+
+
+def test_interval_for_matches_the_reference_loop():
+    """Windows of every width up to the bound and past it, at every start
+    from 1 to past the last interval, on plans of 1 to 12 intervals."""
+    rng = random.Random(73)
+    for _ in range(40):
+        bound = rng.randint(1, 12)
+        plan = WindowPlan(rng.randint(1, 12 * (2 * bound + 1)), bound)
+        for lo in range(1, plan.t * plan.block + bound + 2):
+            for width in range(2 * bound + 3):
+                window = (lo, lo + width)
+                try:
+                    got = plan.interval_for(window)
+                except LocateFailure:
+                    got = None
+                assert got == _reference_interval_for(plan, window)
+
+
 def test_inner_sketch_example():
     bits = bytes((0, 1, 0, 1))
     sk = inner_sketch(bits, 4)
@@ -643,6 +750,97 @@ def test_window_sketches_xor_cancellation():
     for sk in sks[1:]:
         acc = bytes(x ^ y for x, y in zip(acc, sk))
     assert acc == g1_hat
+
+
+def _reference_fold(acc, bits, intervals, length):
+    """acc XOR the inner sketch of bits over each interval, zero past its
+    end: the per-interval definition of the folds that `window_sketches`
+    and `correct` take in one array pass."""
+    for a, b in intervals:
+        chunk = bits[a - 1:b]
+        sk = inner_sketch(chunk + bytes(b - a + 1 - len(chunk)), length)
+        acc = bytes(u ^ v for u, v in zip(acc, sk))
+    return acc
+
+
+def test_window_sketches_match_the_per_interval_fold():
+    """Seeded words under plans of 1 to 30 intervals, most of them of a
+    length that is no multiple of the block, so the last interval (and
+    the last shifted one) runs past the word's end."""
+    rng = random.Random(67)
+    for case in range(300):
+        bound = rng.randint(1, 40)
+        block = 2 * bound + 1
+        t = case % 30 + 1
+        n = max(1, t * block - rng.randrange(block) if case % 5 else t * block)
+        plan = WindowPlan(n, bound)
+        assert plan.t == t
+        word = Word(bytes(rng.getrandbits(1) for _ in range(n)), 2)
+        zero = bytes(inner_fields(block).width)
+        shifted = _reference_fold(zero, word.raw, plan.shifted, block) if t > 1 else None
+        assert window_sketches(word, plan) == \
+            (_reference_fold(zero, word.raw, plan.primary, block), shifted)
+
+
+def test_correct_folds_the_other_intervals_by_their_inner_sketches(monkeypatch):
+    """`correct` hands `inner_correct` y's bits over the window's interval
+    and the family's hat XOR the inner sketches of y over the family's other
+    intervals: as the source before the window, lagging by the deletion
+    after it.  locate is replaced by one that names each interval of both
+    families in turn, so the deletion (or transposition) lies before the
+    window, inside it or after it; plans of 1 to 31 intervals."""
+    seen = []
+    inner = deltrans.inner_correct
+
+    def recording(window, sketch, length):
+        seen.append((window, sketch))
+        return inner(window, sketch, length)
+
+    forced = []
+    monkeypatch.setattr(deltrans, "inner_correct", recording)
+    monkeypatch.setattr(deltrans, "locate", lambda *args: LocateResult(
+        False, "same", forced[-1], 0))
+    rng = random.Random(79)
+    h = ClosedFormHash(BIG_DELTA)
+    options = {length: _segment_options(length) for length in range(4, BIG_DELTA + 1)}
+    places = set()
+    for size, bound in ((2000, None), (700, 400), (900, 30), (3000, 50), (1500, 24)):
+        x = _random_marker_word(rng, options, size)
+        n = len(x)
+        params = DeltransParams.desk(n, BIG_DELTA, h.hash_range)
+        plan = WindowPlan(n, bound or params.locate_bound)
+        block = plan.block
+        sk, hx = segment_sketches(x, params, h)
+        hats = window_sketches(x, plan)
+        windows = [(a, a) for a, _ in plan.primary]
+        windows += [(b - plan.window_bound, b - plan.window_bound + 1)
+                    for _, b in plan.shifted]
+        for lo, hi in windows:
+            family, idx = _reference_interval_for(plan, (lo, hi))
+            intervals = plan.primary if family == 1 else plan.shifted
+            a, b = intervals[idx]
+            errors = [Deletion(d) for d in (rng.randint(1, a), rng.randint(a, min(b, n)),
+                                            rng.randint(min(b, n), n))]
+            errors.append(_random_error(rng, x.symbols, 1))
+            for e in errors:
+                y = apply(x, e)
+                shift = n - len(y)
+                forced.append((lo, hi))
+                try:
+                    correct(y, sk, hx, hats, plan, params, h)
+                except DecodeFailure:
+                    pass
+                others = [(c - shift, d - shift) if c > lo else (c, d)
+                          for j, (c, d) in enumerate(intervals) if j != idx]
+                chunk = y.raw[a - 1:b - shift]
+                assert seen[-1] == (chunk + bytes(b - shift - a + 1 - len(chunk)),
+                                    _reference_fold(hats[family - 1], y.raw, others, block))
+                if isinstance(e, Deletion):
+                    places.add((family, "before" if e.position < a else
+                                "after" if e.position > b else "inside"))
+        assert len(seen) == 4 * len(windows)
+        seen.clear()
+    assert places == {(f, p) for f in (1, 2) for p in ("before", "inside", "after")}
 
 
 def test_candidates_enumeration():
@@ -842,6 +1040,50 @@ def test_phi_scan_steps_are_large(desk_code):
         values = _phi_steps(terms, k, 1, 0)
         for a, b in zip(values, values[1:]):
             assert b - a >= m
+
+
+def _reference_phi_scan(terms, k, fdiff, dl, threshold):
+    """`_phi_scan` by its right-to-left walk over a list of terms, adding
+    one term to the suffix sum per step."""
+    grow = max(dl, 0)
+    suffix = 0
+    for i in range(len(terms) - grow, 0, -1):
+        if abs(i * k - dl * suffix - fdiff) <= threshold:
+            return i
+        suffix += terms[i + grow - 1]
+    raise LocateFailure("potential scan found no index within the threshold")
+
+
+def _scan_outcome(scan, terms, *args):
+    try:
+        return scan(terms, *args)
+    except LocateFailure as exc:
+        return str(exc)
+
+
+def test_phi_scan_matches_the_reference_walk():
+    """Seeded term lists of 0 to 40 terms under every segment-count change:
+    half the targets are the potential at some index, so the scan hits
+    (often at several indices, and the largest wins), half are random, so
+    it mostly finds nothing and raises the reference's LocateFailure."""
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(4000):
+        terms = [rng.randint(1, 10 ** 6) for _ in range(rng.randint(0, 40))]
+        dl = rng.choice((-2, -1, 1, 2))
+        k = rng.randint(-10 ** 7, 10 ** 7)
+        threshold = rng.choice((0, rng.randint(0, 10 ** 7)))
+        grow = max(dl, 0)
+        if rng.random() < 0.5 and len(terms) > grow:
+            at = rng.randint(1, len(terms) - grow)
+            fdiff = at * k - dl * sum(terms[at + grow:]) + rng.randint(-5, 5)
+        else:
+            fdiff = rng.randint(-10 ** 9, 10 ** 9)
+        got = _scan_outcome(_phi_scan, np.array(terms, dtype=np.int64), k, fdiff,
+                            dl, threshold)
+        assert got == _scan_outcome(_reference_phi_scan, terms, k, fdiff, dl, threshold)
+        outcomes.add(type(got))
+    assert outcomes == {int, str}
 
 
 BIG_DELTA = 12
@@ -1044,3 +1286,77 @@ def test_segment_cap_probability_paper_profile():
     params = DeltransParams.paper(1024)
     prob = segment_cap_probability(1024, params.delta, 2000, seed=99)
     assert prob >= 0.5 - 0.02
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _output_records(desk_code, window, corrupt):
+    """The deltrans outputs `OUTPUTS_SHA256` pins, and the locate cases
+    their repairs reach: the desk code's codewords and hats; the sketches
+    and hats of the deltrans-window words (seeds 1-3), of the big-profile
+    word and of seeded words of about 7,000 and 30,000 bits (6 and 24
+    intervals); and the locate result and repair of every op in three
+    blocks of each seed, of the big-profile anchors and terminal errors,
+    and of 40 seeded errors in each longer word."""
+    records = [desk_code.codewords, desk_code.target, desk_code.hats,
+               desk_code.distinct_multisets]
+    h = ClosedFormHash(BIG_DELTA)
+    cases = set()
+
+    def encode(x):
+        params = DeltransParams.desk(len(x), BIG_DELTA, h.hash_range)
+        plan = WindowPlan(len(x), params.locate_bound)
+        sketches, hats = segment_sketches(x, params, h), window_sketches(x, plan)
+        records.append((sketches, hats))
+        return x, params, plan, sketches, hats
+
+    def repair(entry, y):
+        _, params, plan, (sk, hx), hats = entry
+        try:
+            loc = locate(y, sk, hx, params, h)
+            cases.add(loc.case)
+            records.append((loc, correct(y, sk, hx, hats, plan, params, h)))
+        except DecodeFailure as exc:
+            records.append(repr(exc))
+
+    for seed in (1, 2, 3):
+        words = window.codewords(seed)
+        entries = [encode(x) for x in words]
+        blocks = window.blocks(seed, words)
+        for _ in range(3):
+            for which, edits, _ in next(blocks):
+                repair(entries[which], Word(corrupt(words[which].symbols, edits, 2), 2))
+    x, anchors = _big_profile_word(random.Random(5), 2000)
+    entry = encode(x)
+    n = len(x)
+    for e in (Deletion(anchors["split_del"] + 4), Transposition(anchors["split2"] + 4),
+              Deletion(n), Deletion(n - 1), Transposition(n - 2)):
+        repair(entry, apply(x, e))
+    rng = random.Random(61)
+    options = {length: _segment_options(length) for length in range(4, BIG_DELTA + 1)}
+    for size in (7_000, 30_000):
+        entry = encode(_random_marker_word(rng, options, size))
+        for _ in range(40):
+            repair(entry, apply(entry[0], _random_error(rng, entry[0].symbols, 1)))
+    return records, cases
+
+
+# sha256 of repr(_output_records(...)[0]), as the per-interval folds, the
+# list segment tables and the right-to-left scan computed it
+OUTPUTS_SHA256 = "fcb524bc017a2c5fd35c7d3e1d3ae6c57ab5b3ecb41bbbcc719ff2d046612bb9"
+
+
+def test_outputs_digest(desk_code, monkeypatch):
+    """Encodings, hats, locate results and repairs are byte-identical to
+    those of the per-interval, per-segment code, types included: every
+    locate case and the clean word are among them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    records, cases = _output_records(desk_code, workloads.DeltransWindow(),
+                                     workloads.corrupt)
+    assert cases == {"clean", "same", "terminal", "merge-del", "merge-trans",
+                     "split-del", "split-trans", "merge2-trans", "split2-trans"}
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == OUTPUTS_SHA256

@@ -1,0 +1,118 @@
+"""Interpreter work per call on a geometric ladder: a complexity gate that
+machine load cannot blur.
+
+A per-symbol, per-segment or per-interval Python loop shows as a count of
+interpreter line events that grows with the word.  Each call below is traced
+with `sys.settrace`, counting the line events of frames whose code lies under
+the package, so numpy's own Python code does not count.  The count at the top
+size may be at most 1.5 times the count at the bottom size, 64 times (edit4,
+delsub) or 16 times (deltrans) shorter.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import syncodec
+from syncodec import deltrans
+from syncodec.delsub import DelSubCode
+from syncodec.edit4 import Edit4Code
+from syncodec.words import Deletion, Insertion, Substitution, Transposition, Word, apply
+
+PACKAGE = str(Path(syncodec.__file__).resolve().parent)
+GROWTH = 1.5
+
+
+def line_events(call, *args) -> int:
+    """The line events of package frames while call(*args) runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith(PACKAGE):
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _flip(word, i):
+    return Substitution(i, (word[i - 1] + 1) % word.q)
+
+
+def edit4_counts(m: int) -> dict[str, int]:
+    rng = random.Random(m)
+    code = Edit4Code(m)
+    z = Word(tuple(rng.randrange(4) for _ in range(m)), 4)
+    x = code.encode(z)
+    received = {"deletion": apply(x, Deletion(m // 2)),
+                "insertion": apply(x, Insertion(m // 3, 2)),
+                "substitution": apply(x, _flip(x, m // 5)),
+                "clean": x}
+    counts = {"encode": line_events(code.encode, z)}
+    counts.update((kind, line_events(code.decode, y)) for kind, y in received.items())
+    return counts
+
+
+def delsub_counts(m: int) -> dict[str, int]:
+    rng = random.Random(m)
+    code = DelSubCode(m)
+    z = Word(tuple(rng.getrandbits(1) for _ in range(m)), 2)
+    x = code.encode(z)
+    received = {"deletion": apply(x, Deletion(m // 2)),
+                "substitution": apply(x, _flip(x, m // 5)),
+                "deletion+substitution": apply(apply(x, _flip(x, m // 7)), Deletion(m // 2)),
+                "clean": x}
+    counts = {"encode": line_events(code.encode, z)}
+    counts.update((kind, line_events(code.decode, y)) for kind, y in received.items())
+    return counts
+
+
+def deltrans_counts(n: int) -> dict[str, int]:
+    """ClosedFormHash(12) on a seeded marker-terminal word of about n bits;
+    each `correct` kind takes the most over three seeded errors, as the
+    locate case varies with the error."""
+    rng = random.Random(n)
+    h = deltrans.ClosedFormHash(12)
+    options = {length: deltrans._segment_options(length) for length in range(4, 13)}
+    bits = []
+    while len(bits) < n - 4:
+        bits.extend(rng.choice(options[rng.randint(4, 12)]))
+    x = Word(tuple(bits), 2)
+    n = len(x)
+    params = deltrans.DeltransParams.desk(n, 12, h.hash_range)
+    plan = deltrans.WindowPlan(n, params.locate_bound)
+
+    def encode():
+        return deltrans.segment_sketches(x, params, h), deltrans.window_sketches(x, plan)
+
+    (sk, hx), hats = encode()
+    swaps = [k for k in range(1, n) if x[k - 1] != x[k]]
+    received = {"deletion": [apply(x, Deletion(rng.randint(1, n))) for _ in range(3)],
+                "transposition": [apply(x, Transposition(k)) for k in rng.sample(swaps, 3)]}
+    counts = {"encode": line_events(encode)}
+    for kind, ys in received.items():
+        counts[f"correct {kind}"] = max(
+            line_events(deltrans.correct, y, sk, hx, hats, plan, params, h) for y in ys)
+    return counts
+
+
+@pytest.mark.parametrize("counts, bottom, top", [
+    (edit4_counts, 2 ** 10, 2 ** 16),
+    (delsub_counts, 2 ** 10, 2 ** 16),
+    (deltrans_counts, 2 ** 11, 2 ** 15),
+], ids=["edit4", "delsub", "deltrans"])
+def test_interpreter_work_stays_flat_over_the_ladder(counts, bottom, top):
+    low, high = counts(bottom), counts(top)
+    grown = {op: (low[op], high[op]) for op in low if high[op] > GROWTH * low[op]}
+    assert not grown, f"line events grew more than {GROWTH}x: {grown}"
