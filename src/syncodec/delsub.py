@@ -22,8 +22,11 @@ codeword reaches the received word.
 Each O(n) pass has two implementations, chosen by the codeword length n.
 Below VECTOR_MIN_N they are Python loops over the word's bytes (`Word.raw`,
 one per bit), whose fixed cost per call is a few microseconds.  From
-VECTOR_MIN_N on, numpy views the same bytes as a uint8 array, and a flip
-stretch of the scan tests all its representatives at once as array masks.
+VECTOR_MIN_N on, numpy views the same bytes as a uint8 array.  Along a flip
+stretch of the scan the flip position is at most two arithmetic runs, so the
+stretch reads the word and how a flip moves the ranks as slices, and tests
+all its representatives at once as int8 masks; only their survivors get
+int64 sums, and the prefix sums of the ranks are summed where they are read.
 Both give the same results, exceptions included.  The int64 sums are exact
 up to VECTOR_MAX_N, and longer codewords and messages are refused.
 `DelSubCode.decode`'s reachability check sums nothing, so it has one numpy
@@ -52,11 +55,13 @@ _VALID_RUN_DELTAS = {-2, 0, 2, 4}
 # Codeword lengths from which the numpy passes run: a numpy call costs about a
 # microsecond, so short words stay on the Python loops.  timeit in us, Python
 # loop / numpy, best of 7, paths interleaved, mean of four seeded words,
-# 2-core x86_64, Python 3.11, numpy 2.4; list_decode crosses last:
-#   n                      96     128     192     256     320     384
-#   list_decode, del+sub  37/91   51/92   58/84   73/84   92/89  104/87
-#   list_decode, del      48/103  57/101  71/99   86/96  110/102 132/105
-#   sketches              11/12   14/12   20/12   26/12   33/13   39/13
+# 2-core x86_64 under shared load, Python 3.11, numpy 2.4; sketches cross
+# near n = 192 and list_decode last, near 384, so from 320 to 384 numpy's
+# list_decode costs up to about 10% more than the loops:
+#   n                      96     128     192     256     320     384     512
+#   list_decode, del+sub  52/149  72/163  93/156 110/157 181/197 182/180 226/164
+#   list_decode, del      64/175  79/181 103/172 132/171 187/209 219/187 281/205
+#   sketches              16/22   22/23   31/23   41/25   54/25   69/25   91/27
 VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
 # and VT sums (at most n^2) of a word of length n, and of its edits, are
@@ -211,42 +216,81 @@ class _WordStats:
         return hits
 
 
+class _RankPrefixSums:
+    """The prefix sums r1 of a `_WordArrays`' ranks, r1[i] = r_0 + .. + r_i,
+    summed where they are read instead of in one O(n) cumsum and kept:
+    r1[i] sums its prefix on first read, and `load` sums the prefixes at
+    every index of an array in one sort and one reduceat pass, however many
+    there are."""
+
+    def __init__(self, ranks: np.ndarray):
+        self.ranks = ranks
+        self.known: dict[int, int] = {}
+
+    def __getitem__(self, i: int) -> int:
+        if i not in self.known:
+            self.known[i] = int(self.ranks[:i + 1].sum())
+        return self.known[i]
+
+    def load(self, at: np.ndarray) -> None:
+        """Keep r1 at the indices `at` (a non-empty int64 array, 0 .. m)."""
+        at = np.sort(at)
+        starts = np.concatenate(([0], at + 1))  # segment j: at[j-1] < i <= at[j]
+        sums = np.add.reduceat(self.ranks[:at[-1] + 2], starts)[:-1]
+        # reduceat reads the empty segment of a repeated index as one element
+        sums[1:] *= at[1:] != at[:-1]
+        self.known.update(zip(at.tolist(), sums.cumsum().tolist()))
+
+
 class _WordArrays(_WordStats):
     """The rank tables of `_WordStats` as numpy arrays, for codeword lengths
-    from VECTOR_MIN_N on, built from one byte per bit: the ranks are one
-    cumulative sum of the boundary mask, f1r and the sum of their squares
-    int64 sums, the weight a count of nonzero bytes and the VT sum one dot
-    product with the positions.  `sketches` reads these, so the prefix sums
-    `r1`, which only the O(1) queries read, are built on first use.  `ext`
+    from VECTOR_MIN_N on, built from one byte per bit: `bounds` is the int8
+    boundary mask, bounds[i] = r_i - r_{i-1} for i = 1 .. m + 1 and 0 at 0
+    and m + 2, the ranks are its cumulative sum, f1r and the sum of their
+    squares int64 sums, the weight a count of nonzero bytes and the VT sum
+    one dot product with the positions.  `sketches` reads these.  `r1` sums
+    the ranks only at the indices that are read (`_RankPrefixSums`).  `ext`
     stays `bytes`, whose items are Python ints, and `array` is its uint8
-    view.  A flip stretch of the scan is tested as array masks, and only its
-    survivors pay for the exact `edited_sums`."""
+    view.  A flip stretch of the scan is tested as int8 masks over slices
+    of these arrays, and only its survivors pay for int64 sums."""
 
     def __init__(self, bits: bytes):
         m = len(bits)
         self.m = m
         self.ext = ext = b"\x00" + bits + b"\x01"
         self.array = array = np.frombuffer(ext, dtype=np.uint8)
-        self.ranks = ranks = np.zeros(m + 2, dtype=np.int64)
-        np.cumsum(array[1:] != array[:-1], out=ranks[1:])
+        # np.empty, not np.zeros: calloc's zeroed pages cost more than the
+        # passes that overwrite them
+        self.bounds = bounds = np.empty(m + 3, dtype=np.int8)
+        bounds[0] = bounds[m + 2] = 0
+        np.not_equal(array[1:], array[:-1], out=bounds[1:m + 2].view(bool))
+        self.ranks = ranks = np.empty(m + 2, dtype=np.int64)
+        ranks[0] = 0
+        np.cumsum(bounds[1:m + 2], out=ranks[1:])
         head = ranks[:m + 1]
         self.f1r = int(head.sum())
+        self.r1 = _RankPrefixSums(ranks)
+        self.r1.known[m] = self.f1r
         self.squares = int(head.dot(head))
         self.weight = int(np.count_nonzero(array)) - 1
         self.vt = weighted_vt_sum(array[1:m + 1])
         self.runs = int(ranks[m + 1]) + 1
 
     @cached_property
-    def r1(self) -> np.ndarray:
-        return np.cumsum(self.ranks[:self.m + 1])
+    def flip_moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """How a flip at p = 0 .. m + 1 moves the ranks, as int8 arrays:
+        by e1 = 1 - 2 (r_p - r_{p-1}) at p and e2 = 2 - 2 (r_{p+1} - r_{p-1})
+        after it."""
+        bounds = self.bounds
+        return 1 - 2 * bounds[:-1], 2 - 2 * (bounds[:-1] + bounds[1:])
 
     def reps(self, u: int) -> np.ndarray:
         """`_WordStats.reps` as an int64 array."""
-        marks = self.array[:self.m + 1] != u  # y_{d-1} != u, d = 1 .. m + 1
-        marks[0] = True
-        reps = np.flatnonzero(marks)
-        reps += 1
-        return reps
+        marks = np.empty(self.m + 2, dtype=bool)  # marks[d]: y_{d-1} != u
+        marks[0] = False
+        np.not_equal(self.array[:self.m + 1], u, out=marks[1:])
+        marks[1] = True
+        return marks.nonzero()[0]
 
     def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
                     ) -> tuple[int, int, int, int]:
@@ -257,41 +301,87 @@ class _WordArrays(_WordStats):
                      slope: int, b_d: int, b_e: int, run_delta: int,
                      params: DelSubParams, target: DelSubSketches,
                      ) -> list[tuple[int, int]]:
-        """`_WordStats.stretch_hits`, with the bit, run-count and f1r tests
-        of every representative as array masks."""
-        n, m = params.n, self.m
-        ext, ranks = self.array, self.ranks
+        """`_WordStats.stretch_hits` in array passes.
+
+        q moves by +-1 per representative while the representatives strictly
+        increase, so g = rep - q never decreases along the stretch, and one
+        binary search cuts it into blocks by g.  The flip position
+        p = q - [g < 0] is two arithmetic runs of slope `slope`, so the bit
+        at p and the flip's moves e1 and e2 are slices.  Outside the crossing
+        block, where g is -1, 0 or 1, the flip and the insertion are apart:
+        d = rep, and the bits around the inserted one are y_{d-1} = 1 - b_d
+        (y_0 = 0 at rep = 1) and y_rep, one gather.  The crossing block, as
+        long as a run of 1 - b_d bits can make it, is patched by slices, and
+        the bit, q = rep and run-count tests are int8 masks over the whole
+        stretch.  Their survivors get f1r in int64; the few that pass it get
+        the exact f2r from `edited_sums`, with the prefix sums of the ranks
+        it reads loaded in one pass.
+        """
+        n, m, ext, ranks = params.n, self.m, self.array, self.ranks
         rep = reps[lo:hi]
-        qs = np.arange(q, q + slope * (hi - lo), slope)
-        p = qs - (qs > rep)  # q == rep moves d past q, so p = q there too
-        keep = ext[p] != b_e
-        # q is the inserted bit itself: the run's next position, if it has
-        # one, gives the word of this representative
-        moved = qs == rep
-        keep &= ~moved | ((rep < n) & (ext[rep] == b_d))
-        at = np.flatnonzero(keep)
-        d, p = rep[at] + moved[at], p[at]
-        a = ext[d - 1]
-        a[p == d - 1] = b_e
-        b = ext[d]
-        b[p == d] = b_e
-        c1 = a != b_d
-        delta = (c1.view(np.int8) + (b != b_d).view(np.int8)
-                 - (a != b).view(np.int8))
-        e2 = 2 - 2 * (ranks[p + 1] - ranks[p - 1])
-        at = np.flatnonzero(e2 + delta == run_delta)  # the scalar run test
+        size = hi - lo
+        # the first k with g >= -1, 0, 1 and 2: g = -1 on [cross, split),
+        # 0 (q = rep, so d = rep + 1) on [split, shift), 1 on [shift, end)
+        steps = np.arange(0, -slope * size, -slope)
+        cross, split, shift, end = np.searchsorted(
+            np.add(rep, steps, out=steps), [q - 1, q, q + 1, q + 2]).tolist()
+
+        def along(values: np.ndarray) -> np.ndarray:
+            """values[p] along the stretch: p = q - 1 before split, q after."""
+            rest = values[q + slope * split::slope]
+            return np.concatenate((values[q - 1::slope][:split],
+                                   rest[:size - split]))
+
+        keep = along(ext) != b_e
+        e1, e2 = map(along, self.flip_moves)
+        # c1 = [a != b_d] and nb = [b != b_d] for the bits a and b around
+        # the inserted one: a = y_{d-1} = 1 - b_d (y_0 = 0 at rep = 1) and
+        # b = y_rep, except in the crossing block
+        c1 = np.ones(size, dtype=np.int8)
+        if lo == 0:
+            c1[0] = b_d
+        nb = ext[rep] != b_d
+        if cross < end:
+            c1[split:end] = b_e != b_d  # a = b_e where p = d - 1
+            nb[cross:split] = b_e != b_d  # b = b_e where p = d
+            if split < shift:
+                # q is the inserted bit itself: the run's next position, if
+                # it has one, gives the word of this representative
+                moved = rep[split:shift]
+                keep[split:shift] &= (moved < n) & ~nb[split:shift]
+                nb[split:shift] = ext.take(moved + 1, mode="clip") != b_d
+        # delta = c1 + [b != b_d] - [a != b] is 2 when a = b != b_d, else 0
+        delta = c1 & nb.view(np.int8)
+        delta += delta
+        # |e2 + delta| <= 4 and run_delta is a signed residue mod 13, so the
+        # run sketch holds exactly when they are equal
+        keep &= e2 + delta == run_delta
+        # lift = e1 + rank_d - r_{d-1}: rank_d adds c1, and the flip moves
+        # r_{d-1} by e1 where p = d - 1 and by e2 where p < d - 1
+        lift = e1 + c1
+        lift[split:end] += e1[split:end]
+        lift[end:] += e2[end:]
+        at = keep.nonzero()[0]
+        before, after = np.searchsorted(at, (split, shift)).tolist()
+        d = rep[at]
+        d[before:after] += 1
+        p = at + q if slope == 1 else q - at
+        p[:before] -= 1
+        # f1r less the word's own, f1r(y): it lies within 5m + 2 of 0, less
+        # than f1r_mod / 2, so the sketch holds exactly when it equals the
+        # signed residue
+        f1r_diff = (lift[at] + ranks[d - 1] + e2[at] * (m - p)
+                    + delta[at] * (m + 1 - d))
+        want = signed_residue(target.f1r - self.f1r, params.f1r_mod)
+        at = (f1r_diff == want).nonzero()[0]
+        if not len(at):
+            return []
         d, p = d[at], p[at]
-        c1, delta, e2 = c1[at], delta[at], e2[at]
-        e1 = 1 - 2 * (ranks[p] - ranks[p - 1])
-        rank_d = ranks[d - 1] + c1 + np.where(
-            d - 1 > p, e2, np.where(d - 1 == p, e1, 0))
-        f1r = self.f1r + e1 + e2 * (m - p) + rank_d + delta * (m - d + 1)
-        hits = []
-        for i in np.flatnonzero((f1r - target.f1r) % params.f1r_mod == 0):
-            f2r = self.edited_sums(int(d[i]), b_d, int(p[i]), b_e)[1]
-            if f2r % params.f2r_mod == target.f2r:
-                hits.append((int(d[i]), int(p[i])))
-        return hits
+        # the exact f2r of the few left; edited_sums reads r1 at p and d - 1
+        self.r1.load(np.concatenate((p, d - 1)))
+        return [(d, p) for d, p in zip(d.tolist(), p.tolist())
+                if self.edited_sums(d, b_d, p, b_e)[1] % params.f2r_mod
+                == target.f2r]
 
 
 def _table_class(n: int) -> type[_WordStats]:
@@ -357,13 +447,14 @@ def _correct_one_substitution(y: Word, target: DelSubSketches,
     and VT sums of y are C-level sums, so one sketch pass, over y or over
     the corrected word, decides."""
     bits = y.raw
-    h_diff = signed_residue(target.h - bits.count(1), params.h_mod)
+    array = np.frombuffer(bits, dtype=np.uint8)
+    h_diff = signed_residue(target.h - np.count_nonzero(array), params.h_mod)
     if h_diff == 0 and sketches(y, params) == target:
         return [y]
     if h_diff not in (-1, 1):
         raise NoCandidateError("no single substitution explains the weight sketch")
     x_e = 1 if h_diff == 1 else 0
-    vt = weighted_vt_sum(np.frombuffer(bits, dtype=np.uint8))
+    vt = weighted_vt_sum(array)
     f_diff = (target.f - vt) % params.f_mod  # = e(2 x_e - 1) mod f_mod
     e = f_diff if x_e == 1 else (-f_diff) % params.f_mod
     if not 1 <= e <= params.n or bits[e - 1] != 1 - x_e:
@@ -397,12 +488,13 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     sketch forces the flip's position q in the word after the insertion, also
     affine in k, and the k with 1 <= q <= n form at most two stretches.  At
     each of their representatives `stretch_hits` runs the bit and run-count
-    tests and f1r, O(1) on the table (on a `_WordArrays`, as array masks over
-    the stretch), and only the survivors pay for the exact f2r sum; a hit
-    matches all five sketches exactly.  A hit inserts at its representative, or at the run's next position when the
-    flip falls on the representative itself.  Distinct hits have distinct q:
-    q is affine in the representative's index, and the two stretches lie
-    f_mod > len(reps) apart.
+    tests and f1r, O(1) on the table (on a `_WordArrays`, as int8 masks over
+    slices of the stretch, then int64 sums for their survivors), and only
+    the survivors of f1r pay for the exact f2r sum; a hit matches all five
+    sketches exactly.  A hit inserts at its representative, or at the run's
+    next position when the flip falls on the representative itself.
+    Distinct hits have distinct q: q is affine in the representative's
+    index, and the two stretches lie f_mod > len(reps) apart.
     """
     f_mod = params.f_mod
     # the VT sum after inserting b_d at the k-th representative, less the

@@ -76,17 +76,22 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def int_to_bits(value: int, width: int) -> bytes:
+    """value as `width` big-endian bits: its binary digits, translated."""
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")
-    return bytes((value >> (width - 1 - i)) & 1 for i in range(width))
+    if not width:
+        return b""  # format gives "0" for width 0
+    return format(value, f"0{width}b").encode().translate(_FROM_DIGITS)
 
 
 def bits_to_int(bits: bytes) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+    """The big-endian value of bits (0 for none), read as binary digits."""
+    return int(bits.translate(_TO_DIGITS), 2) if bits else 0
 
 
 def bits_to_quaternary(bits: bytes) -> bytes:

@@ -3,6 +3,7 @@ import itertools
 import random
 from operator import ne
 
+import numpy as np
 import pytest
 
 from conftest import binary_words
@@ -894,7 +895,13 @@ def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
                 assert getattr(vector, name) == getattr(scalar, name)
                 assert type(getattr(vector, name)) is int
             assert vector.ranks.tolist() == scalar.ranks
-            assert vector.r1.tolist() == scalar.r1
+            # r1 at every index, summed one by one and loaded in one pass
+            # (with repeats, out of order)
+            every = range(vector.m + 1)
+            assert [vector.r1[i] for i in every] == scalar.r1
+            loaded = _WordArrays(y)
+            loaded.r1.load(np.arange(vector.m, -1, -1).repeat(2))
+            assert [loaded.r1.known[i] for i in every] == scalar.r1
             for u in (0, 1):
                 assert vector.reps(u).tolist() == scalar.reps(u)
             for target in targets:
@@ -923,6 +930,85 @@ def test_vector_path_matches_the_scalar_path(n, trials, kind, monkeypatch):
         assert all(_all_python_ints(sk.astuple()) for sk in outcomes[1][:3])
 
 
+def _crossing_words(rng, n):
+    """Words of length n whose runs are long: all zeros, all ones, 0101...,
+    one long run in random bits, and runs of up to n / 2 bits."""
+    half = n // 2
+    middle = [rng.getrandbits(1) for _ in range(n)]
+    middle[n // 4:n // 4 + half] = [1] * half
+    return [bytes(n), b"\x01" * n, bytes(i % 2 for i in range(n)), bytes(middle),
+            bytes(_run_heavy_word(rng, n, "runs"))]
+
+
+def test_vector_stretches_match_the_scalar_scan_across_the_crossing(monkeypatch):
+    """_scan on the array table against the Python one where the flip meets
+    the insertion, q - rep in {1, 0, -1}.  Words with long runs, with every
+    deletion plus a substitution at most three positions away against the
+    source's sketches, and every VT residue f for three received words, so
+    that a stretch starts anywhere.  Covered and asserted: all four (b_d,
+    b_e), so both slopes; a hit in a crossing block as long as a run of
+    1 - b_d bits; slope -1 stretches from rep = 1 and down to q = 1; and
+    q = rep = n at the end sentinel, where no word exists."""
+    n = 40
+    params = DelSubParams(n)
+    real = _WordArrays.stretch_hits
+    seen = []
+
+    def spy(self, reps, lo, hi, q, slope, b_d, b_e, *rest):
+        hits = real(self, reps, lo, hi, q, slope, b_d, b_e, *rest)
+        # (k, rep, g = rep - q) along the stretch
+        shapes = [(k, rep, rep - (q + slope * k))
+                  for k, rep in enumerate(reps[lo:hi].tolist())]
+        crossing = [k for k, rep, g in shapes if -1 <= g <= 1]
+        hit_ks = [k for k, rep, g in shapes if -1 <= g <= 1
+                  for d, p in hits if d == rep + (g == 0)]
+        seen.append({"slope": slope, "b_d": b_d, "b_e": b_e, "lo": lo,
+                     "last_q": q + slope * (hi - lo - 1),
+                     "crossing": len(crossing), "crossing_hits": len(hit_ks),
+                     "end": any(g == 0 and rep == n for k, rep, g in shapes)})
+        return hits
+
+    monkeypatch.setattr(_WordArrays, "stretch_hits", spy)
+
+    def compare(y, target):
+        scalar, vector = _WordStats(y), _WordArrays(y)
+        for b_d in (0, 1):
+            for b_e in (0, 1, None):
+                shift = b_d + (0 if b_e is None else 2 * b_e - 1)
+                scan_target = DelSubSketches(
+                    target.f, target.f1r, target.f2r,
+                    (scalar.weight + shift) % params.h_mod, target.hr)
+                run_delta = signed_residue(scan_target.hr - scalar.runs,
+                                           params.hr_mod)
+                assert delsub_module._scan(
+                    vector, params, scan_target, b_d, b_e, run_delta) == \
+                    delsub_module._scan(scalar, params, scan_target, b_d,
+                                        b_e, run_delta)
+
+    rng = random.Random("crossing")
+    for x in _crossing_words(rng, n):
+        target = sketches(Word(x, 2), params)
+        for d in range(1, n + 1):
+            for e in range(max(1, d - 3), min(n, d + 3) + 1):
+                y = list(x)
+                if e != d:
+                    y[e - 1] ^= 1
+                del y[d - 1]
+                compare(bytes(y), target)
+        for y in (x[1:], x[:-1], x[:n // 2] + x[n // 2 + 1:]):
+            for f in range(params.f_mod):
+                compare(y, DelSubSketches(f, *target.astuple()[1:]))
+
+    for b_d, b_e in itertools.product((0, 1), repeat=2):
+        assert any(s["crossing_hits"] for s in seen
+                   if (s["b_d"], s["b_e"]) == (b_d, b_e))
+    assert any(s["crossing_hits"] and s["crossing"] >= n // 4 for s in seen)
+    assert all(s["crossing"] <= 2 for s in seen if s["slope"] == -1)
+    assert any(s["lo"] == 0 for s in seen if s["slope"] == -1)
+    assert any(s["last_q"] == 1 for s in seen if s["slope"] == -1)
+    assert any(s["end"] for s in seen)
+
+
 def test_int64_sums_are_exact_up_to_the_largest_vector_length():
     """(n + 2)^3 < 2^63 bounds every int64 sum of the vector path, and
     VECTOR_MAX_N is the largest n it holds for.  At that length the word
@@ -939,7 +1025,11 @@ def test_int64_sums_are_exact_up_to_the_largest_vector_length():
     m = n - 1
     stats = _WordArrays(word[:m])
     assert stats.squares == m * (m + 1) * (2 * m + 1) // 6
-    assert stats.f1r == int(stats.r1[m]) == m * (m + 1) // 2
+    assert stats.f1r == stats.r1[m] == m * (m + 1) // 2
+    sample = [*range(m, 0, -997), 0]
+    stats.r1.load(np.array(sample))
+    assert [stats.r1.known[i] for i in sample] == [
+        i * (i + 1) // 2 for i in sample]
     assert stats.vt == ((m + 1) // 2) ** 2
 
 

@@ -490,7 +490,7 @@ def _list_rll_unpack(seq, zero_digit, one_digit):
             if d not in (zero_digit, one_digit):
                 raise MalformedEncodingError("digit")
             bits.append(int(d == one_digit))
-        start = bits_to_int(tuple(bits))
+        start = bits_to_int(bytes(bits))
         del out[-cap:]
         if start > len(out):
             raise MalformedEncodingError("index")

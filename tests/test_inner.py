@@ -5,8 +5,34 @@ import pytest
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
 from syncodec.errors import DecodeFailure
-from syncodec.inner import REP, SketchFields, rep_decode, rep_encode
+from syncodec.inner import (
+    REP,
+    SketchFields,
+    bits_to_int,
+    int_to_bits,
+    rep_decode,
+    rep_encode,
+)
 from syncodec.words import Word
+
+
+@pytest.mark.parametrize("width", range(25))
+def test_int_to_bits_round_trips_at_every_width(width):
+    """Every value of up to 12 bits, and a spread of wider ones, against the
+    big-endian digits built bit by bit."""
+    top = 1 << width
+    for value in {*range(min(top, 1 << 12)), *range(0, top, max(1, top >> 10)),
+                  top - 1}:
+        bits = int_to_bits(value, width)
+        assert bits == bytes((value >> (width - 1 - i)) & 1 for i in range(width))
+        assert bits_to_int(bits) == value
+    assert int_to_bits(0, 0) == b"" and bits_to_int(b"") == 0
+
+
+def test_int_to_bits_refuses_what_does_not_fit():
+    for value, width in [(-1, 4), (16, 4), (1, 0), (-1, 0), (1 << 24, 24)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            int_to_bits(value, width)
 
 
 def test_sketch_fields_widths_and_bits():

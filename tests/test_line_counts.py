@@ -19,7 +19,15 @@ import syncodec
 from syncodec import deltrans
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
-from syncodec.words import Deletion, Insertion, Substitution, Transposition, Word, apply
+from syncodec.words import (
+    DelAndSub,
+    Deletion,
+    Insertion,
+    Substitution,
+    Transposition,
+    Word,
+    apply,
+)
 
 PACKAGE = str(Path(syncodec.__file__).resolve().parent)
 GROWTH = 1.5
@@ -65,6 +73,10 @@ def edit4_counts(m: int) -> dict[str, int]:
 
 
 def delsub_counts(m: int) -> dict[str, int]:
+    """Seeded random messages, and one whose bits m/4 .. m/2 are one run of
+    zeros.  Both edits inside the run make a slope -1 stretch; deleting the
+    one after the run and flipping the run's last but one makes the scan's
+    crossing block, where the flip meets the insertion, the whole run."""
     rng = random.Random(m)
     code = DelSubCode(m)
     z = Word(tuple(rng.getrandbits(1) for _ in range(m)), 2)
@@ -73,6 +85,15 @@ def delsub_counts(m: int) -> dict[str, int]:
                 "substitution": apply(x, _flip(x, m // 5)),
                 "deletion+substitution": apply(apply(x, _flip(x, m // 7)), Deletion(m // 2)),
                 "clean": x}
+    start, end = m // 4, m // 2  # the run is bits start + 1 .. end
+    bits = list(z.symbols)
+    bits[start:end] = [0] * (end - start)
+    bits[start - 1] = bits[end] = 1
+    run = code.encode(Word(tuple(bits), 2))
+    received["deletion+substitution in a run"] = apply(
+        run, DelAndSub(start + m // 16, start + m // 8))
+    received["deletion+substitution at a run's end"] = apply(
+        run, DelAndSub(end + 1, end - 1))
     counts = {"encode": line_events(code.encode, z)}
     counts.update((kind, line_events(code.decode, y)) for kind, y in received.items())
     return counts
