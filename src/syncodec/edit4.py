@@ -7,16 +7,17 @@ in the 0/2-projection, no long 3-runs in the 1/3-projection) is what makes the
 deletion/insertion scan unambiguous.
 
 Each public function works on its word's bytes (`Word.raw`, one per symbol)
-and does its per-symbol work at array speed: numpy reads the bytes as one
-uint8 array without a copy, the weighted VT sum is the int64 dot product of
-w(x) with the positions, and the count parities are `bytes.count`s.
+and does its per-symbol work in branch-free array passes: numpy reads the
+bytes as one uint8 array without a copy, the weighted VT sum is the int64 dot
+product of w(x) with the positions, and the count parities come from one
+`np.bincount` of that array.
 `correct_edit`, the one corrector, finds a substitution's position by one
 division and a deleted or inserted symbol's position by one suffix sum and one
 equality search (the offsets stay below the modulus, so matching them mod the
 modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
 fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
-words.  The runlength code packs each projection as bytes and interleaves
-the two by the parity mask of the symbols.
+words.  The runlength code splits a word into its two projections, and joins
+them again, through one stable sort of the positions by symbol parity.
 """
 
 from __future__ import annotations
@@ -109,16 +110,11 @@ def _require_quaternary(word: Word) -> None:
         raise AlphabetError(f"edit4 works on 4-ary words, got alphabet size {word.q}")
 
 
-def _weights_of(raw: bytes, params: Edit4Params) -> np.ndarray:
-    """w(x_i) at each position, as one int64 array."""
-    return params.weight_array.take(np.frombuffer(raw, dtype=np.uint8))
-
-
 def sketches(word: Word, params: Edit4Params) -> Edit4Sketches:
     _require_quaternary(word)
-    raw = word.raw
-    f = weighted_vt_sum(_weights_of(raw, params)) % params.modulus
-    return Edit4Sketches(f, *_count_parities(raw))
+    symbols = np.frombuffer(word.raw, dtype=np.uint8)
+    f = weighted_vt_sum(params.weight_array.take(symbols)) % params.modulus
+    return Edit4Sketches(f, *_count_parities(symbols))
 
 
 def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
@@ -127,8 +123,10 @@ def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
     return is_regular(word, params) and sketches(word, params) == target
 
 
-def _count_parities(raw: bytes) -> tuple[int, int, int]:
-    return raw.count(0) & 1, raw.count(1) & 1, raw.count(2) & 1
+def _count_parities(symbols: np.ndarray) -> tuple[int, int, int]:
+    """The parities of the numbers of 0s, 1s and 2s, from one count pass."""
+    c0, c1, c2, _ = np.bincount(symbols, minlength=4).tolist()
+    return c0 & 1, c1 & 1, c2 & 1
 
 
 def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
@@ -151,9 +149,10 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         raise NoCandidateError(f"length {len(y)} incompatible with n = {n}")
     _require_quaternary(y)
     raw = y.raw
-    hy = _count_parities(raw)
+    symbols = np.frombuffer(raw, dtype=np.uint8)
+    hy = _count_parities(symbols)
     flipped = [c for c, h in enumerate((target.h0, target.h1, target.h2)) if hy[c] != h]
-    weighted = _weights_of(raw, params)
+    weighted = params.weight_array.take(symbols)
     f_y = weighted_vt_sum(weighted)
     w = params.weights
     if d == 0:
@@ -183,7 +182,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         # a reinsertion adds f(x) - f(y) to f(y), a deletion takes f(y) - f(x) off
         hits = offsets == d * (f_y - target.f) % params.modulus
         if d > 0:  # only an occurrence of a can be deleted
-            hits = hits[:-1] & (np.frombuffer(raw, dtype=np.uint8) == a)
+            hits = hits[:-1] & (symbols == a)
         hits = hits.nonzero()[0]
         if not hits.size:
             raise NoCandidateError("no position matches the VT sketch")
@@ -200,9 +199,10 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
 
 # Runlength replacement: the 0/2 projection is encoded against long 0-runs,
 # the 1/3 projection against long 3-runs; both use the same core with the
-# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).  A projection is
-# a bytes object (bytes.translate drops the other pair's digits), and the two
-# are interleaved again by the parity mask of the word's symbols.
+# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).  One stable
+# argsort of the symbols' parities lists the even symbols' positions, then
+# the odd symbols', each in word order: gathering through that order lays
+# the two projections end to end, and scattering through it puts them back.
 
 def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     """Replace runs of cap zero_digits until none is left; O(m) scanning.
@@ -265,26 +265,43 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     raise MalformedEncodingError("marker unwinding did not terminate")
 
 
+def _parity_order(symbols: np.ndarray) -> tuple[np.ndarray, int]:
+    """The positions of the even symbols, then of the odd ones, each in word
+    order (one stable radix argsort of the parities), and the number of even
+    symbols."""
+    odd = symbols & 1
+    return np.argsort(odd, kind="stable"), len(symbols) - int(np.count_nonzero(odd))
+
+
 def rll_encode(z: Word) -> Word:
     """Encode z into a regular word of length len(z) + 4, in O(m).
 
     The packed 0/2 projection keeps the slots of z's even symbols and takes
-    slots m, m+1 for its suffix; the packed 1/3 projection fills the rest.
+    slots m, m+1 for its suffix; the packed 1/3 projection keeps the slots of
+    the odd symbols and takes slots m+2, m+3.  Sorting z followed by the
+    placeholders 0, 0, 1, 1 by parity lists exactly these slots, low ones
+    first, so the packed projections are scattered through that order.
     """
     _require_quaternary(z)
-    word = z.raw
-    packed_low = _rll_pack(word.translate(None, b"\x01\x03"), 0, 2)
-    packed_high = _rll_pack(word.translate(None, b"\x00\x02"), 3, 1)
-    low = np.concatenate(((np.frombuffer(word, dtype=np.uint8) & 1) == 0,
-                          (True, True, False, False)))
-    out = np.empty(len(word) + 4, dtype=np.uint8)
-    out[low] = np.frombuffer(packed_low, dtype=np.uint8)
-    out[~low] = np.frombuffer(packed_high, dtype=np.uint8)
+    m = len(z)
+    symbols = np.frombuffer(z.raw + b"\x00\x00\x01\x01", dtype=np.uint8)
+    order, low_end = _parity_order(symbols)
+    projections = symbols[order].tobytes()
+    packed = (_rll_pack(projections[:low_end - 2], 0, 2)
+              + _rll_pack(projections[low_end:m + 2], 3, 1))
+    out = np.empty(m + 4, dtype=np.uint8)
+    out[order] = np.frombuffer(packed, dtype=np.uint8)
     return Word(out.tobytes(), 4)
 
 
 def rll_decode(x: Word) -> Word:
-    """Invert rll_encode; a word that rll_encode cannot output is rejected."""
+    """Invert rll_encode; a word that rll_encode cannot output is rejected.
+
+    With the suffix slots checked, the parity order of x lists the low
+    projection's payload slots, slots m and m+1, the high projection's
+    payload slots, then slots m+2 and m+3, so one gather yields both packed
+    projections and the order without the suffix slots places the payloads.
+    """
     _require_quaternary(x)
     word = x.raw
     if len(word) < 4:
@@ -293,14 +310,16 @@ def rll_decode(x: Word) -> Word:
     # rll_encode puts the low suffix in slots m, m+1 and the high one after it
     if word[m] % 2 or word[m + 1] % 2 or not word[m + 2] % 2 or not word[m + 3] % 2:
         raise MalformedEncodingError("suffix slots do not hold low, low, high, high")
-    # unpacking keeps each projection's length, so with the suffix slots in
-    # place the payloads fill the first m slots exactly
-    low_payload = _rll_unpack(word.translate(None, b"\x01\x03"), 0, 2)
-    high_payload = _rll_unpack(word.translate(None, b"\x00\x02"), 3, 1)
-    low = (np.frombuffer(word, dtype=np.uint8, count=m) & 1) == 0
+    symbols = np.frombuffer(word, dtype=np.uint8)
+    order, low_end = _parity_order(symbols)
+    projections = symbols[order].tobytes()
+    # unpacking keeps each projection's length, so the payloads fill the
+    # first m slots exactly
+    payloads = (_rll_unpack(projections[:low_end], 0, 2)
+                + _rll_unpack(projections[low_end:], 3, 1))
     out = np.empty(m, dtype=np.uint8)
-    out[low] = np.frombuffer(low_payload, dtype=np.uint8)
-    out[~low] = np.frombuffer(high_payload, dtype=np.uint8)
+    payload_slots = np.concatenate((order[:low_end - 2], order[low_end:-2]))
+    out[payload_slots] = np.frombuffer(payloads, dtype=np.uint8)
     return Word(out.tobytes(), 4)
 
 

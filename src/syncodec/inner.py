@@ -13,15 +13,22 @@ Symbols and bits are bytes, one byte each, as in `Word.raw`.
 
 from __future__ import annotations
 
-from itertools import chain
+from operator import add
 
 from .errors import DecodeFailure
 
 REP = 5
 
+# tables for one C-level pass per helper: each byte value repeated REP times,
+# and split into its quotient and remainder by 2 (a 4-ary symbol's two bits),
+# indexed by the value; and a bit doubled
+_REPEATED = [bytes((s,)) * REP for s in range(256)]
+_BIT_PAIRS = [bytes(divmod(s, 2)) for s in range(256)]
+_DOUBLED = bytes.maketrans(b"\x00\x01", b"\x00\x02")
+
 
 def rep_encode(symbols: bytes) -> bytes:
-    return bytes(chain.from_iterable(zip(*[symbols] * REP)))
+    return b"".join(map(_REPEATED.__getitem__, symbols))
 
 
 def rep_decode(window: bytes, block_count: int) -> bytes:
@@ -98,8 +105,8 @@ def bits_to_quaternary(bits: bytes) -> bytes:
     """Pack bits two per 4-ary symbol, zero-padding the tail."""
     if len(bits) % 2:
         bits += b"\x00"
-    return bytes(2 * bits[i] + bits[i + 1] for i in range(0, len(bits), 2))
+    return bytes(map(add, bits[0::2].translate(_DOUBLED), bits[1::2]))
 
 
 def quaternary_to_bits(symbols: bytes) -> bytes:
-    return bytes(chain.from_iterable(divmod(s, 2) for s in symbols))
+    return b"".join(map(_BIT_PAIRS.__getitem__, symbols))

@@ -628,6 +628,31 @@ def test_edit4_4096_matches_the_reference_loops(kind):
                 assert _outcome(rll_decode, got) == _outcome(_reference_rll_decode, got)
 
 
+def _parity_edge_messages(m):
+    """Messages whose projections are empty, full or run-heavy: all even,
+    all odd, all 0 (the most low markers), all 3 (the most high markers)
+    and alternating in parity."""
+    for cycle in ((0, 2), (1, 3), (0,), (3,), (0, 1, 2, 3)):
+        yield Word(tuple(itertools.islice(itertools.cycle(cycle), m)), 4)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4096])
+def test_parity_order_edge_shapes_match_the_reference_loops(m):
+    """The parity order's slices where one projection is empty or full:
+    rll_encode, rll_decode and sketches agree with the loops, and at m <= 3
+    so does rll_decode on every single-edit image of each encoding."""
+    params = Edit4Params.for_length(m + 4)
+    for z in _parity_edge_messages(m):
+        x, _ = _reference_rll_encode(z)
+        assert rll_encode(z) == x
+        assert rll_decode(x) == _reference_rll_decode(x) == z
+        assert sketches(x, params) == _reference_sketches(x, params)
+        if m <= 3:
+            for y in forward_images(x, ErrorModel.SINGLE_EDIT):
+                assert _outcome(rll_decode, y) == _outcome(_reference_rll_decode, y)
+                assert sketches(y, params) == _reference_sketches(y, params)
+
+
 def test_within_one_edit_is_the_single_edit_ball():
     for n in range(0, 6):
         for a in itertools.product(range(3), repeat=n):

@@ -9,7 +9,9 @@ from syncodec.inner import (
     REP,
     SketchFields,
     bits_to_int,
+    bits_to_quaternary,
     int_to_bits,
+    quaternary_to_bits,
     rep_decode,
     rep_encode,
 )
@@ -69,6 +71,25 @@ def test_rep_decode_takes_windows_within_one_symbol_of_the_encoding():
         with pytest.raises(DecodeFailure, match="does not hold 3 blocks"):
             rep_decode(window, len(symbols))
     assert len(encoded) == REP * len(symbols)
+
+
+def _strings(alphabet, longest):
+    for length in range(longest + 1):
+        yield from map(bytes, itertools.product(alphabet, repeat=length))
+
+
+def test_tail_helpers_match_their_generator_forms():
+    """Every 4-ary string of up to 8 symbols and every bit string of up to 8
+    bits: the table forms give what the per-symbol generators gave."""
+    for symbols in _strings(range(4), 8):
+        assert rep_encode(symbols) == bytes(
+            itertools.chain.from_iterable(zip(*[symbols] * REP)))
+        assert quaternary_to_bits(symbols) == bytes(
+            itertools.chain.from_iterable(divmod(s, 2) for s in symbols))
+    for bits in _strings(range(2), 8):
+        padded = bits + b"\x00" * (len(bits) % 2)
+        assert bits_to_quaternary(bits) == bytes(
+            2 * padded[i] + padded[i + 1] for i in range(0, len(padded), 2))
 
 
 def test_codec_tail_layouts_are_pinned():
