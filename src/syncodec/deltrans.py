@@ -787,11 +787,8 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
         others = _folded_sketch(covered[start:a - 1] + covered[b - shift:], length)
         acc = bytes(map(operator.xor, acc, others))
     repaired = inner_correct(window_bits, acc, length)
-    keep = min(b, n) - a + 1
-    tail = y.raw[b - shift:] if b < n else b""
-    x = Word(y.raw[:a - 1] + repaired[:keep] + tail, 2)
-    if len(x) != n:
-        raise DecodeFailure("spliced word has the wrong length")
+    # past n the interval holds only zero padding, which the cut drops
+    x = Word((y.raw[:a - 1] + repaired + y.raw[b - shift:])[:n], 2)
     # a repair that destroys a marker can merge segments past the hash
     # domain, which segment_sketches refuses
     if segment_sketches(x, params, h) != (target, h_x):

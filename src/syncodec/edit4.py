@@ -18,6 +18,8 @@ modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
 fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
 words.  The runlength code splits a word into its two projections, and joins
 them again, through one stable sort of the positions by symbol parity.
+`Edit4Code.decode` sends every received word through `correct_edit` and
+accepts the answer only when its codeword reaches the received word.
 """
 
 from __future__ import annotations
@@ -342,11 +344,12 @@ class Edit4Code:
     """Complete encoder/decoder: payload) regularized payload, tail) sketches.
 
     The tail serializes the payload's sketch fields into 4-ary symbols and
-    guards them with 5-fold repetition, which is single-edit proof.  A word
-    whose tail does not match the recovered sketches is answered from its
-    payload alone, and only when that answer's codeword reaches it: the
-    payload has those sketches and the tail part is within one edit of
-    their tail.
+    guards them with 5-fold repetition, which is single-edit proof.  Every
+    received word's payload window, its first m + 4 + delta symbols for a
+    length change delta, is corrected against the recovered sketches, and
+    the answer is accepted only when its codeword reaches the word: the
+    rest of the word is the re-encoded tail, or the window was the payload
+    itself and the rest is within one edit of that tail.
     """
 
     q = 4
@@ -382,23 +385,16 @@ class Edit4Code:
         raw, n = y.raw, self.m + 4
         # len(y) = n + tail_len + delta, so the repetition window, the last
         # tail_len + delta symbols, starts at n whatever the edit
-        window = raw[n:]
-        bits = quaternary_to_bits(rep_decode(window, self.tail_blocks))
+        bits = quaternary_to_bits(rep_decode(raw[n:], self.tail_blocks))
         target = Edit4Sketches(*self.fields.unpack(bits))
-        expected_tail = rep_encode(self._serialize(target))
-        if raw[n + delta:] != expected_tail:
-            # the edit hit the tail, so the payload part is intact
-            payload = Word(raw[:n], 4)
-            z = rll_decode(payload)
-            # z's codeword is payload + expected_tail when the payload's
-            # sketches are the target, and reaches y when y's tail part is
-            # within one edit of expected_tail
-            if not _within_one_edit(window, expected_tail):
-                raise DecodeFailure("tail is more than one edit from its guard")
-            if sketches(payload, self.params) != target:
-                raise DecodeFailure("intact payload does not match the tail's sketches")
-            return z
+        tail = rep_encode(self._serialize(target))
+        # an edit in the tail is an edit at the end of the payload window,
+        # which correct_edit undoes as its rightmost match
         x = correct_edit(Word(raw[:n + delta], 4), target, self.params)
+        # x + tail reaches y through the payload window or through the tail
+        if raw[n + delta:] != tail and not (
+                x.raw == raw[:n] and _within_one_edit(raw[n:], tail)):
+            raise DecodeFailure("corrected codeword does not reach the received word")
         return rll_decode(x)
 
 

@@ -187,7 +187,7 @@ def test_decode_failure_is_a_json_error(capsys):
     assert record["error"]["type"] == "DecodeFailure"
     # a malformed runlength encoding behind an intact tail
     code, out = run_cli(capsys, "decode", "--code", "edit4", "--m", "1",
-                        "--word", "23103000202122110021012101331300302")
+                        "--word", "23103222221111100000222223333322222")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "MalformedEncodingError"
 

@@ -33,7 +33,13 @@ from syncodec.errors import (
     NoCandidateError,
     SizeGuardError,
 )
-from syncodec.inner import bits_to_int, int_to_bits, rep_decode, rep_encode
+from syncodec.inner import (
+    bits_to_int,
+    int_to_bits,
+    quaternary_to_bits,
+    rep_decode,
+    rep_encode,
+)
 from syncodec.sketches import signed_residue
 from syncodec.words import (
     Deletion,
@@ -686,9 +692,57 @@ def test_tail_hit_answer_reaches_the_received_word():
         payload_hit in forward_images(codec.encode(answer), ErrorModel.SINGLE_EDIT)
 
 
+def _reference_decode(codec, y):
+    """Edit4Code.decode as it was with a separate tail-hit answer: a word
+    whose tail part differs from the re-encoded tail is answered from its
+    payload alone, after its own sketch check."""
+    delta = len(y) - codec.n_total
+    if delta not in (-1, 0, 1):
+        raise DecodeFailure(
+            f"length {len(y)} incompatible with n = {codec.n_total}")
+    raw, n = y.raw, codec.m + 4
+    window = raw[n:]
+    bits = quaternary_to_bits(rep_decode(window, codec.tail_blocks))
+    target = Edit4Sketches(*codec.fields.unpack(bits))
+    expected_tail = rep_encode(codec._serialize(target))
+    if raw[n + delta:] != expected_tail:
+        payload = Word(raw[:n], 4)
+        z = rll_decode(payload)
+        if not edit4._within_one_edit(window, expected_tail):
+            raise DecodeFailure("tail is more than one edit from its guard")
+        if sketches(payload, codec.params) != target:
+            raise DecodeFailure("intact payload does not match the tail's sketches")
+        return z
+    x = correct_edit(Word(raw[:n + delta], 4), target, codec.params)
+    return rll_decode(x)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_decode_matches_the_tail_hit_reference_on_a_two_edit_ball(m):
+    """Every word within two edits of a seeded codeword: decode gives the
+    reference's answer or both raise DecodeFailure, and every answer's
+    encoding reaches the word within one edit."""
+    codec = Edit4Code(m)
+    x = codec.encode(Word(tuple(random.Random(41).choices(range(4), k=m)), 4))
+    ball = set().union(*(forward_images(y, ErrorModel.SINGLE_EDIT)
+                         for y in forward_images(x, ErrorModel.SINGLE_EDIT)))
+    reach = {}
+    for y in ball:
+        got, want = _outcome(codec.decode, y), _outcome(_reference_decode, codec, y)
+        if isinstance(want, Word):
+            assert got == want
+            if want not in reach:
+                reach[want] = forward_images(codec.encode(want), ErrorModel.SINGLE_EDIT)
+            assert y in reach[want]
+        else:
+            assert issubclass(want, DecodeFailure)
+            assert isinstance(got, type) and issubclass(got, DecodeFailure), (y, got)
+
+
 def test_deletion_decode_calls_each_traced_layer(monkeypatch):
     """perfbench's tracer times edit4's layers by patching these module
-    attributes, so a decode must reach each of them through the module."""
+    attributes, so a decode must reach each of them through the module,
+    whether the edit hit the payload or the tail."""
     calls = Counter()
 
     def counting(name, original):
@@ -703,9 +757,16 @@ def test_deletion_decode_calls_each_traced_layer(monkeypatch):
     codec = Edit4Code(64)
     z = Word(tuple(random.Random(31).choices(range(4), k=64)), 4)
     x = codec.encode(z)
-    calls.clear()
-    assert codec.decode(apply(x, Deletion(20))) == z
-    assert all(calls[name] >= 1 for name in layers), calls
+    tail_sub = apply(x, Substitution(len(x), (x.symbols[-1] + 1) % 4))
+    # after a tail substitution the payload window holds the target sketches,
+    # and correct_edit returns it as it stands, as for a clean word
+    received = [(apply(x, Deletion(20)), layers),
+                (apply(x, Deletion(codec.m + 5)), layers),
+                (tail_sub, tuple(name for name in layers if name != "sketches"))]
+    for y, reached in received:
+        calls.clear()
+        assert codec.decode(y) == z
+        assert all(calls[name] >= 1 for name in reached), calls
 
 
 def test_decode_checks_symbols_of_a_wider_alphabet():

@@ -63,10 +63,14 @@ def edit4_counts(m: int) -> dict[str, int]:
     code = Edit4Code(m)
     z = Word(tuple(rng.randrange(4) for _ in range(m)), 4)
     x = code.encode(z)
+    tail_at = m + 4  # the tail is symbols tail_at + 1 .. n_total
     received = {"deletion": apply(x, Deletion(m // 2)),
                 "insertion": apply(x, Insertion(m // 3, 2)),
                 "substitution": apply(x, _flip(x, m // 5)),
-                "clean": x}
+                "clean": x,
+                "tail substitution": apply(x, _flip(x, tail_at + code.tail_len // 2)),
+                "tail deletion": apply(x, Deletion(tail_at + 1)),
+                "tail insertion": apply(x, Insertion(code.n_total + 1, 1))}
     counts = {"encode": line_events(code.encode, z)}
     counts.update((kind, line_events(code.decode, y)) for kind, y in received.items())
     return counts
