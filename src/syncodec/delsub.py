@@ -22,13 +22,16 @@ codeword reaches the received word.
 Each O(n) pass has two implementations, chosen by the codeword length n.
 Below VECTOR_MIN_N they are Python loops over the word's bytes (`Word.raw`,
 one per bit), whose fixed cost per call is a few microseconds.  From
-VECTOR_MIN_N on, numpy views the same bytes as a uint8 array.  Along a flip
-stretch of the scan the flip position is at most two arithmetic runs, so the
-stretch reads the word and how a flip moves the ranks as slices, and tests
-all its representatives at once as int8 masks; only their survivors get
-int64 sums, and the prefix sums of the ranks are summed where they are read.
-Both give the same results, exceptions included.  The int64 sums are exact
-up to VECTOR_MAX_N, and longer codewords and messages are refused.
+VECTOR_MIN_N on, numpy views the same bytes as a uint8 array.  There the
+five sketch sums come from the positions of the word's run boundaries and
+of its 1s, so `sketches` builds no rank table; the int64 ranks are built
+only where the decoder's scan reads them.  Along a flip stretch of the scan
+the flip position is at most two arithmetic runs, so the stretch reads the
+word and how a flip moves the ranks as slices, and tests all its
+representatives at once as int8 masks; only their survivors get int64 sums,
+and the prefix sums of the ranks are summed where they are read.  Both give
+the same results, exceptions included.  The int64 sums are exact up to
+VECTOR_MAX_N, and longer codewords and messages are refused.
 `DelSubCode.decode`'s reachability check sums nothing, so it has one numpy
 implementation.
 """
@@ -56,16 +59,19 @@ _VALID_RUN_DELTAS = {-2, 0, 2, 4}
 # microsecond, so short words stay on the Python loops.  timeit in us, Python
 # loop / numpy, best of 7, paths interleaved, mean of four seeded words,
 # 2-core x86_64 under shared load, Python 3.11, numpy 2.4; sketches cross
-# near n = 192 and list_decode last, near 384, so from 320 to 384 numpy's
-# list_decode costs up to about 10% more than the loops:
+# near n = 96 (its sums come from positions; the row is a later measurement
+# than the others) and list_decode last, near 384, so from 320 to 384
+# numpy's list_decode costs up to about 10% more than the loops:
 #   n                      96     128     192     256     320     384     512
 #   list_decode, del+sub  52/149  72/163  93/156 110/157 181/197 182/180 226/164
 #   list_decode, del      64/175  79/181 103/172 132/171 187/209 219/187 281/205
-#   sketches              16/22   22/23   31/23   41/25   54/25   69/25   91/27
+#   sketches              14/13   16/13   23/12   30/12   37/13   44/13   60/13
 VECTOR_MIN_N = 320
 # The largest n with (n + 2)^3 < 2^63: the int64 rank sums (at most n^3 / 3)
 # and VT sums (at most n^2) of a word of length n, and of its edits, are
-# exact, so sketches and list_decode refuse longer codewords.
+# exact, and so is the sum (2k - 1) s_k <= K^2 (m + 1) <= (m + 1)^3 over the
+# K run boundaries s_k of a word of length m <= n, so sketches and
+# list_decode refuse longer codewords.
 VECTOR_MAX_N = 2 ** 21 - 3
 # the longest words search_best_target and codewords_for_target enumerate
 EXHAUSTIVE_MAX_N = 22
@@ -141,6 +147,10 @@ class _WordStats:
         up to the next one."""
         marks = self.bits if u == 0 else map(not_, self.bits)
         return [1, *compress(range(2, self.m + 2), marks)]
+
+    def rep(self, u: int, k: int) -> int:
+        """reps(u)[k]."""
+        return self.reps(u)[k]
 
     def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
                     ) -> tuple[int, int, int, int]:
@@ -246,13 +256,15 @@ class _WordArrays(_WordStats):
     """The rank tables of `_WordStats` as numpy arrays, for codeword lengths
     from VECTOR_MIN_N on, built from one byte per bit: `bounds` is the int8
     boundary mask, bounds[i] = r_i - r_{i-1} for i = 1 .. m + 1 and 0 at 0
-    and m + 2, the ranks are its cumulative sum, f1r and the sum of their
-    squares int64 sums, the weight a count of nonzero bytes and the VT sum
-    one dot product with the positions.  `sketches` reads these.  `r1` sums
-    the ranks only at the indices that are read (`_RankPrefixSums`).  `ext`
-    stays `bytes`, whose items are Python ints, and `array` is its uint8
-    view.  A flip stretch of the scan is tested as int8 masks over slices
-    of these arrays, and only its survivors pay for int64 sums."""
+    and m + 2.  The five sums that `sketches` reads come from the positions
+    of its boundaries (f1r, the sum of the squared ranks and the run count)
+    and of the word's 1s (`ones`: the weight and the VT sum), with no rank
+    table.  The ranks, the cumulative sum of `bounds`, are built on first
+    read, which only the decoder's scan makes, and `r1` sums them only at
+    the indices that are read (`_RankPrefixSums`).  `ext` stays `bytes`,
+    whose items are Python ints, and `array` is its uint8 view.  A flip
+    stretch of the scan is tested as int8 masks over slices of these
+    arrays, and only its survivors pay for int64 sums."""
 
     def __init__(self, bits: bytes):
         m = len(bits)
@@ -264,17 +276,34 @@ class _WordArrays(_WordStats):
         self.bounds = bounds = np.empty(m + 3, dtype=np.int8)
         bounds[0] = bounds[m + 2] = 0
         np.not_equal(array[1:], array[:-1], out=bounds[1:m + 2].view(bool))
-        self.ranks = ranks = np.empty(m + 2, dtype=np.int64)
+        # the boundaries s_1 < .. < s_K up to m, with r_i = #{k : s_k <= i}:
+        # the r_i, i <= m, sum to K (m + 1) - sum s_k and their squares to
+        # K^2 (m + 1) - sum (2k - 1) s_k.  nonzero of a bool view, not
+        # flatnonzero, which tests the int8 bytes several times slower
+        starts = bounds[:m + 1].view(bool).nonzero()[0]
+        k = len(starts)
+        self.f1r = k * (m + 1) - int(starts.sum())
+        self.squares = k * k * (m + 1) - int(starts.dot(np.arange(1, 2 * k, 2)))
+        self.runs = k + int(bounds[m + 1]) + 1
+        # y_i = 1 exactly at i = ones + 1
+        self.ones = ones = array[1:m + 1].view(bool).nonzero()[0]
+        self.weight = len(ones)
+        self.vt = int(ones.sum()) + self.weight
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """The ranks r_0 .. r_{m+1}, the cumulative sum of `bounds` in int64:
+        only the decoder's scan reads them."""
+        ranks = np.empty(self.m + 2, dtype=np.int64)
         ranks[0] = 0
-        np.cumsum(bounds[1:m + 2], out=ranks[1:])
-        head = ranks[:m + 1]
-        self.f1r = int(head.sum())
-        self.r1 = _RankPrefixSums(ranks)
-        self.r1.known[m] = self.f1r
-        self.squares = int(head.dot(head))
-        self.weight = int(np.count_nonzero(array)) - 1
-        self.vt = weighted_vt_sum(array[1:m + 1])
-        self.runs = int(ranks[m + 1]) + 1
+        np.cumsum(self.bounds[1:self.m + 2], out=ranks[1:])
+        return ranks
+
+    @cached_property
+    def r1(self) -> _RankPrefixSums:
+        r1 = _RankPrefixSums(self.ranks)
+        r1.known[self.m] = self.f1r
+        return r1
 
     @cached_property
     def flip_moves(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +314,20 @@ class _WordArrays(_WordStats):
         return 1 - 2 * bounds[:-1], 2 - 2 * (bounds[:-1] + bounds[1:])
 
     def reps(self, u: int) -> np.ndarray:
-        """`_WordStats.reps` as an int64 array."""
+        """`_WordStats.reps` as an int64 array; for u = 0, 1 and the d just
+        past each 1."""
+        if u == 0:
+            return np.concatenate(([1], self.ones + 2))
         marks = np.empty(self.m + 2, dtype=bool)  # marks[d]: y_{d-1} != u
         marks[0] = False
         np.not_equal(self.array[:self.m + 1], u, out=marks[1:])
         marks[1] = True
         return marks.nonzero()[0]
+
+    def rep(self, u: int, k: int) -> int:
+        if u == 0:  # reps(0)[k], read from the 1s without building the list
+            return 1 if k == 0 else int(self.ones[k - 1]) + 2
+        return int(self.reps(u)[k])
 
     def edited_sums(self, d: int, u: int, p: int | None, t: int | None,
                     ) -> tuple[int, int, int, int]:
@@ -506,7 +543,7 @@ def _scan(stats: _WordStats, params: DelSubParams, target: DelSubSketches,
     if b_e is None:
         k = -f0 * step % f_mod
         if k <= (stats.weight if b_d == 0 else stats.m - stats.weight):
-            d = int(stats.reps(b_d)[k])
+            d = stats.rep(b_d, k)
             f1r, f2r, runs, _ = stats.edited_sums(d, b_d, None, None)
             if (runs - stats.runs == run_delta
                     and f1r % params.f1r_mod == target.f1r
@@ -616,24 +653,34 @@ def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
 INNER_CAPACITY = 96
 
 
+def _first_true(mask: np.ndarray) -> int:
+    """The index of the first True of a bool array, len(mask) if it has none:
+    argmax stops at the first True."""
+    if len(mask) and mask[i := int(mask.argmax())]:
+        return i
+    return len(mask)
+
+
 def _reachable_one_del_one_sub(x_bits: bytes, y_bits: bytes) -> bool:
     """Whether one deletion plus at most one substitution maps x to y (or at
-    most one substitution, when the lengths are equal), from the mismatch
-    positions of the two alignments of their uint8 views."""
+    most one substitution, when the lengths are equal), from the first two
+    and last two mismatches of the two alignments of their uint8 views."""
     n, m = len(x_bits), len(y_bits)
     if m != n and m != n - 1:
         return False
     x = np.frombuffer(x_bits, dtype=np.uint8)
     y = np.frombuffer(y_bits, dtype=np.uint8)
     # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
-    # head and tail are the mismatch positions (0-based) of those two
-    # alignments, and head gets two sentinel mismatches at m and m + 1
-    head = np.flatnonzero(x[:m] != y)
+    # head and tail mark the mismatches (0-based) of those two alignments,
+    # and head reads as if it had two more mismatches, at m and m + 1
+    head = x[:m] != y
+    first = _first_true(head)
+    second = first + 1 + _first_true(head[first + 1:])
     if m == n:
-        return len(head) <= 1
-    tail = np.flatnonzero(x[1:] != y)
-    first, second = (*head[:2].tolist(), m, m + 1)[:2]
-    before_last, last = (-1, -1, *tail[-2:].tolist())[-2:]
+        return second >= m
+    tail = x[1:] != y
+    last = m - 1 - _first_true(tail[::-1])
+    before_last = last - 1 - _first_true(tail[:last][::-1]) if last > 0 else -1
     # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
     # remains for some c when the second head mismatch lies past the last tail
     # one, or the first head mismatch past the one before the last tail one

@@ -829,6 +829,50 @@ def test_reachability_filter():
     assert not _reachable_one_del_one_sub(x, bytes((1, 0, 0)))
 
 
+def _long_reachability_pairs(rng, n):
+    """(x, y) pairs of length about 16,800 at the ends of the mismatch
+    search: mismatches at index 0 and m - 1, deletions of x_1 and x_n,
+    equal lengths with 0, 1 or 2 mismatches, and y = x[1:] or x[:-1] with
+    a flip next to the cut, in and beyond the error model."""
+    x = bytes(rng.getrandbits(1) for _ in range(n))
+
+    def flipped(word, *at):
+        word = bytearray(word)
+        for i in at:
+            word[i] ^= 1
+        return bytes(word)
+
+    pairs = [(x, x), (x, flipped(x, 0)), (x, flipped(x, n - 1)),
+             (x, flipped(x, 0, n - 1)), (x, flipped(x, 0, 1)),
+             (x, flipped(x, n - 2, n - 1)), (x, flipped(x, n // 2))]
+    for y in (x[1:], x[:-1]):
+        m = len(y)
+        pairs += [(x, y), (x, flipped(y, 0)), (x, flipped(y, m - 1)),
+                  (x, flipped(y, 0, m - 1)), (x, flipped(y, 0, 1)),
+                  (x, flipped(y, m - 2, m - 1)), (x, flipped(y, m // 2))]
+    # one deletion inside with a flip on either side of the cut, and a
+    # second flip beyond the model
+    for k in (1, n // 3, n - 2):
+        y = x[:k] + x[k + 1:]
+        pairs += [(x, flipped(y, k - 1)), (x, flipped(y, k)),
+                  (x, flipped(y, k - 1, k)), (x, flipped(y, 0, n - 2))]
+    return pairs
+
+
+def test_reachability_matches_the_reference_on_long_words():
+    """The numpy check stops at the first two and last two mismatches of
+    each alignment; on words of about 16,800 bits it agrees with the
+    Python-loop reference at both ends of the words and of the cut."""
+    rng = random.Random("reach-long")
+    outcomes = set()
+    for n in (16_800, 16_801):
+        for x, y in _long_reachability_pairs(rng, n):
+            want = reachable_reference(x, y)
+            assert _reachable_one_del_one_sub(x, y) == want
+            outcomes.add((len(x) - len(y), want))
+    assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type and message of what it raised: the scalar and
     the vector path must fail in the same way too."""
@@ -1033,14 +1077,51 @@ def test_int64_sums_are_exact_up_to_the_largest_vector_length():
     assert stats.vt == ((m + 1) // 2) ** 2
 
 
+def _edge_words(m):
+    """Words of length m at the edges of the sums from positions: no
+    boundary or 1 at all, one at every position (both alternations), one
+    long run closed by a single opposite bit, and random words ending in
+    0 and in 1."""
+    rng = random.Random(f"edges-{m}")
+    body = bytes(rng.getrandbits(1) for _ in range(m - 1))
+    return [bytes(m), b"\x01" * m, bytes(i % 2 for i in range(m)),
+            bytes((i + 1) % 2 for i in range(m)), bytes(m - 1) + b"\x01",
+            b"\x01" * (m - 1) + b"\x00", body + b"\x00", body + b"\x01"]
+
+
+@pytest.mark.parametrize("m", [VECTOR_MIN_N - 1, VECTOR_MIN_N, 16384])
+def test_sums_from_positions_match_the_scalar_table_on_edge_words(m):
+    """The five sums of `_WordArrays`, taken from the boundary and 1
+    positions, are the Python ints of `_WordStats`; reps(0) and reps(1)
+    and the rank table, built on first read, are its lists, and
+    rep(u, k) reads reps(u)[k] at every k."""
+    for word in _edge_words(m):
+        scalar, vector = _WordStats(word), _WordArrays(word)
+        for name in ("vt", "f1r", "squares", "weight", "runs"):
+            assert getattr(vector, name) == getattr(scalar, name)
+            assert type(getattr(vector, name)) is int
+        for u in (0, 1):
+            reps = scalar.reps(u)
+            assert vector.reps(u).tolist() == reps
+            assert [vector.rep(u, k) for k in range(len(reps))] == reps
+            assert all(type(vector.rep(u, k)) is int
+                       for k in (0, len(reps) - 1))
+        # a word ending in u gives d = m + 1 among reps(1 - u)
+        assert (m + 1 in scalar.reps(1 - word[-1])) and (
+            m + 1 not in scalar.reps(word[-1]))
+        assert "ranks" not in vector.__dict__
+        assert vector.ranks.tolist() == scalar.ranks
+
+
 class _Chosen(Exception):
     pass
 
 
-def _spy_paths(monkeypatch, seen, stop=False):
+def _spy_paths(monkeypatch, seen, stop=False, tables=None):
     """Record which rank tables list_decode builds, and when sketches builds
     the vector ones, with the word length; stop=True raises _Chosen at the
-    choice instead of running it."""
+    choice instead of running it, and each table built is appended to
+    `tables` when it is given."""
     def record(name, length):
         seen.append((name, length))
         if stop:
@@ -1052,6 +1133,8 @@ def _spy_paths(monkeypatch, seen, stop=False):
         def init(self, bits, name=name, cls=cls):
             record(name, len(bits))
             cls.__init__(self, bits)
+            if tables is not None:
+                tables.append(self)
 
         monkeypatch.setattr(delsub_module, name,
                             type(name, (cls,), {"__init__": init}))
@@ -1084,6 +1167,30 @@ def test_the_delsub_long_shape_takes_the_vector_path(monkeypatch):
     assert w in list_decode(apply(w, DelAndSub(3, 8)), sketches(w, params),
                             params)
     assert seen == [("_WordStats", 11)]
+
+
+def test_only_the_deletion_scan_builds_the_rank_table(monkeypatch):
+    """DelSubCode(16384): encode, a clean decode and a substitution decode
+    read the five sums from positions and never build the payload table's
+    int64 ranks or their prefix sums; a deletion decode builds one payload
+    table, and its scan builds the ranks on it."""
+    seen, tables = [], []
+    _spy_paths(monkeypatch, seen, tables=tables)
+    rng = random.Random("rank-table")
+    codec = DelSubCode(16384)
+    z = Word(tuple(rng.getrandbits(1) for _ in range(codec.m)), 2)
+    x = codec.encode(z)
+    e = rng.randint(1, codec.m)
+    assert codec.decode(x) == [z]
+    assert codec.decode(apply(x, Substitution(e, 1 - x.symbols[e - 1]))) == [z]
+    assert seen == [("_WordArrays", 16384)] * 3
+    assert not any({"ranks", "r1"} & t.__dict__.keys() for t in tables)
+    seen.clear()
+    tables.clear()
+    assert z in codec.decode(apply(x, Deletion(rng.randint(1, codec.m))))
+    payload = [t for t in tables if isinstance(t, _WordArrays)]
+    assert [t.m for t in payload] == [16383]
+    assert "ranks" in payload[0].__dict__
 
 
 @pytest.mark.parametrize("n,path", [
