@@ -32,8 +32,8 @@ representatives at once as int8 masks; only their survivors get int64 sums,
 and the prefix sums of the ranks are summed where they are read.  Both give
 the same results, exceptions included.  The int64 sums are exact up to
 VECTOR_MAX_N, and longer codewords and messages are refused.
-`DelSubCode.decode`'s reachability check sums nothing, so it has one numpy
-implementation.
+`DelSubCode.decode`'s reachability check sums nothing; it is
+`words.reaches`, which serves every codec and length.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import AlphabetError, DecodeFailure, NoCandidateError, SizeGuardError
 from .inner import REP, SketchFields, rep_decode, rep_encode
 from .sketches import signed_residue, weighted_vt_sum
-from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
+from .words import SYMBOL_BYTES, ErrorModel, Word, reaches, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
 _PATTERN_TABLE = {-1: (0, 0), 1: (0, 1), 0: (1, 0), 2: (1, 1)}
@@ -653,40 +653,6 @@ def codewords_for_target(n: int, target: DelSubSketches) -> list[Word]:
 INNER_CAPACITY = 96
 
 
-def _first_true(mask: np.ndarray) -> int:
-    """The index of the first True of a bool array, len(mask) if it has none:
-    argmax stops at the first True."""
-    if len(mask) and mask[i := int(mask.argmax())]:
-        return i
-    return len(mask)
-
-
-def _reachable_one_del_one_sub(x_bits: bytes, y_bits: bytes) -> bool:
-    """Whether one deletion plus at most one substitution maps x to y (or at
-    most one substitution, when the lengths are equal), from the first two
-    and last two mismatches of the two alignments of their uint8 views."""
-    n, m = len(x_bits), len(y_bits)
-    if m != n and m != n - 1:
-        return False
-    x = np.frombuffer(x_bits, dtype=np.uint8)
-    y = np.frombuffer(y_bits, dtype=np.uint8)
-    # deleting x_k compares y_i with x_i for i < k and with x_{i+1} for i >= k;
-    # head and tail mark the mismatches (0-based) of those two alignments,
-    # and head reads as if it had two more mismatches, at m and m + 1
-    head = x[:m] != y
-    first = _first_true(head)
-    second = first + 1 + _first_true(head[first + 1:])
-    if m == n:
-        return second >= m
-    tail = x[1:] != y
-    last = m - 1 - _first_true(tail[::-1])
-    before_last = last - 1 - _first_true(tail[:last][::-1]) if last > 0 else -1
-    # a cut c = k - 1 leaves head[:c] and tail[c:]: at most one mismatch
-    # remains for some c when the second head mismatch lies past the last tail
-    # one, or the first head mismatch past the one before the last tail one
-    return second > last or first > before_last
-
-
 class DelSubCode:
     """Systematic encoder: message, its sketch fields, then a repetition guard
     of the fields' own sketches at an inner length of at least `INNER_CAPACITY`."""
@@ -756,7 +722,7 @@ class DelSubCode:
             except DecodeFailure:
                 continue
             out += [z for z in zs
-                    if _reachable_one_del_one_sub(z.raw + v + guard, raw)]
+                    if reaches(z.raw + v + guard, raw, ErrorModel.ONE_DEL_ONE_SUB)]
         if not out:
             raise DecodeFailure("no payload candidate is consistent with y")
         return sorted(out, key=lambda z: z.raw)

@@ -48,7 +48,7 @@ from .inner import (
     rep_encode,
 )
 from .sketches import WeightFn, signed_residue, weighted_vt_sum
-from .words import SYMBOL_BYTES, ErrorModel, Word
+from .words import SYMBOL_BYTES, ErrorModel, Word, reaches
 
 # the longest words enumerate_sketch_space searches exhaustively
 EXHAUSTIVE_MAX_N = 10
@@ -325,21 +325,6 @@ def rll_decode(x: Word) -> Word:
     return Word(out.tobytes(), 4)
 
 
-def _within_one_edit(a: bytes, b: bytes) -> bool:
-    """Whether b equals a or is one deletion, insertion or substitution of it:
-    the common prefix and the common suffix cover all but the edited symbol."""
-    short = min(len(a), len(b))
-    if max(len(a), len(b)) - short > 1:
-        return False
-    p = 0
-    while p < short and a[p] == b[p]:
-        p += 1
-    s = 0
-    while s < short - p and a[-1 - s] == b[-1 - s]:
-        s += 1
-    return p + s >= short - (len(a) == len(b))
-
-
 class Edit4Code:
     """Complete encoder/decoder: payload) regularized payload, tail) sketches.
 
@@ -349,7 +334,8 @@ class Edit4Code:
     length change delta, is corrected against the recovered sketches, and
     the answer is accepted only when its codeword reaches the word: the
     rest of the word is the re-encoded tail, or the window was the payload
-    itself and the rest is within one edit of that tail.
+    itself and `words.reaches` finds the rest within one edit of that tail.
+    A word with a symbol outside 0..3 is refused with `AlphabetError`.
     """
 
     q = 4
@@ -378,11 +364,14 @@ class Edit4Code:
         return Word(x.raw + tail, 4)
 
     def decode(self, y: Word) -> Word:
+        # a word over another alphabet is read as 4-ary, and refused with
+        # AlphabetError if it holds a larger symbol, before any of it is read
+        raw = y.raw if y.q == 4 else Word(y.raw, 4).raw
         delta = len(y) - self.n_total
         if delta not in (-1, 0, 1):
             raise DecodeFailure(
                 f"length {len(y)} incompatible with n = {self.n_total}")
-        raw, n = y.raw, self.m + 4
+        n = self.m + 4
         # len(y) = n + tail_len + delta, so the repetition window, the last
         # tail_len + delta symbols, starts at n whatever the edit
         bits = quaternary_to_bits(rep_decode(raw[n:], self.tail_blocks))
@@ -393,7 +382,7 @@ class Edit4Code:
         x = correct_edit(Word(raw[:n + delta], 4), target, self.params)
         # x + tail reaches y through the payload window or through the tail
         if raw[n + delta:] != tail and not (
-                x.raw == raw[:n] and _within_one_edit(raw[n:], tail)):
+                x.raw == raw[:n] and reaches(tail, raw[n:], ErrorModel.SINGLE_EDIT)):
             raise DecodeFailure("corrected codeword does not reach the received word")
         return rll_decode(x)
 

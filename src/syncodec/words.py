@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
+import numpy as np
+
 from .errors import AlphabetError, PositionError, SizeGuardError
 
 # the exhaustive oracles enumerate at most this many words q^n
@@ -244,12 +246,48 @@ def forward_images(word: Word, model: ErrorModel) -> set[Word]:
 
 def compatible_lengths(model: ErrorModel, n: int) -> tuple[int, ...]:
     if model is ErrorModel.SINGLE_EDIT:
-        return tuple(m for m in (n - 1, n, n + 1) if m >= 0)
-    if model is ErrorModel.ONE_DEL_ONE_SUB:
-        return tuple(m for m in (n - 1, n) if m >= 0)
-    if model is ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION:
-        return tuple(m for m in (n - 1, n) if m >= 0)
-    raise TypeError(f"unknown model {model!r}")
+        lengths = (n - 1, n, n + 1)
+    elif model in (ErrorModel.ONE_DEL_ONE_SUB, ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION):
+        lengths = (n - 1, n)
+    else:
+        raise TypeError(f"unknown model {model!r}")
+    return lengths[n == 0:]  # no word has length -1
+
+
+def reaches(x: bytes, y: bytes, model: ErrorModel) -> bool:
+    """Whether y is in forward_images(x, model), for symbols of any alphabet,
+    in O(n) from the first two and last two mismatches of two alignments.
+
+    One insertion maps x to y exactly when one deletion maps y to x, so
+    after the length test y has length m = n or n - 1.  Deleting x_k
+    compares y_i with x_i for i < k and with x_{i+1} for i >= k; head and
+    tail mark the mismatches (0-based) of those two alignments with a byte
+    1, and head gets two sentinel mismatches at m and m + 1.
+    """
+    if len(y) not in compatible_lengths(model, len(x)):
+        return False
+    if len(y) > len(x):
+        x, y = y, x
+    n, m = len(x), len(y)
+    a, b = np.frombuffer(x, dtype=np.uint8), np.frombuffer(y, dtype=np.uint8)
+    head = (a[:m] != b).tobytes() + b"\x01\x01"
+    first = head.find(1)
+    second = head.find(1, first + 1)
+    if m == n:
+        if model is not ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION:
+            return second >= m  # at most one substitution
+        # no mismatch, or two adjacent ones that one swap clears
+        return first == m or (second == first + 1 < m == head.find(1, second + 1)
+                              and x[first] == y[second] and x[second] == y[first])
+    tail = (a[1:] != b).tobytes()
+    last = tail.rfind(1)
+    if model is not ErrorModel.ONE_DEL_ONE_SUB:
+        return first > last  # a cut c leaves head[:c] and tail[c:] clean
+    before_last = tail.rfind(1, 0, max(last, 0))
+    # a cut c leaves head[:c] and tail[c:]: at most one mismatch remains for
+    # some c when the second head mismatch lies past the last tail one, or
+    # the first head mismatch past the one before the last tail one
+    return second > last or first > before_last
 
 
 def all_words(n: int, q: int) -> Iterator[Word]:

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -6,11 +7,16 @@ from syncodec.deltrans import DeltransDeskCode
 from syncodec.words import Word
 
 
-@pytest.fixture(scope="session")
-def desk_code():
+@lru_cache(maxsize=None)
+def built_desk_code():
     # the cap-5 greedy hash is nearly all of the build's ~0.7 s; build once
     # and share
     return DeltransDeskCode.build(28, 5)
+
+
+@pytest.fixture(scope="session")
+def desk_code():
+    return built_desk_code()
 
 
 def binary_words(n):

@@ -201,6 +201,9 @@ def test_decode_failure_is_a_json_error(capsys):
     (["decode", "--code", "edit4", "--m", "1", "--word", "0123", "--q", "300"],
      "AlphabetError"),
     (["decode", "--code", "edit4", "--m", "-3", "--word", "0123"], "AlphabetError"),
+    # a 5-ary word whose repetition tail holds a majority of 4s
+    (["decode", "--code", "edit4", "--m", "7", "--word",
+      "343114020302444124333132333144223230223213"], "AlphabetError"),
     (["corrupt", "--word", "0101", "--q", "1", "--pattern", "del:1"], "AlphabetError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "-3"], "SyncodecError"),
     (["sketch", "--code", "vt", "--word", "0101", "--modulus", "0"], "SyncodecError"),

@@ -50,6 +50,7 @@ from syncodec.words import (
     apply,
     forward_images,
     patterns,
+    reaches,
 )
 
 
@@ -659,15 +660,6 @@ def test_parity_order_edge_shapes_match_the_reference_loops(m):
                 assert sketches(y, params) == _reference_sketches(y, params)
 
 
-def test_within_one_edit_is_the_single_edit_ball():
-    for n in range(0, 6):
-        for a in itertools.product(range(3), repeat=n):
-            ball = {w.symbols for w in forward_images(Word(a, 3), ErrorModel.SINGLE_EDIT)}
-            for m in range(max(0, n - 2), n + 3):
-                for b in itertools.product(range(3), repeat=m):
-                    assert edit4._within_one_edit(b, a) == (b in ball)
-
-
 def test_tail_hit_answer_reaches_the_received_word():
     """A word whose tail comparison fails is decoded from its payload only if
     the payload's sketches are the recovered target and the tail part is
@@ -708,7 +700,7 @@ def _reference_decode(codec, y):
     if raw[n + delta:] != expected_tail:
         payload = Word(raw[:n], 4)
         z = rll_decode(payload)
-        if not edit4._within_one_edit(window, expected_tail):
+        if not reaches(expected_tail, window, ErrorModel.SINGLE_EDIT):
             raise DecodeFailure("tail is more than one edit from its guard")
         if sketches(payload, codec.params) != target:
             raise DecodeFailure("intact payload does not match the tail's sketches")

@@ -1,24 +1,41 @@
 """Property tests: hypothesis draws the inputs, derandomized and with a fixed
-number of examples, so every run tests the same cases."""
+number of examples, so every run tests the same cases.
 
+The decoder contract is written once and checked for every codec of the
+CLI's registry, `cli.CODES`, so a codec is covered when it is registered:
+- a word of any alphabet and length decodes, or is refused with
+  `DecodeFailure`, or with `AlphabetError` when its alphabet is not the
+  codec's; no other exception escapes
+- a word within the codec's error model decodes to its message (a list
+  decoder's list holds it)
+- a word two errors from a codeword never gets an answer whose encoding the
+  model cannot map to the word
+
+The judges are independent of the codecs: `forward_images` for the short
+edit4 and deltrans words, and `test_delsub.reachable_reference` for delsub.
+"""
+
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import built_desk_code  # noqa: E402
+from syncodec.cli import CODES  # noqa: E402
 from syncodec.delsub import (  # noqa: E402
     VECTOR_MIN_N,
     DelSubCode,
     DelSubParams,
     DelSubSketches,
-    _reachable_one_del_one_sub,
     list_decode,
     sketches,
 )
 from syncodec.edit4 import Edit4Code  # noqa: E402
-from syncodec.errors import DecodeFailure  # noqa: E402
+from syncodec.errors import AlphabetError, DecodeFailure  # noqa: E402
 from syncodec.words import (  # noqa: E402
     DelAndSub,
     Deletion,
@@ -36,8 +53,10 @@ from test_delsub import (  # noqa: E402
     reachable_reference,
 )
 
-FIXED = settings(derandomize=True, max_examples=400, deadline=None,
-                 database=None)
+
+def fixed(max_examples=400):
+    return settings(derandomize=True, max_examples=max_examples, deadline=None,
+                    database=None)
 
 
 @st.composite
@@ -65,7 +84,7 @@ def received_and_target(draw):
             params)
 
 
-@FIXED
+@fixed()
 @given(received_and_target())
 def test_list_decode_is_the_reference_for_any_word_and_sketches(case):
     """list_decode equals the reference scan's list of at most two words, or
@@ -76,195 +95,180 @@ def test_list_decode_is_the_reference_for_any_word_and_sketches(case):
     assert got == "NoCandidateError" or 1 <= len(got) <= 2
 
 
-edit4_code = lru_cache(maxsize=None)(Edit4Code)
+def word(draw, n, q):
+    """A word of length n over alphabet q, drawn as n bytes."""
+    return Word(bytes(b % q for b in draw(st.binary(min_size=n, max_size=n))), q)
 
 
-def quaternary(draw, n):
-    """A 4-ary word of length n, drawn as n bytes."""
-    return Word(tuple(b % 4 for b in draw(st.binary(min_size=n, max_size=n))), 4)
+@dataclass(frozen=True)
+class Contract:
+    """How the contract tests drive one registered codec.  `build` makes the
+    codec of a message length drawn from `lengths` (the two-error test draws
+    from `two_error_lengths`, with `two_error_examples` examples), `message`
+    draws what its `encode` takes, and `answers` lists the messages its
+    `decode` names."""
+
+    build: Callable
+    lengths: st.SearchStrategy
+    two_error_lengths: st.SearchStrategy
+    two_error_examples: int
+    message: Callable = lambda draw, code: word(draw, code.m, code.q)
+    answers: Callable = lambda code, y: [code.decode(y)]
 
 
-@st.composite
-def edit4_codeword(draw):
-    """An Edit4Code of message length 0..40, a message and its codeword."""
-    code = edit4_code(draw(st.integers(0, 40)))
-    z = quaternary(draw, code.m)
-    return code, z, code.encode(z)
+@lru_cache(maxsize=None)
+def _desk_indices(code):
+    return {x.raw: index for index, x in enumerate(code.codewords)}
 
 
-@st.composite
-def single_edit(draw, word):
-    """One deletion, insertion or substitution of word."""
-    n = len(word)
-    kind = draw(st.sampled_from(["del", "ins", "sub"]))
+def _desk_answers(code, y):
+    index = _desk_indices(code).get(code.decode(y).raw)
+    assert index is not None, "the answer is no codeword"
+    return [index]
+
+
+CONTRACTS = {
+    "edit4": Contract(lru_cache(maxsize=None)(Edit4Code), st.integers(0, 40),
+                      st.integers(0, 40), 400),
+    # m is drawn below the vector crossover and above it, so both paths answer
+    "delsub": Contract(lru_cache(maxsize=None)(DelSubCode), st.integers(1, 40),
+                       st.one_of(st.integers(1, 40),
+                                 st.integers(VECTOR_MIN_N, VECTOR_MIN_N + 300)),
+                       150, answers=lambda code, y: code.decode(y)),
+    # the desk code has a fixed length; its messages are codeword indices
+    "deltrans": Contract(lambda _: built_desk_code(), st.none(), st.none(), 300,
+                         message=lambda draw, code: draw(
+                             st.integers(0, len(code.codewords) - 1)),
+                         answers=_desk_answers),
+}
+
+
+def run(examples, check):
+    """check(data) on `examples` derandomized draws."""
+    fixed(examples)(given(st.data())(check))()
+
+
+# the kinds of error each model's sampler draws
+ERROR_KINDS = {
+    ErrorModel.SINGLE_EDIT: ["del", "ins", "sub"],
+    ErrorModel.ONE_DEL_ONE_SUB: ["del", "sub", "del+sub"],
+    ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION: ["del", "trans"],
+}
+
+
+def one_error(draw, x, model):
+    """One error of the model on x, as an error pattern of syncodec.words;
+    a substitution writes a symbol other than the one it replaces."""
+    n, q = len(x), x.q
+    kind = draw(st.sampled_from(ERROR_KINDS[model]))
+    at = draw(st.integers(1, n + (kind == "ins")))
     if kind == "del":
-        return Deletion(draw(st.integers(1, n)))
+        return Deletion(at)
     if kind == "ins":
-        return Insertion(draw(st.integers(1, n + 1)), draw(st.integers(0, 3)))
-    at = draw(st.integers(1, n))
-    return Substitution(at, (word.symbols[at - 1] + draw(st.integers(1, 3))) % 4)
+        return Insertion(at, draw(st.integers(0, q - 1)))
+    if kind == "trans":
+        swaps = [k for k in range(1, n) if x[k - 1] != x[k]]
+        return Transposition(draw(st.sampled_from(swaps))) if swaps else Deletion(at)
+
+    def other(e):
+        return (x[e - 1] + draw(st.integers(1, q - 1))) % q
+
+    if kind == "sub":
+        return Substitution(at, other(at))
+    flip_at = draw(st.integers(1, n - 1))
+    flip_at += flip_at >= at
+    return DelAndSub(at, flip_at, other(flip_at))
 
 
-@FIXED
-@given(st.data())
-def test_edit4_decodes_any_word_or_raises_decode_failure(data):
-    code = edit4_code(data.draw(st.integers(0, 40)))
-    n = code.n_total + data.draw(st.integers(-1, 1))
-    y = quaternary(data.draw, n)
-    try:
-        z = code.decode(y)
-    except DecodeFailure:
-        return
-    assert z.q == 4 and len(z) == code.m
-
-
-@FIXED
-@given(st.data())
-def test_edit4_undoes_any_single_edit(data):
-    code, z, x = data.draw(edit4_codeword())
-    assert code.decode(apply(x, data.draw(single_edit(x)))) == z
-
-
-@FIXED
-@given(st.data())
-def test_edit4_two_edits_never_give_an_unreachable_answer(data):
-    """An answer to a word two edits from a codeword must have an encoding
-    within one edit of that word, or the decode raises DecodeFailure."""
-    code, z, x = data.draw(edit4_codeword())
-    once = apply(x, data.draw(single_edit(x)))
-    y = apply(once, data.draw(single_edit(once)))
-    try:
-        answer = code.decode(y)
-    except DecodeFailure:
-        return
-    assert y in forward_images(code.encode(answer), ErrorModel.SINGLE_EDIT)
-
-
-delsub_code = lru_cache(maxsize=None)(DelSubCode)
-
-
-def binary(draw, n):
-    """A binary word of length n, drawn as n bytes."""
-    return Word(tuple(b & 1 for b in draw(st.binary(min_size=n, max_size=n))), 2)
-
-
-def any_word(draw, x):
-    """A binary word of length |x| + d, d in -2..1: uniform, or x after -d
-    deletions (one insertion when d = 1) and up to two substitutions."""
-    delta = draw(st.integers(-2, 1))
+def any_word(draw, x, q):
+    """A word over alphabet q >= x.q of length |x| + d, d in -2..2: uniform,
+    or x after -d deletions or d insertions, up to two substitutions and
+    perhaps one stretch overwritten by a single symbol."""
+    delta = draw(st.integers(-2, 2))
     if draw(st.booleans()):
-        return binary(draw, len(x) + delta)
-    bits = list(x.symbols)
+        return word(draw, len(x) + delta, q)
+    symbols = list(x.raw)
     for _ in range(-delta):
-        del bits[draw(st.integers(0, len(bits) - 1))]
-    if delta == 1:
-        bits.insert(draw(st.integers(0, len(bits))), draw(st.integers(0, 1)))
+        del symbols[draw(st.integers(0, len(symbols) - 1))]
+    for _ in range(delta):
+        symbols.insert(draw(st.integers(0, len(symbols))), draw(st.integers(0, q - 1)))
     for _ in range(draw(st.integers(0, 2))):
-        bits[draw(st.integers(0, len(bits) - 1))] ^= 1
-    return Word(tuple(bits), 2)
+        at = draw(st.integers(0, len(symbols) - 1))
+        symbols[at] = (symbols[at] + draw(st.integers(1, q - 1))) % q
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.integers(0, len(symbols))) for _ in range(2))
+        symbols[lo:hi] = [draw(st.integers(0, q - 1))] * (hi - lo)
+    return Word(symbols, q)
 
 
-@FIXED
-@given(st.data())
-def test_delsub_decodes_any_word_or_raises_decode_failure(data):
-    code = delsub_code(data.draw(st.integers(1, 40)))
-    y = any_word(data.draw, code.encode(binary(data.draw, code.m)))
-    try:
-        answers = code.decode(y)
-    except DecodeFailure:
-        return
-    assert 1 <= len(answers) <= 2
+def assert_answers_reach(code, answers, y):
+    """At most list_bound answers, each with an encoding that the codec's
+    error model maps to y."""
+    assert 1 <= len(answers) <= code.list_bound
     for z in answers:
-        assert z.q == 2 and len(z) == code.m
-        assert _reachable_one_del_one_sub(code.encode(z).raw, y.raw)
+        x = code.encode(z)
+        if code.model is ErrorModel.ONE_DEL_ONE_SUB:
+            assert reachable_reference(x.raw, y.raw), (y, z)
+        else:
+            assert y.raw in {w.raw for w in forward_images(x, code.model)}, (y, z)
 
 
-@FIXED
-@given(st.data())
-def test_delsub_lists_the_message_after_one_deletion_and_a_substitution(data):
-    code = delsub_code(data.draw(st.integers(1, 40)))
-    z = binary(data.draw, code.m)
-    x = code.encode(z)
-    n = len(x)
-    delete_at = data.draw(st.integers(1, n))
-    flip_at = data.draw(st.one_of(st.none(), st.integers(1, n)))
-    if flip_at is None or flip_at == delete_at:
-        y = apply(x, Deletion(delete_at))
-    else:
-        y = apply(x, DelAndSub(delete_at, flip_at))
-    answers = code.decode(y)
-    assert z in answers and len(answers) <= 2
+@pytest.mark.parametrize("name", CODES)
+def test_any_word_decodes_or_is_refused(name):
+    """A word over the codec's alphabet, one more symbol or 256 symbols, at
+    the codeword length +-2: the decode returns answers that reach it,
+    raises DecodeFailure, or, for another alphabet, AlphabetError; any
+    other exception fails the test."""
+    contract = CONTRACTS[name]
+
+    def check(data):
+        code = contract.build(data.draw(contract.lengths))
+        x = code.encode(contract.message(data.draw, code))
+        y = any_word(data.draw, x, data.draw(st.sampled_from([code.q, code.q + 1, 256])))
+        try:
+            answers = contract.answers(code, y)
+        except DecodeFailure:
+            return
+        except AlphabetError:
+            assert y.q != code.q
+            return
+        assert_answers_reach(code, answers, y)
+
+    run(400, check)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(st.data())
-def test_delsub_two_errors_never_give_an_unreachable_answer(data):
-    """Two deletions, or a deletion and two substitutions, of a codeword:
-    every answer's encoding reaches y by one deletion and at most one
-    substitution, or the decode raises DecodeFailure; any other exception
-    fails the test.  m is drawn below the crossover and above it, so both
-    paths answer; the judge is the Python-loop reference reachability check,
-    which test_delsub pins against the exhaustive error ball."""
-    m = data.draw(st.one_of(st.integers(1, 40),
-                            st.integers(VECTOR_MIN_N, VECTOR_MIN_N + 300)))
-    code = delsub_code(m)
-    bits = list(code.encode(binary(data.draw, m)).symbols)
-    del bits[data.draw(st.integers(0, len(bits) - 1))]
-    if data.draw(st.booleans()):
-        del bits[data.draw(st.integers(0, len(bits) - 1))]
-    else:
-        for at in data.draw(st.lists(st.integers(0, len(bits) - 1),
-                                     min_size=2, max_size=2, unique=True)):
-            bits[at] ^= 1
-    y = Word(tuple(bits), 2)
-    try:
-        answers = code.decode(y)
-    except DecodeFailure:
-        return
-    assert 1 <= len(answers) <= 2
-    for z in answers:
-        assert reachable_reference(code.encode(z).symbols, y.symbols)
+@pytest.mark.parametrize("name", CODES)
+def test_an_in_model_word_decodes_to_its_message(name):
+    """One error of the model: the decode names the message, and a list
+    decoder's list is within its bound."""
+    contract = CONTRACTS[name]
+
+    def check(data):
+        code = contract.build(data.draw(contract.lengths))
+        z = contract.message(data.draw, code)
+        x = code.encode(z)
+        answers = contract.answers(code, apply(x, one_error(data.draw, x, code.model)))
+        assert z in answers and len(answers) <= code.list_bound
+
+    run(400, check)
 
 
-@FIXED
-@given(st.data())
-def test_deltrans_desk_decodes_any_word_or_raises_decode_failure(desk_code, data):
-    y = any_word(data.draw, data.draw(st.sampled_from(desk_code.codewords)))
-    try:
-        x = desk_code.decode(y)
-    except DecodeFailure:
-        return
-    assert x in desk_code.codewords
-    assert y in forward_images(x, ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION)
+@pytest.mark.parametrize("name", CODES)
+def test_two_errors_never_give_an_unreachable_answer(name):
+    """Two errors of the model, each drawn on the word the one before left:
+    the answers' encodings reach y, or the decode raises DecodeFailure; any
+    other exception fails the test."""
+    contract = CONTRACTS[name]
 
+    def check(data):
+        code = contract.build(data.draw(contract.two_error_lengths))
+        x = code.encode(contract.message(data.draw, code))
+        once = apply(x, one_error(data.draw, x, code.model))
+        y = apply(once, one_error(data.draw, once, code.model))
+        try:
+            answers = contract.answers(code, y)
+        except DecodeFailure:
+            return
+        assert_answers_reach(code, answers, y)
 
-@FIXED
-@given(st.data())
-def test_deltrans_desk_undoes_one_deletion_or_transposition(desk_code, data):
-    x = data.draw(st.sampled_from(desk_code.codewords))
-    n = len(x)
-    swaps = [k for k in range(1, n) if x.symbols[k - 1] != x.symbols[k]]
-    error = data.draw(st.one_of(st.builds(Deletion, st.integers(1, n)),
-                                st.builds(Transposition, st.sampled_from(swaps))))
-    assert desk_code.decode(apply(x, error)) == x
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(st.data())
-def test_deltrans_desk_two_errors_never_give_an_unreachable_answer(desk_code, data):
-    """Two deletions, or a deletion and an adjacent transposition, of a
-    codeword: an answer must reach y by one deletion or one adjacent
-    transposition, or the decode raises DecodeFailure; any other exception
-    fails the test.  The second error lands anywhere in the shortened word,
-    so the splice and the segment hashes see words the model never makes."""
-    x = data.draw(st.sampled_from(desk_code.codewords))
-    once = apply(x, Deletion(data.draw(st.integers(1, len(x)))))
-    swaps = [k for k in range(1, len(once)) if once[k - 1] != once[k]]
-    second = data.draw(st.one_of(st.builds(Deletion, st.integers(1, len(once))),
-                                 st.builds(Transposition, st.sampled_from(swaps))))
-    y = apply(once, second)
-    try:
-        answer = desk_code.decode(y)
-    except DecodeFailure:
-        return
-    assert y in forward_images(answer, ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION)
+    run(contract.two_error_examples, check)
