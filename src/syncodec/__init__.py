@@ -15,7 +15,7 @@ from .words import (
     run_count,
     run_string,
 )
-from .sketches import ModularValue, WeightFn, vt, weighted_vt
+from .sketches import vt
 from .edit4 import Edit4Code, Edit4Params
 from .delsub import DelSubCode, DelSubParams, list_decode
 from .deltrans import DeltransDeskCode, DeltransParams
@@ -25,7 +25,7 @@ __all__ = [
     "DelAndSub", "Deletion", "ErrorModel", "Insertion", "Substitution",
     "Transposition", "Word", "apply", "error_ball", "forward_images",
     "prefix_parity", "run_count", "run_string",
-    "ModularValue", "WeightFn", "vt", "weighted_vt",
+    "vt",
     "Edit4Code", "Edit4Params", "DelSubCode", "DelSubParams", "list_decode",
     "DeltransDeskCode", "DeltransParams",
     "VerificationReport", "search_inner_code", "verify_code",

@@ -88,7 +88,7 @@ def _largest_vt_class(n: int) -> list[Word]:
     modulus = 2 * n + 1
     classes: list[list[Word]] = [[] for _ in range(modulus)]
     for w in oracle.all_words(n, 2):
-        classes[vt(w, modulus).value].append(w)
+        classes[vt(w, modulus)].append(w)
     return max(classes, key=len)
 
 
@@ -114,8 +114,7 @@ def _cmd_sketch(args) -> int:
         modulus = 2 * len(word) + 1 if args.modulus is None else args.modulus
         if modulus < 1:
             raise SyncodecError(f"--modulus must be positive, got {modulus}")
-        value = vt(word, modulus)
-        _emit({"f": {"value": value.value, "modulus": value.modulus}})
+        _emit({"f": {"value": vt(word, modulus), "modulus": modulus}})
     elif args.code == "deltrans":
         h = deltrans.desk_hash(deltrans.DESK_DELTA)
         params = deltrans.DeltransParams.desk(len(word), h.cap, h.hash_range)

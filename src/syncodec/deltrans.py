@@ -365,6 +365,8 @@ class DeltransParams:
 
     @classmethod
     def paper(cls, n: int) -> "DeltransParams":
+        if n < 8:
+            raise ProfileError(f"the paper profile needs n >= 8, got {n}")
         log_n = ceil_log2(n)
         delta = 50 + 1000 * log_n
         hash_range = 1000 * delta * delta
@@ -808,8 +810,7 @@ def _segment_options(length: int) -> tuple[bytes, ...]:
     out = []
     for prefix in itertools.product((0, 1), repeat=length - 4):
         bits = bytes(prefix) + _MARKER_BYTES
-        inner, residue = segment_lenient(Word(bits, 2))
-        if len(inner) == 1 and not residue:
+        if bits.find(_MARKER_BYTES) == length - 4:
             out.append(bits)
     return tuple(out)
 

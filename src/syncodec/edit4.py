@@ -47,7 +47,7 @@ from .inner import (
     rep_decode,
     rep_encode,
 )
-from .sketches import WeightFn, signed_residue, weighted_vt_sum
+from .sketches import signed_residue, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, reaches
 
 # the longest words enumerate_sketch_space searches exhaustively
@@ -58,7 +58,7 @@ EXHAUSTIVE_MAX_N = 10
 class Edit4Params:
     n: int
     log_n: int
-    weights: WeightFn
+    weights: tuple[int, int, int, int]  # w(0) < w(1) < w(2) < w(3)
     modulus: int
 
     @classmethod
@@ -68,14 +68,14 @@ class Edit4Params:
         if n > 2 ** 28:
             raise SizeGuardError("edit4's int64 sums are exact only for n <= 2^28")
         log_n = ceil_log2(n)
-        weights = WeightFn((0, 1, 2 * log_n + 11, 2 * log_n + 12))
+        weights = (0, 1, 2 * log_n + 11, 2 * log_n + 12)
         modulus = 1 + 2 * n * (2 * log_n + 12)
         return cls(n, log_n, weights, modulus)
 
     @cached_property
     def weight_array(self) -> np.ndarray:
         """w as an int64 array, indexed by a word's uint8 symbol array."""
-        return np.array(self.weights.weights, dtype=np.int64)
+        return np.array(self.weights, dtype=np.int64)
 
     @property
     def moduli(self) -> tuple[int, int, int, int]:
@@ -168,7 +168,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         lo, hi = flipped if len(flipped) == 2 else (flipped[0], 3)
         # y holds b, the codeword holds a; f(y) - f(x) = i (w(b) - w(a))
         a, b = (lo, hi) if diff < 0 else (hi, lo)
-        i, rest = divmod(abs(diff), abs(w(b) - w(a)))
+        i, rest = divmod(abs(diff), abs(w[b] - w[a]))
         if rest or not 1 <= i <= n or raw[i - 1] != b:
             raise NoCandidateError("no position matches the sketch difference")
         x_raw = raw[:i - 1] + SYMBOL_BYTES[a] + raw[i:]
@@ -180,7 +180,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         offsets = np.zeros(len(raw) + 1, dtype=np.int64)
         np.cumsum(weighted[::-1], out=offsets[-2::-1])  # offsets[j - 1] = S(j)
         first = 1 if d < 0 else 0  # j w(a) for a reinsertion, (j - 1) w(a) for a deletion
-        offsets += np.arange(first, len(raw) + 1 + first, dtype=np.int64) * w(a)
+        offsets += np.arange(first, len(raw) + 1 + first, dtype=np.int64) * w[a]
         # a reinsertion adds f(x) - f(y) to f(y), a deletion takes f(y) - f(x) off
         hits = offsets == d * (f_y - target.f) % params.modulus
         if d > 0:  # only an occurrence of a can be deleted
@@ -406,7 +406,7 @@ def enumerate_sketch_space(n: int) -> tuple[np.ndarray, np.ndarray]:
     symbols = np.empty((total, n), dtype=np.int8)
     for j in range(n):
         symbols[:, j] = (idx >> (2 * (n - 1 - j))) & 3
-    w = np.array(params.weights.weights, dtype=np.int64)
+    w = params.weight_array
     positions = np.arange(1, n + 1, dtype=np.int64)
     f = (w[symbols] * positions).sum(axis=1) % params.modulus
     h = [( (symbols == c).sum(axis=1) & 1 ).astype(np.int64) for c in range(3)]

@@ -81,9 +81,6 @@ class Word:
     def __str__(self) -> str:
         return "".join(map(str, self.raw))
 
-    def replace(self, symbols) -> "Word":
-        return Word(symbols, self.q)
-
 
 def require_binary(word: Word) -> None:
     if word.q != 2:

@@ -40,7 +40,7 @@ def test_criterion_01_binary_vt_baseline():
     best, size = None, -1
     for a in range(modulus):
         members = [w for w in oracle.all_words(n, 2)
-                   if vt(w, modulus).value == a]
+                   if vt(w, modulus) == a]
         if len(members) > size:
             best, size = members, len(members)
     report = oracle.verify_code(best, ErrorModel.SINGLE_EDIT, 1)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import syncodec
 from syncodec.cli import CODES, main
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
@@ -244,6 +245,15 @@ def _readme_cli_lines() -> list[str]:
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
     lines = block.split("```", 1)[0].splitlines()
     return [line.split("#", 1)[0].strip() for line in lines if line.strip()]
+
+
+def test_readme_library_tour_runs():
+    block = README.read_text().split("## Library quick tour", 1)[1]
+    exec(block.split("```python\n", 1)[1].split("```", 1)[0], {})
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in syncodec.__all__ if not hasattr(syncodec, name)] == []
 
 
 # stdout and exit code of every README CLI line, with timings masked; each

@@ -590,6 +590,14 @@ def test_params_validation():
     p.validate()
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 7])
+def test_paper_profile_refuses_short_words(n):
+    """Below n = 8 the paper profile is refused as a profile, before its
+    log n is taken."""
+    with pytest.raises(ProfileError):
+        DeltransParams.paper(n)
+
+
 def test_window_plan_geometry():
     plan = WindowPlan(100, 10)
     assert plan.block == 21

@@ -57,7 +57,7 @@ from syncodec.words import (
 def test_params_formulas():
     p = Edit4Params.for_length(8)
     assert p.log_n == 3
-    assert p.weights.weights == (0, 1, 17, 18)
+    assert p.weights == (0, 1, 17, 18)
     assert p.modulus == 1 + 2 * 8 * 18
     p = Edit4Params.for_length(6)  # non-power-of-two lengths take the ceiling
     assert p.log_n == 3
@@ -68,7 +68,7 @@ def test_params_refuse_lengths_whose_sums_overflow():
     one symbol more is refused.  Neither call allocates a word."""
     n = 2 ** 28
     p = Edit4Params.for_length(n)
-    assert (n + 1) * (n + 2) // 2 * max(p.weights.weights) < 2 ** 63
+    assert (n + 1) * (n + 2) // 2 * max(p.weights) < 2 ** 63
     with pytest.raises(SizeGuardError):
         Edit4Params.for_length(n + 1)
 
@@ -111,7 +111,7 @@ def test_sketches_and_membership():
     params = Edit4Params.for_length(4)
     word = Word.parse("1203", 4)
     sk = sketches(word, params)
-    w = params.weights
+    w = params.weights.__getitem__
     assert sk.f == (1 * w(1) + 2 * w(2) + 3 * w(0) + 4 * w(3)) % params.modulus
     assert (sk.h0, sk.h1, sk.h2) == (1, 1, 1)
     assert is_codeword(word, params, sk) == is_regular(word, params)
@@ -152,7 +152,7 @@ def test_localization_gap_never_ambiguous():
     for k in range(1, 21):
         n = 2 ** k
         params = Edit4Params.for_length(n)
-        worst = n * (params.weights(3) - params.weights(0))
+        worst = n * (params.weights[3] - params.weights[0])
         assert 2 * worst < params.modulus
 
 
@@ -381,7 +381,7 @@ def test_regular_fraction_sampler():
 # is the list-and-set encoder over the quadratic packer.
 
 def _reference_sketches(word, params):
-    w = params.weights.weights
+    w = params.weights
     f = sum(i * w[s] for i, s in enumerate(word.symbols, start=1)) % params.modulus
     s = word.symbols
     return Edit4Sketches(f, s.count(0) & 1, s.count(1) & 1, s.count(2) & 1)
@@ -408,7 +408,7 @@ def _reference_correct_substitution(y, target, params):
         lo, hi = flipped[0], 3
     else:
         raise NoCandidateError("three")
-    w = params.weights
+    w = params.weights.__getitem__
     a, b = (lo, hi) if diff < 0 else (hi, lo)
     step = abs(w(b) - w(a))
     if abs(diff) % step:
@@ -416,7 +416,7 @@ def _reference_correct_substitution(y, target, params):
     i = abs(diff) // step
     if not 1 <= i <= params.n or y.symbols[i - 1] != b:
         raise NoCandidateError("position")
-    x = y.replace(y.symbols[:i - 1] + (a,) + y.symbols[i:])
+    x = Word(y.symbols[:i - 1] + (a,) + y.symbols[i:], 4)
     if _reference_sketches(x, params) != target:
         raise NoCandidateError("check")
     return x
@@ -430,12 +430,12 @@ def _reference_correct_deletion(y, target, params):
     if len(flipped) > 1:
         raise NoCandidateError("parities")
     a = flipped[0] if flipped else 3
-    w = params.weights
+    w = params.weights.__getitem__
     f_y = _reference_sketches(y, params).f
     f_ins = (f_y + n * w(a)) % params.modulus
     for j in range(n, 0, -1):
         if (target.f - f_ins) % params.modulus == 0:
-            x = y.replace(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:])
+            x = Word(y.symbols[:j - 1] + (a,) + y.symbols[j - 1:], 4)
             if _reference_sketches(x, params) != target:
                 raise NoCandidateError("check")
             return x
@@ -452,14 +452,14 @@ def _reference_correct_insertion(y, target, params):
     if len(flipped) > 1:
         raise NoCandidateError("parities")
     a = flipped[0] if flipped else 3
-    w = params.weights
+    w = params.weights.__getitem__
     f_y = _reference_sketches(y, params).f
     suffix_weight = 0
     for j in range(n + 1, 0, -1):
         if y.symbols[j - 1] == a:
             f_del = (f_y - j * w(a) - suffix_weight) % params.modulus
             if (target.f - f_del) % params.modulus == 0:
-                x = y.replace(y.symbols[:j - 1] + y.symbols[j:])
+                x = Word(y.symbols[:j - 1] + y.symbols[j:], 4)
                 if _reference_sketches(x, params) != target:
                     raise NoCandidateError("check")
                 return x
@@ -543,7 +543,7 @@ def test_scan_offsets_stay_below_the_modulus():
     for k in range(1, 21):
         n = 2 ** k
         params = Edit4Params.for_length(n)
-        top = max(params.weights.weights)
+        top = max(params.weights)
         assert (n + 1) * top < params.modulus
         assert (n + 1) * (n + 2) // 2 * top < 2 ** 63
 
@@ -778,7 +778,7 @@ def test_scans_keep_the_rightmost_match_of_the_flipped_symbol():
     scans keep the rightmost match among occurrences of a, as the loops do;
     a match at a 0 to the right of the only 1 is no occurrence of a."""
     params = Edit4Params.for_length(25)
-    assert params.weights.weights == (0, 1, 21, 22)
+    assert params.weights == (0, 1, 21, 22)
     zeros = (0,) * 20
     left = Word((3, 3, 1, 2) + zeros + (3,), 4)
     right = Word((3, 3, 2) + zeros + (1, 3), 4)

@@ -20,7 +20,7 @@ def best_vt_code(n):
     modulus = 2 * n + 1
     best, size = None, -1
     for a in range(modulus):
-        members = [w for w in all_words(n, 2) if vt(w, modulus).value == a]
+        members = [w for w in all_words(n, 2) if vt(w, modulus) == a]
         if len(members) > size:
             best, size = members, len(members)
     return best

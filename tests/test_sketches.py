@@ -1,19 +1,15 @@
-import itertools
 import random
 
 import pytest
 
 from conftest import binary_words
 from syncodec import delsub, edit4
-from syncodec.errors import AlphabetError, SizeGuardError
+from syncodec.errors import SizeGuardError
 from syncodec.sketches import (
-    ModularValue,
-    WeightFn,
     signed_residue,
     vt,
     vt_parity_sums,
     vt_sum,
-    weighted_vt,
 )
 from syncodec.words import (
     DelAndSub,
@@ -33,45 +29,9 @@ def _run_sketches(word):
 
 
 def test_vt_examples():
-    assert vt(Word.parse("00000"), 11).value == 0
-    assert vt(Word.parse("0101"), 13).value == 6
-    assert vt(Word.parse("011"), 7).value == 5
-
-
-def test_weighted_vt_examples():
-    w = WeightFn((0, 1, 15, 16))
-    assert weighted_vt(Word.parse("1203", 4), w, 129).value == 95
-    assert weighted_vt(Word.parse("0000", 4), w, 129).value == 0
-    identity = WeightFn((0, 1))
-    for word in binary_words(6):
-        assert weighted_vt(word, identity, 19) == vt(word, 19)
-
-
-def test_weighted_vt_alphabet_mismatch():
-    with pytest.raises(AlphabetError):
-        weighted_vt(Word.parse("01"), WeightFn((0, 1, 2, 3)), 7)
-
-
-def test_weighted_vt_is_exact_for_any_weights_or_refuses():
-    """Weights are reduced mod the modulus before the int64 sum, so weights
-    beyond int64 still give the exact value; a sum that cannot fit in int64
-    even then raises instead of wrapping."""
-    rng = random.Random(5)
-    weights = (0, 10 ** 30, 10 ** 30 + 7, 3 * 10 ** 40)
-    for modulus in (1009, 2 ** 40 + 15):
-        for _ in range(50):
-            word = Word(tuple(rng.randrange(4) for _ in range(rng.randrange(0, 30))), 4)
-            expected = sum(i * weights[s] for i, s in enumerate(word.symbols, start=1))
-            assert weighted_vt(word, WeightFn(weights), modulus).value == expected % modulus
-    with pytest.raises(ValueError):
-        weighted_vt(Word((1,) * 10), WeightFn((0, 2 ** 62)), 2 ** 63)
-
-
-def test_weight_fn_must_increase():
-    with pytest.raises(AlphabetError):
-        WeightFn((0, 0, 1, 2))
-    with pytest.raises(AlphabetError):
-        WeightFn((-1, 0, 1, 2))
+    assert vt(Word.parse("00000"), 11) == 0
+    assert vt(Word.parse("0101"), 13) == 6
+    assert vt(Word.parse("011"), 7) == 5
 
 
 def test_count_mod_examples():
@@ -84,17 +44,6 @@ def test_count_mod_examples():
     assert delsub.sketches(Word.parse("110101"), delsub.DelSubParams(6)).h == 4
 
 
-def test_vt_linear_in_position_weight_products():
-    rng = random.Random(0)
-    for _ in range(200):
-        n = rng.randrange(0, 21)
-        word = Word(tuple(rng.randrange(4) for _ in range(n)), 4)
-        w = WeightFn((0, 3, 5, 11))
-        expected = sum(i * (0, 3, 5, 11)[s]
-                       for i, s in enumerate(word.symbols, start=1))
-        assert weighted_vt(word, w, 1009).value == expected % 1009
-
-
 def test_transposition_drops_vt_by_one():
     """01 -> 10 anywhere lowers the VT sum by exactly 1, so the sketch alone
     cannot place a transposition."""
@@ -104,8 +53,8 @@ def test_transposition_drops_vt_by_one():
             for k in range(1, n):
                 if word.symbols[k - 1] == 0 and word.symbols[k] == 1:
                     swapped = apply(word, Transposition(k))
-                    assert (vt(word, modulus).value - 1) % modulus == \
-                        vt(swapped, modulus).value
+                    assert (vt(word, modulus) - 1) % modulus == \
+                        vt(swapped, modulus)
 
 
 def test_run_sketches_worked_example():
@@ -211,13 +160,3 @@ def test_signed_residue_range():
             r = signed_residue(value, modulus)
             assert -modulus / 2 < r <= modulus / 2
             assert (r - value) % modulus == 0
-
-
-def test_modular_value_validation():
-    assert ModularValue(12, 13).value == 12
-    with pytest.raises(ValueError):
-        ModularValue(13, 13)
-    with pytest.raises(ValueError):
-        ModularValue(-1, 13)
-    with pytest.raises(ValueError):
-        ModularValue(0, 0)
