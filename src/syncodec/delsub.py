@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import AlphabetError, DecodeFailure, NoCandidateError, SizeGuardError
 from .inner import REP, SketchFields, rep_decode, rep_encode
-from .sketches import signed_residue, weighted_vt_sum
+from .sketches import prefix_scan, signed_residue, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, reaches, require_binary
 
 # h(x) - h(y) determines the deleted and the flipped bit values
@@ -292,12 +292,10 @@ class _WordArrays(_WordStats):
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """The ranks r_0 .. r_{m+1}, the cumulative sum of `bounds` in int64:
-        only the decoder's scan reads them."""
-        ranks = np.empty(self.m + 2, dtype=np.int64)
-        ranks[0] = 0
-        np.cumsum(self.bounds[1:self.m + 2], out=ranks[1:])
-        return ranks
+        """The ranks r_0 .. r_{m+1}, the cumulative sum of `bounds` in int64
+        (bounds[0] = 0), as `prefix_scan`'s reversed view: only the
+        decoder's scan reads them."""
+        return prefix_scan(np.add, self.bounds[:self.m + 2], np.int64)
 
     @cached_property
     def r1(self) -> _RankPrefixSums:

@@ -35,7 +35,7 @@ from .errors import (
     SizeGuardError,
 )
 from .inner import SketchFields, ceil_log2
-from .sketches import signed_residue, vt_parity_sums, weighted_vt_sum
+from .sketches import prefix_scan, signed_residue, vt_parity_sums, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 MARKER = (0, 0, 1, 1)
@@ -261,7 +261,9 @@ class ClosedFormHash:
     pair moves the parity sum by a nonzero amount below the modulus, so all the
     separations the locator relies on hold by construction.
 
-    `__call__` hashes one string; `hash_segments` hashes every segment of a
+    `__call__` hashes one binary string of at most 3 * cap bits in one
+    Python loop over its bits, and refuses any other string, as
+    `GreedyHash.__call__` does; `hash_segments` hashes every segment of a
     word in one array pass.
     """
 
@@ -271,9 +273,16 @@ class ClosedFormHash:
         self.hash_range = (3 * cap + 1) * 5 * self.modulus * self.modulus
 
     def __call__(self, bits: bytes) -> int:
-        if len(bits) > 3 * self.cap:
-            raise AlphabetError("string longer than the hash domain")
-        total, _, parity_vt = vt_parity_sums(bits)
+        if len(bits) > 3 * self.cap or bits.translate(None, b"\x00\x01"):
+            raise AlphabetError(
+                f"the hash domain is binary strings of at most {3 * self.cap} bits")
+        # the sums of `vt_parity_sums`, which costs more in numpy calls
+        # than this loop over at most 3 * cap bits
+        total = parity = parity_vt = 0
+        for i, bit in enumerate(bits, 1):
+            parity ^= bit
+            total += i * bit
+            parity_vt += i * parity
         return self._combine(len(bits), bits.count(1), total, parity_vt)
 
     def _combine(self, length, weight, total, parity_vt):
@@ -293,7 +302,7 @@ class ClosedFormHash:
             raise SizeGuardError(f"hash values of cap {self.cap} overflow int64")
         size = int(starts[-1] + lengths[-1])
         bits = bits[:size]
-        parity = np.bitwise_xor.accumulate(bits)
+        parity = prefix_scan(np.bitwise_xor, bits)
         # the parity of the bits before each segment flips its own parities
         before = parity[starts - 1]
         before[0] = 0
@@ -426,6 +435,67 @@ def _segment_table(word: Word, h) -> SegmentTable:
                         len(bits) - int(ends[-1]))
 
 
+def _common_affixes(u: bytes, v: bytes) -> tuple[int, int]:
+    """The length of the longest common prefix of u and v, and that of their
+    longest common suffix that does not overlap it in either, by slice
+    compares.
+
+    The prefix is bisected.  Words one edit apart have a suffix within two
+    bits of that bound, so the suffix search gallops down from the bound and
+    bisects only the last step.
+    """
+    def longest(lo, hi, agree):
+        """The largest k in [lo, hi] with agree(k), given agree(lo)."""
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if agree(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    short = min(len(u), len(v))
+    prefix = longest(0, short, lambda k: u[:k] == v[:k])
+    hi = lo = short - prefix
+    step = 1
+    while lo and u[len(u) - lo:] != v[len(v) - lo:]:
+        hi, lo, step = lo - 1, max(lo - step, 0), 2 * step
+    return prefix, longest(lo, hi, lambda k: u[len(u) - k:] == v[len(v) - k:])
+
+
+def _spliced_table(x: Word, y: Word, y_table: SegmentTable, h) -> SegmentTable:
+    """x's `_segment_table`, given y's: y's segments where x and y agree,
+    and a fresh cut of the span where they differ.
+
+    A marker lying wholly inside the common prefix of x and y, or wholly
+    inside their common suffix, is a marker of both words, and the marker
+    0011 cannot overlap itself.  So y's segments up to the last marker of
+    the prefix, and those after the first marker of the suffix, are
+    segments of x too, the latter ending len(x) - len(y) bits later.  Only
+    the span between those two markers is cut (`segment_lenient`) and
+    hashed one segment at a time; past a suffix marker, x's residue is y's.
+    """
+    xr, yr = x.raw, y.raw
+    prefix, suffix = _common_affixes(xr, yr)
+    lengths, hashes, residue = y_table
+    ends = np.cumsum(lengths)
+    # segments below `first` end in the prefix; segment `last` is the first
+    # whose marker lies wholly in the suffix
+    first, last = np.searchsorted(ends, (prefix, len(yr) - suffix + 3),
+                                  side="right").tolist()
+    start = int(ends[first - 1]) if first else 0
+    stop = int(ends[last]) + len(xr) - len(yr) if last < len(ends) else len(xr)
+    segments, tail = segment_lenient(Word(xr[start:stop], 2))
+    cut = [len(seg) for seg in segments]
+    if max(cut, default=0) > 3 * h.cap:
+        raise LocateFailure("a segment is longer than the hash domain")
+    return SegmentTable(
+        np.concatenate((lengths[:first], np.array(cut, dtype=np.int64), lengths[last + 1:])),
+        np.concatenate((hashes[:first], np.array([h(seg) for seg in segments], dtype=np.int64),
+                        hashes[last + 1:])),
+        residue if last < len(ends) else len(tail))
+
+
 def _require_exact_sums(n: int, h) -> None:
     """Refuse words of n bits whose segment sums could overflow int64.
 
@@ -446,7 +516,7 @@ def _parity_count(raw: bytes) -> int:
     """The prefix-parity sum sum(p_i), p_i = b_1 xor .. xor b_i: the number
     of odd prefixes."""
     return int(np.count_nonzero(
-        np.bitwise_xor.accumulate(np.frombuffer(raw, dtype=np.uint8))))
+        prefix_scan(np.bitwise_xor, np.frombuffer(raw, dtype=np.uint8))))
 
 
 def segment_sketches(word: Word, params: DeltransParams, h,
@@ -730,7 +800,7 @@ def _folded_sketch(bits: bytes, length: int) -> bytes:
     rows = np.frombuffer(bits, dtype=np.uint8).reshape(-1, length)
     positions = np.arange(1, length + 1, dtype=np.int64)
     total = rows.dot(positions) % (length + 1)
-    parity_vt = np.bitwise_xor.accumulate(rows, axis=1).dot(positions) % (2 * length + 1)
+    parity_vt = prefix_scan(np.bitwise_xor, rows).dot(positions) % (2 * length + 1)
     return inner_fields(length).pack((int(np.bitwise_xor.reduce(total)),
                                       int(np.bitwise_xor.reduce(parity_vt))))
 
@@ -760,7 +830,9 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     y is segmented once (or `y_table` is its `_segment_table`), for `locate`
     and for the check of a clean word.  The interval's inner sketch is its
     family's hat XOR the sketches of the family's other intervals, read
-    from y in one `_folded_sketch` pass.
+    from y in one `_folded_sketch` pass.  The check of the repaired word
+    segments it no more: its table is spliced from y's (`_spliced_table`),
+    re-cutting only the span around the repair.
     """
     n = params.n
     _check_length(y, n)
@@ -792,8 +864,8 @@ def correct(y: Word, target: DeltransSketches, h_x: tuple[int, ...],
     # past n the interval holds only zero padding, which the cut drops
     x = Word((y.raw[:a - 1] + repaired + y.raw[b - shift:])[:n], 2)
     # a repair that destroys a marker can merge segments past the hash
-    # domain, which segment_sketches refuses
-    if segment_sketches(x, params, h) != (target, h_x):
+    # domain, which the splice refuses
+    if segment_sketches(x, params, h, _spliced_table(x, y, y_table, h)) != (target, h_x):
         raise DecodeFailure("repaired word contradicts the sketches")
     return x
 

@@ -11,10 +11,12 @@ from conftest import binary_words
 from syncodec import deltrans
 from syncodec.deltrans import (
     _UNASSIGNED,
+    _common_affixes,
     _earlier_neighbour_keys,
     _phi_scan,
     _segment_options,
     _segment_table,
+    _spliced_table,
     GREEDY_HASH_MAX_CAP,
     MARKER,
     ClosedFormHash,
@@ -223,6 +225,106 @@ def test_segment_pass_matches_the_scalar_hashes_on_random_words(pass_hashes):
                 _table_outcome(_reference_segment_table, w, h)
 
 
+def _single_edits(bits):
+    """Every word one deletion, insertion, substitution or adjacent
+    transposition away from bits (bytes), without bits itself."""
+    n = len(bits)
+    out = {bits[:i] + bits[i + 1:] for i in range(n)}
+    out.update(bits[:i] + s + bits[i:] for i in range(n + 1) for s in (b"\x00", b"\x01"))
+    out.update(bits[:i] + bytes((1 - bits[i],)) + bits[i + 1:] for i in range(n))
+    out.update(bits[:i] + bits[i + 1:i + 2] + bits[i:i + 1] + bits[i + 2:]
+               for i in range(n - 1) if bits[i] != bits[i + 1])
+    out.discard(bits)
+    return out
+
+
+def _reference_affixes(u, v):
+    """The longest common prefix of u and v, then the longest common suffix
+    that overlaps it in neither, one symbol at a time."""
+    short = min(len(u), len(v))
+    prefix = next((i for i in range(short) if u[i] != v[i]), short)
+    suffix = next((i for i in range(short - prefix) if u[-1 - i] != v[-1 - i]),
+                  short - prefix)
+    return prefix, suffix
+
+
+def test_common_affixes_match_the_symbol_loop():
+    """Seeded pairs of unrelated words of 0-40 bits, and words of about 2,000
+    bits one or two edits apart (or equal), so that the suffix search both
+    stops within two bits of its bound and gallops far below it."""
+    rng = random.Random(101)
+    pairs = [tuple(bytes(rng.getrandbits(1) for _ in range(rng.randint(0, 40)))
+                   for _ in range(2)) for _ in range(3000)]
+    for _ in range(300):
+        u = bytes(rng.getrandbits(1) for _ in range(rng.randint(1990, 2010)))
+        v = u
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(v) - 1)
+            v = rng.choice((v[:i] + v[i + 1:], v[:i] + b"\x01" + v[i:],
+                            v[:i] + bytes((1 - v[i],)) + v[i + 1:],
+                            v[:i] + v[i + 1:i + 2] + v[i:i + 1] + v[i + 2:]))
+        pairs.append((u, v))
+    for u, v in pairs:
+        assert _common_affixes(u, v) == _reference_affixes(u, v)
+
+
+def _splice_outcomes(word, edited, h):
+    """For y = word and each x in edited, and again with the roles swapped:
+    the spliced table of x (from y's) against x's `_segment_table`, as
+    `_table_outcome`s; a y that has no table is skipped.  Returns the
+    outcomes."""
+    def spliced(y, y_table):
+        return lambda x, h: _spliced_table(x, y, y_table, h)
+
+    outcomes = []
+    fresh = _table_outcome(_segment_table, word, h)
+    for bits in edited:
+        other = Word(bits, 2)
+        other_fresh = _table_outcome(_segment_table, other, h)
+        for y, y_fresh, x, x_fresh in ((word, fresh, other, other_fresh),
+                                       (other, other_fresh, word, fresh)):
+            if isinstance(y_fresh, str):
+                continue
+            got = _table_outcome(spliced(y, _segment_table(y, h)), x, h)
+            assert got == x_fresh, (y, x)
+            outcomes.append(got)
+    return outcomes
+
+
+def test_spliced_table_equals_a_fresh_segmentation(pass_hashes):
+    """Every single deletion, insertion, substitution and adjacent
+    transposition of seeded words of 60-300 bits of every kind, under every
+    hash, both ways round: the table spliced from the other word's is the
+    fresh one, or the same LocateFailure.  Tables with and without a
+    residue and over-long segments all occur."""
+    rng = random.Random(89)
+    kinds = ["uniform", "pieces", "marker-free", "segments", "residue", "over-long"]
+    outcomes = []
+    for i in range(12):
+        w = Word(_pass_word(rng, kinds[i % len(kinds)], rng.randrange(60, 301)), 2)
+        edited = _single_edits(w.raw)
+        for h in pass_hashes:
+            outcomes += _splice_outcomes(w, edited, h)
+    assert {"over-long" if isinstance(o, str) else "residue" if o[2] else "terminal"
+            for o in outcomes} == {"over-long", "residue", "terminal"}
+
+
+def test_spliced_table_equals_a_fresh_segmentation_at_n_2001(monkeypatch):
+    """The four deltrans-window codewords (seed 1) under ClosedFormHash(12),
+    each with every deletion and adjacent transposition, both ways round."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    h = ClosedFormHash(BIG_DELTA)
+    for x in workloads.DeltransWindow().codewords(1):
+        bits = x.raw
+        edited = {bits[:i] + bits[i + 1:] for i in range(len(bits))}
+        edited.update(bits[:i] + bits[i + 1:i + 2] + bits[i:i + 1] + bits[i + 2:]
+                      for i in range(len(bits) - 1) if bits[i] != bits[i + 1])
+        _splice_outcomes(x, edited, h)
+
+
 def test_closed_form_hash_pass_is_exact_at_its_largest_cap():
     """hash_segments sums over one segment at a time, at the segment's own
     positions, so the word's length bounds no int64 value; the hash values
@@ -323,13 +425,28 @@ def _count_segment_passes(monkeypatch) -> list:
 
 
 def test_desk_decode_hashes_each_segment_once(desk_code, monkeypatch):
-    """One deletion decode segments and hashes y once (shared by the multiset
-    recovery, locate and correct) and the repaired word once."""
+    """A deletion or transposition decode segments and hashes y once (shared
+    by the multiset recovery, locate and correct); the repaired word's table
+    is spliced from y's."""
     calls = _count_segment_passes(monkeypatch)
     x = desk_code.codewords[0]
-    y = apply(x, Deletion(1))
-    assert desk_code.decode(y) == x
-    assert calls == [y, x]
+    k = next(k for k in range(1, len(x)) if x[k - 1] != x[k])
+    for y in (apply(x, Deletion(1)), apply(x, Transposition(k))):
+        calls.clear()
+        assert desk_code.decode(y) == x
+        assert calls == [y]
+
+
+def test_correct_segments_a_long_word_once(big_profile, monkeypatch):
+    """At n ~ 2000, `correct` segments and hashes y once, after a deletion
+    and after a transposition."""
+    x, _, params, plan, sk, hx, hats, h = big_profile
+    calls = _count_segment_passes(monkeypatch)
+    k = next(k for k in range(len(x) // 2, len(x)) if x[k - 1] != x[k])
+    for y in (apply(x, Deletion(len(x) // 3)), apply(x, Transposition(k))):
+        calls.clear()
+        assert correct(y, sk, hx, hats, plan, params, h) == x
+        assert calls == [y]
 
 
 def test_desk_clean_decode_hashes_each_segment_once(desk_code, monkeypatch):
@@ -437,6 +554,20 @@ def test_greedy_hash_round_trips_through_json():
 def test_greedy_hash_refuses_a_string_outside_its_domain(bits):
     with pytest.raises(AlphabetError):
         GreedyHash.build(2)(bits)
+
+
+@pytest.mark.parametrize("make", [GreedyHash.build, ClosedFormHash],
+                         ids=["greedy", "closed-form"])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_both_hashes_refuse_a_string_outside_their_domain(make, cap):
+    """A symbol 2 or a string of more than 3 * cap bits is no segment; both
+    hashes refuse it, and hash every string of the domain."""
+    h = make(cap)
+    for bits in (bytes((2, 0, 1)), bytes((0, 1, 2)), bytes(3 * cap + 1),
+                 b"\x01" * (3 * cap + 1)):
+        with pytest.raises(AlphabetError):
+            h(bits)
+    assert 0 <= h(bytes(3 * cap)) < h.hash_range
 
 
 def _edited_json(edit):

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import binary_words
 from syncodec import delsub, edit4
 from syncodec.errors import SizeGuardError
 from syncodec.sketches import (
+    prefix_scan,
     signed_residue,
     vt,
     vt_parity_sums,
@@ -131,6 +133,25 @@ def test_sketch_primitives_match_reference():
     for _ in range(100):
         symbols = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 300)))
         assert vt_sum(symbols) == sum(i * s for i, s in enumerate(symbols, start=1))
+
+
+def test_prefix_scan_is_accumulate():
+    """Every length from 0 to 300, and 1,301, 2,000 and 16,386: the scan
+    equals np.bitwise_xor.accumulate over uint8 bits, np.cumsum of int8
+    steps in int64, and the row-wise accumulate of a 2-D array."""
+    rng = np.random.default_rng(97)
+    for n in [*range(301), 1301, 2000, 16386]:
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        steps = rng.integers(-1, 2, n, dtype=np.int8)
+        xor = prefix_scan(np.bitwise_xor, bits)
+        assert xor.dtype == np.uint8
+        assert np.array_equal(xor, np.bitwise_xor.accumulate(bits))
+        added = prefix_scan(np.add, steps, np.int64)
+        assert added.dtype == np.int64
+        assert np.array_equal(added, np.cumsum(steps, dtype=np.int64))
+        rows = rng.integers(0, 2, (3, n), dtype=np.uint8)
+        assert np.array_equal(prefix_scan(np.bitwise_xor, rows),
+                              np.bitwise_xor.accumulate(rows, axis=1))
 
 
 def test_vt_parity_sums_are_exact_up_to_their_guard():
