@@ -9,15 +9,17 @@ deletion/insertion scan unambiguous.
 Each public function works on its word's bytes (`Word.raw`, one per symbol)
 and does its per-symbol work in branch-free array passes: numpy reads the
 bytes as one uint8 array without a copy, the weighted VT sum is the int64 dot
-product of w(x) with the positions, and the count parities come from one
-`np.bincount` of that array.
+product of w(x) with the positions 1..n+2 that `Edit4Params` caches, and the
+count parities come from one `np.bincount` of that array.
 `correct_edit`, the one corrector, finds a substitution's position by one
 division and a deleted or inserted symbol's position by one suffix sum and one
 equality search (the offsets stay below the modulus, so matching them mod the
 modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
 fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
-words.  The runlength code splits a word into its two projections, and joins
-them again, through one stable sort of the positions by symbol parity.
+words.  The runlength code gathers a word's two projections through the slots
+of its even and of its odd symbols (two nonzero passes over the parity mask)
+and scatters a projection back only from the first symbol that packing or
+unpacking changed: a word with no long run is written back not at all.
 `Edit4Code.decode` sends every received word through `correct_edit` and
 accepts the answer only when its codeword reaches the received word.
 """
@@ -47,7 +49,7 @@ from .inner import (
     rep_decode,
     rep_encode,
 )
-from .sketches import signed_residue, weighted_vt_sum
+from .sketches import signed_residue
 from .words import SYMBOL_BYTES, ErrorModel, Word, reaches
 
 # the longest words enumerate_sketch_space searches exhaustively
@@ -76,6 +78,15 @@ class Edit4Params:
     def weight_array(self) -> np.ndarray:
         """w as an int64 array, indexed by a word's uint8 symbol array."""
         return np.array(self.weights, dtype=np.int64)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The positions 1..n+2 as int64: the weights of a VT dot over any
+        word the corrector reads (n + 1 symbols) and of its insertion slots.
+        Shared by every call, so read-only."""
+        table = np.arange(1, self.n + 3, dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     @property
     def moduli(self) -> tuple[int, int, int, int]:
@@ -115,8 +126,11 @@ def _require_quaternary(word: Word) -> None:
 def sketches(word: Word, params: Edit4Params) -> Edit4Sketches:
     _require_quaternary(word)
     symbols = np.frombuffer(word.raw, dtype=np.uint8)
-    f = weighted_vt_sum(params.weight_array.take(symbols)) % params.modulus
-    return Edit4Sketches(f, *_count_parities(symbols))
+    positions = params.positions
+    if len(symbols) > len(positions):  # longer than any word edit4 reads
+        positions = np.arange(1, len(symbols) + 1, dtype=np.int64)
+    f = int(params.weight_array.take(symbols).dot(positions[:len(symbols)]))
+    return Edit4Sketches(f % params.modulus, *_count_parities(symbols))
 
 
 def is_codeword(word: Word, params: Edit4Params, target: Edit4Sketches) -> bool:
@@ -141,9 +155,11 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
     Reinserting a deleted a before y_j (j = n appends) adds j w(a) + S(j) to
     f(y); deleting an inserted y_j = a takes (j - 1) w(a) + S(j) off it.  Both
     offsets lie in [0, (n + 1) max(w)], below the modulus, so matching them
-    mod the modulus is an exact equality: one suffix sum and one equality
-    search find every matching j, and the largest is kept, as a right-to-left
-    scan would.
+    mod the modulus is an exact equality.  With
+    T(j) = sum_{i >= j} (w(y_i) - w(a)), j w(a) + S(j) = T(j) + (len(y) + 1) w(a),
+    so one suffix sum of w(y) - w(a) and one equality search against the
+    sketch difference less that constant find every matching j, and the
+    largest is kept, as a right-to-left scan would.
     """
     n = params.n
     d = len(y) - n  # -1 after a deletion, 1 after an insertion
@@ -155,7 +171,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
     hy = _count_parities(symbols)
     flipped = [c for c, h in enumerate((target.h0, target.h1, target.h2)) if hy[c] != h]
     weighted = params.weight_array.take(symbols)
-    f_y = weighted_vt_sum(weighted)
+    f_y = int(weighted.dot(params.positions[:len(raw)]))
     w = params.weights
     if d == 0:
         diff = signed_residue(target.f - f_y, params.modulus)  # f(x) - f(y)
@@ -177,12 +193,17 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
             raise NoCandidateError(
                 "one deletion or insertion flips at most one count parity")
         a = flipped[0] if flipped else 3
-        offsets = np.zeros(len(raw) + 1, dtype=np.int64)
-        np.cumsum(weighted[::-1], out=offsets[-2::-1])  # offsets[j - 1] = S(j)
-        first = 1 if d < 0 else 0  # j w(a) for a reinsertion, (j - 1) w(a) for a deletion
-        offsets += np.arange(first, len(raw) + 1 + first, dtype=np.int64) * w[a]
-        # a reinsertion adds f(x) - f(y) to f(y), a deletion takes f(y) - f(x) off
-        hits = offsets == d * (f_y - target.f) % params.modulus
+        # offsets[j - 1] = T(j), written through a reversed view so that
+        # accumulate takes its strided loop; T(len(y) + 1) = 0
+        weighted -= w[a]
+        offsets = np.empty(len(raw) + 1, dtype=np.int64)
+        offsets[-1] = 0
+        np.add.accumulate(weighted[::-1], out=offsets[-2::-1])
+        # a reinsertion adds f(x) - f(y) to f(y), a deletion takes f(y) - f(x)
+        # off; less the constant part of its offset, len(y) + 1 resp. len(y)
+        # times w(a)
+        shift = (len(raw) + (d < 0)) * w[a]
+        hits = offsets == d * (f_y - target.f) % params.modulus - shift
         if d > 0:  # only an occurrence of a can be deleted
             hits = hits[:-1] & (symbols == a)
         hits = hits.nonzero()[0]
@@ -201,10 +222,11 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
 
 # Runlength replacement: the 0/2 projection is encoded against long 0-runs,
 # the 1/3 projection against long 3-runs; both use the same core with the
-# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).  One stable
-# argsort of the symbols' parities lists the even symbols' positions, then
-# the odd symbols', each in word order: gathering through that order lays
-# the two projections end to end, and scattering through it puts them back.
+# digit pair (zero_digit, one_digit) = (0, 2) resp. (3, 1).  Each projection
+# is gathered through the slots of its parity (`_parity_order`).  Packing and
+# unpacking keep every symbol's parity and leave a projection unchanged
+# before its first replaced run, so `_write_back` scatters a projection back
+# only from the first symbol it changed, and not at all when none changed.
 
 def _rll_pack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     """Replace runs of cap zero_digits until none is left; O(m) scanning.
@@ -267,12 +289,33 @@ def _rll_unpack(seq: bytes, zero_digit: int, one_digit: int) -> bytes:
     raise MalformedEncodingError("marker unwinding did not terminate")
 
 
-def _parity_order(symbols: np.ndarray) -> tuple[np.ndarray, int]:
-    """The positions of the even symbols, then of the odd ones, each in word
-    order (one stable radix argsort of the parities), and the number of even
-    symbols."""
-    odd = symbols & 1
-    return np.argsort(odd, kind="stable"), len(symbols) - int(np.count_nonzero(odd))
+def _parity_order(word: bytes) -> tuple[tuple[np.ndarray, np.ndarray],
+                                        tuple[bytes, bytes]]:
+    """The slots of word's even symbols and of its odd ones, each in word
+    order, and the two projections they spell.  The slots are two nonzero
+    passes over the parity mask, read as a bool array, which nonzero scans
+    without a branch per symbol (unlike a uint8 one)."""
+    symbols = np.frombuffer(word, dtype=np.uint8)
+    odd = (symbols & 1).view(bool)
+    slots = ((~odd).nonzero()[0], odd.nonzero()[0])
+    return slots, tuple(symbols[at].tobytes() for at in slots)
+
+
+def _write_back(word: bytes, slots: tuple[np.ndarray, np.ndarray],
+                new: tuple[bytes, bytes], old: tuple[bytes, bytes]) -> bytes:
+    """word with the symbols at each of the two slot lists replaced by its
+    new string, where its old string is what they spell now.  Each list is
+    scattered only from the first symbol where its two strings differ, and
+    word comes back as it is when neither pair does."""
+    if new == old:
+        return word
+    out = np.frombuffer(word, dtype=np.uint8).copy()
+    for at, replacement, current in zip(slots, new, old):
+        if replacement != current:
+            symbols = np.frombuffer(replacement, dtype=np.uint8)
+            first = int((symbols != np.frombuffer(current, dtype=np.uint8)).argmax())
+            out[at[first:]] = symbols[first:]
+    return out.tobytes()
 
 
 def rll_encode(z: Word) -> Word:
@@ -280,29 +323,26 @@ def rll_encode(z: Word) -> Word:
 
     The packed 0/2 projection keeps the slots of z's even symbols and takes
     slots m, m+1 for its suffix; the packed 1/3 projection keeps the slots of
-    the odd symbols and takes slots m+2, m+3.  Sorting z followed by the
-    placeholders 0, 0, 1, 1 by parity lists exactly these slots, low ones
-    first, so the packed projections are scattered through that order.
+    the odd symbols and takes slots m+2, m+3.  A projection that holds no
+    long run packs to itself followed by (2, 0) resp. (1, 3), so the plain
+    word is z followed by 2, 0, 1, 3, whose projections are exactly those,
+    and the packed projections are written back over it.
     """
     _require_quaternary(z)
-    m = len(z)
-    symbols = np.frombuffer(z.raw + b"\x00\x00\x01\x01", dtype=np.uint8)
-    order, low_end = _parity_order(symbols)
-    projections = symbols[order].tobytes()
-    packed = (_rll_pack(projections[:low_end - 2], 0, 2)
-              + _rll_pack(projections[low_end:m + 2], 3, 1))
-    out = np.empty(m + 4, dtype=np.uint8)
-    out[order] = np.frombuffer(packed, dtype=np.uint8)
-    return Word(out.tobytes(), 4)
+    word = z.raw + b"\x02\x00\x01\x03"
+    slots, (low, high) = _parity_order(word)
+    packed = (_rll_pack(low[:-2], 0, 2), _rll_pack(high[:-2], 3, 1))
+    return Word(_write_back(word, slots, packed, (low, high)), 4)
 
 
 def rll_decode(x: Word) -> Word:
     """Invert rll_encode; a word that rll_encode cannot output is rejected.
 
-    With the suffix slots checked, the parity order of x lists the low
-    projection's payload slots, slots m and m+1, the high projection's
-    payload slots, then slots m+2 and m+3, so one gather yields both packed
-    projections and the order without the suffix slots places the payloads.
+    With the suffix slots checked, the slots of x's even symbols are the low
+    projection's payload slots, then slots m and m+1, and its odd ones the
+    high projection's payload slots, then slots m+2 and m+3.  So x[:m] holds
+    both packed projections but their suffixes, and the unpacked payloads
+    are written back over it.
     """
     _require_quaternary(x)
     word = x.raw
@@ -312,17 +352,12 @@ def rll_decode(x: Word) -> Word:
     # rll_encode puts the low suffix in slots m, m+1 and the high one after it
     if word[m] % 2 or word[m + 1] % 2 or not word[m + 2] % 2 or not word[m + 3] % 2:
         raise MalformedEncodingError("suffix slots do not hold low, low, high, high")
-    symbols = np.frombuffer(word, dtype=np.uint8)
-    order, low_end = _parity_order(symbols)
-    projections = symbols[order].tobytes()
+    (low_slots, high_slots), (low, high) = _parity_order(word)
     # unpacking keeps each projection's length, so the payloads fill the
     # first m slots exactly
-    payloads = (_rll_unpack(projections[:low_end], 0, 2)
-                + _rll_unpack(projections[low_end:], 3, 1))
-    out = np.empty(m, dtype=np.uint8)
-    payload_slots = np.concatenate((order[:low_end - 2], order[low_end:-2]))
-    out[payload_slots] = np.frombuffer(payloads, dtype=np.uint8)
-    return Word(out.tobytes(), 4)
+    payloads = (_rll_unpack(low, 0, 2), _rll_unpack(high, 3, 1))
+    return Word(_write_back(word[:m], (low_slots[:-2], high_slots[:-2]),
+                            payloads, (low[:-2], high[:-2])), 4)
 
 
 class Edit4Code:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -178,6 +179,23 @@ def test_bench_runs(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert all(r["ok"] for r in rows)
+
+
+def test_bench_starts_each_clock_after_an_untimed_round(capsys, monkeypatch):
+    """Each row encodes and decodes its words once before its clock starts,
+    so the first row does not time a cold first call."""
+    events = []
+    monkeypatch.setattr(syncodec.cli, "time", SimpleNamespace(
+        perf_counter=lambda: events.append("clock") or 0.0))
+    for name in ("encode", "decode"):
+        def logged(self, word, name=name, original=getattr(Edit4Code, name)):
+            events.append(name)
+            return original(self, word)
+        monkeypatch.setattr(Edit4Code, name, logged)
+    code, _ = run_cli(capsys, "bench", "--code", "edit4", "--sizes", "4", "8")
+    assert code == 0
+    assert events == ["encode", "decode", "clock", "encode", "clock", "decode",
+                      "clock"] * 2
 
 
 def test_decode_failure_is_a_json_error(capsys):

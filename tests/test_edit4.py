@@ -116,6 +116,10 @@ def test_sketches_and_membership():
     assert (sk.h0, sk.h1, sk.h2) == (1, 1, 1)
     assert is_codeword(word, params, sk) == is_regular(word, params)
     assert not is_codeword(word, params, sketches(Word.parse("0000", 4), params))
+    # a word longer than the cached positions 1..n+2 reads positions of its own
+    for text in ("120312", "1203120", "12031203123"):
+        longer = Word.parse(text, 4)
+        assert sketches(longer, params) == _reference_sketches(longer, params)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -658,6 +662,95 @@ def test_parity_order_edge_shapes_match_the_reference_loops(m):
             for y in forward_images(x, ErrorModel.SINGLE_EDIT):
                 assert _outcome(rll_decode, y) == _outcome(_reference_rll_decode, y)
                 assert sketches(y, params) == _reference_sketches(y, params)
+
+
+def _runless(rng, length, zero_digit, one_digit):
+    """length seeded digits that start and end in one_digit and hold no three
+    zero_digits in a row, so no projection cap (at least 4) is reached."""
+    out = [one_digit]
+    while len(out) < length - 1:
+        out.append(zero_digit if out[-2:] != [zero_digit] * 2 and rng.random() < 0.6
+                   else one_digit)
+    return (out + [one_digit])[:length]
+
+
+def _projection(rng, length, zero_digit, one_digit, run_at):
+    """A projection with one run of cap zero_digits at its first slots
+    (run_at "first"), ending at its last slot ("last"), or none (None)."""
+    if run_at is None:
+        return _runless(rng, length, zero_digit, one_digit)
+    run = [zero_digit] * ((length - 1).bit_length() + 2)
+    rest = _runless(rng, length - len(run), zero_digit, one_digit)
+    return run + rest if run_at == "first" else rest + run
+
+
+def _interleaved(rng, low, high):
+    """The message whose even symbols spell low and odd ones spell high, in a
+    seeded order."""
+    parities = [0] * len(low) + [1] * len(high)
+    rng.shuffle(parities)
+    digits = (iter(low), iter(high))
+    return Word(bytes(next(digits[p]) for p in parities), 4)
+
+
+# where the low and the high projection hold a run: the first replaced run at
+# a projection's first slot or ending at its last payload slot, in the low
+# projection only, in the high one only, and in both
+_RUN_SHAPES = (("first", None), ("last", None), (None, "first"), (None, "last"),
+               ("first", "last"), ("last", "first"))
+
+
+def _first_change(projection, zero_digit, one_digit):
+    """The first index where the reference packer's output differs from the
+    projection followed by its plain suffix, or None."""
+    packed, _ = _quadratic_rll_pack(projection, zero_digit, one_digit)
+    plain = list(projection) + [one_digit, zero_digit]
+    return next((i for i, (a, b) in enumerate(zip(packed, plain)) if a != b), None)
+
+
+def _images_near(x, slots):
+    """The single-edit images of x whose edit lies within two symbols of one
+    of the 0-based slots."""
+    near = {i + 1 + k for i in slots for k in (-1, 0, 1, 2)}
+    return {apply(x, p) for p in patterns(x, ErrorModel.SINGLE_EDIT)
+            if p.position in near}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 13, 40, 4096])
+def test_partial_write_back_matches_the_reference_loops(m):
+    """rll_encode and rll_decode scatter a projection back only from the
+    first symbol packing or unpacking changed.  On messages with each run
+    shape of _RUN_SHAPES (at m <= 3, where no projection is long enough for a
+    run, on every message) they give the loops' words, and rll_decode gives
+    the loops' outcome, MalformedEncodingError included, on every
+    single-edit image of each encoding; at m = 4096 on the images whose edit
+    lies near a projection's first, first changed or last payload slot, its
+    suffix slots or the end of its packed form."""
+    rng = random.Random(f"write-back-{m}")
+    if m <= 3:
+        cases = [(z, (None, None)) for z in quaternary_words(m)]
+    else:
+        low_len = m // 2
+        cases = [(_interleaved(rng, _projection(rng, low_len, 0, 2, low_at),
+                               _projection(rng, m - low_len, 3, 1, high_at)),
+                  (low_at, high_at)) for low_at, high_at in _RUN_SHAPES]
+    for z, run_at in cases:
+        x, _ = _reference_rll_encode(z)
+        assert rll_encode(z) == x
+        assert rll_decode(x) == _reference_rll_decode(x) == z
+        near = [m, m + 3]
+        for parity, (zero_digit, one_digit), at in zip((0, 1), ((0, 2), (3, 1)), run_at):
+            projection = [s for s in z.symbols if s % 2 == parity]
+            cap = (len(projection) - 1).bit_length() + 2
+            first = _first_change(projection, zero_digit, one_digit)
+            assert first == {None: None, "first": 0, "last": len(projection) - cap}[at]
+            # the projection keeps z's slots of its parity and ends in two more
+            slots = [i for i, s in enumerate(x.symbols) if s % 2 == parity]
+            near += slots[:1] + slots[-cap - 2:] + ([slots[first]] if at else [])
+        images = (forward_images(x, ErrorModel.SINGLE_EDIT) if m <= 40
+                  else _images_near(x, near))
+        for y in images:
+            assert _outcome(rll_decode, y) == _outcome(_reference_rll_decode, y)
 
 
 def test_tail_hit_answer_reaches_the_received_word():
