@@ -195,6 +195,8 @@ def _cmd_search_inner(args) -> int:
 
 def _cmd_measure(args) -> int:
     if args.code == "vt":
+        if args.m:
+            raise SyncodecError("--m measures a codec's tail; vt has no codec")
         size, q = len(_largest_vt_class(args.n)), 2
     else:
         codec, module, _ = CODES[args.code]

@@ -29,8 +29,8 @@ only where the decoder's scan reads them.  Along a flip stretch of the scan
 the flip position is at most two arithmetic runs, so the stretch reads the
 word and how a flip moves the ranks as slices, and tests all its
 representatives at once as int8 masks; only their survivors get int64 sums,
-and the prefix sums of the ranks are summed where they are read.  Both give
-the same results, exceptions included.  The int64 sums are exact up to
+read from the ranks and their prefix sums, one `prefix_scan` each.  Both
+give the same results, exceptions included.  The int64 sums are exact up to
 VECTOR_MAX_N, and longer codewords and messages are refused.
 `DelSubCode.decode`'s reachability check sums nothing; it is
 `words.reaches`, which serves every codec and length.
@@ -226,32 +226,6 @@ class _WordStats:
         return hits
 
 
-class _RankPrefixSums:
-    """The prefix sums r1 of a `_WordArrays`' ranks, r1[i] = r_0 + .. + r_i,
-    summed where they are read instead of in one O(n) cumsum and kept:
-    r1[i] sums its prefix on first read, and `load` sums the prefixes at
-    every index of an array in one sort and one reduceat pass, however many
-    there are."""
-
-    def __init__(self, ranks: np.ndarray):
-        self.ranks = ranks
-        self.known: dict[int, int] = {}
-
-    def __getitem__(self, i: int) -> int:
-        if i not in self.known:
-            self.known[i] = int(self.ranks[:i + 1].sum())
-        return self.known[i]
-
-    def load(self, at: np.ndarray) -> None:
-        """Keep r1 at the indices `at` (a non-empty int64 array, 0 .. m)."""
-        at = np.sort(at)
-        starts = np.concatenate(([0], at + 1))  # segment j: at[j-1] < i <= at[j]
-        sums = np.add.reduceat(self.ranks[:at[-1] + 2], starts)[:-1]
-        # reduceat reads the empty segment of a repeated index as one element
-        sums[1:] *= at[1:] != at[:-1]
-        self.known.update(zip(at.tolist(), sums.cumsum().tolist()))
-
-
 class _WordArrays(_WordStats):
     """The rank tables of `_WordStats` as numpy arrays, for codeword lengths
     from VECTOR_MIN_N on, built from one byte per bit: `bounds` is the int8
@@ -259,9 +233,9 @@ class _WordArrays(_WordStats):
     and m + 2.  The five sums that `sketches` reads come from the positions
     of its boundaries (f1r, the sum of the squared ranks and the run count)
     and of the word's 1s (`ones`: the weight and the VT sum), with no rank
-    table.  The ranks, the cumulative sum of `bounds`, are built on first
-    read, which only the decoder's scan makes, and `r1` sums them only at
-    the indices that are read (`_RankPrefixSums`).  `ext` stays `bytes`,
+    table.  The ranks, the cumulative sum of `bounds`, and their prefix
+    sums `r1` are each one `prefix_scan`, built on first read, which only
+    the decoder's scan makes.  `ext` stays `bytes`,
     whose items are Python ints, and `array` is its uint8 view.  A flip
     stretch of the scan is tested as int8 masks over slices of these
     arrays, and only its survivors pay for int64 sums."""
@@ -298,10 +272,9 @@ class _WordArrays(_WordStats):
         return prefix_scan(np.add, self.bounds[:self.m + 2], np.int64)
 
     @cached_property
-    def r1(self) -> _RankPrefixSums:
-        r1 = _RankPrefixSums(self.ranks)
-        r1.known[self.m] = self.f1r
-        return r1
+    def r1(self) -> np.ndarray:
+        """r1[i] = r_0 + .. + r_i, i = 0 .. m, in int64, for `edited_sums`."""
+        return prefix_scan(np.add, self.ranks[:self.m + 1])
 
     @cached_property
     def flip_moves(self) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +322,7 @@ class _WordArrays(_WordStats):
         long as a run of 1 - b_d bits can make it, is patched by slices, and
         the bit, q = rep and run-count tests are int8 masks over the whole
         stretch.  Their survivors get f1r in int64; the few that pass it get
-        the exact f2r from `edited_sums`, with the prefix sums of the ranks
-        it reads loaded in one pass.
+        the exact f2r from `edited_sums`.
         """
         n, m, ext, ranks = params.n, self.m, self.array, self.ranks
         rep = reps[lo:hi]
@@ -412,8 +384,7 @@ class _WordArrays(_WordStats):
         if not len(at):
             return []
         d, p = d[at], p[at]
-        # the exact f2r of the few left; edited_sums reads r1 at p and d - 1
-        self.r1.load(np.concatenate((p, d - 1)))
+        # the exact f2r of the few left
         return [(d, p) for d, p in zip(d.tolist(), p.tolist())
                 if self.edited_sums(d, b_d, p, b_e)[1] % params.f2r_mod
                 == target.f2r]

@@ -35,7 +35,7 @@ from .errors import (
     SizeGuardError,
 )
 from .inner import SketchFields, ceil_log2
-from .sketches import prefix_scan, signed_residue, vt_parity_sums, weighted_vt_sum
+from .sketches import prefix_scan, signed_residue, weighted_vt_sum
 from .words import SYMBOL_BYTES, ErrorModel, Word, require_binary
 
 MARKER = (0, 0, 1, 1)
@@ -228,11 +228,11 @@ class GreedyHash:
     def from_json(cls, text: str) -> "GreedyHash":
         """The hash `to_json` wrote; `ProfileError` unless the table gives
         every binary string of at most 3 * cap bits one value in [0, range)."""
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             cap, hash_range, entries = data["cap"], data["range"], data["table"]
-        except (KeyError, TypeError):
-            raise ProfileError("greedy hash JSON needs cap, range and table") from None
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise ProfileError("greedy hash needs JSON with cap, range and table") from None
         if (type(cap) is not int or not 1 <= cap <= GREEDY_HASH_MAX_CAP
                 or type(hash_range) is not int or not isinstance(entries, dict)):
             raise ProfileError(f"greedy hash JSON needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}, "
@@ -276,8 +276,8 @@ class ClosedFormHash:
         if len(bits) > 3 * self.cap or bits.translate(None, b"\x00\x01"):
             raise AlphabetError(
                 f"the hash domain is binary strings of at most {3 * self.cap} bits")
-        # the sums of `vt_parity_sums`, which costs more in numpy calls
-        # than this loop over at most 3 * cap bits
+        # the sums `hash_segments` takes in array passes, whose numpy calls
+        # cost more than this loop over at most 3 * cap bits
         total = parity = parity_vt = 0
         for i, bit in enumerate(bits, 1):
             parity ^= bit
@@ -720,16 +720,19 @@ class WindowPlan:
 
 
 def inner_fields(length: int) -> SketchFields:
-    """Inner sketch layout: VT sum mod length+1, parity VT sum mod 2*length+1."""
+    """Inner sketch layout: VT sum mod length+1, parity VT sum mod 2*length+1.
+    Each int64 sum is at most length(length+1)/2, below 2^63 while
+    length < 2^32, so longer intervals are refused."""
+    if length >= 1 << 32:
+        raise SizeGuardError("inner sketches need fewer than 2^32 bits")
     return SketchFields((length + 1, 2 * length + 1))
 
 
 def inner_sketch(bits: bytes, length: int) -> bytes:
+    """`_folded_sketch` of one interval: `length` bits, bytes or a tuple."""
     if len(bits) != length:
         raise AlphabetError(f"inner sketch needs length {length}")
-    total, _, parity_vt = vt_parity_sums(bits)
-    return inner_fields(length).pack(
-        (total % (length + 1), parity_vt % (2 * length + 1)))
+    return _folded_sketch(bits, length)
 
 
 def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
@@ -748,20 +751,21 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
     from slices of the window, so a tuple window gives a tuple repair.
     """
     vt_target, parity_target = inner_fields(length).unpack(sketch)
+    bits = np.frombuffer(bytes(window), dtype=np.uint8)
     if len(window) == length - 1:
         weight = window.count(1)
-        d = (vt_target - vt_parity_sums(window)[0]) % (length + 1)
+        d = (vt_target - weighted_vt_sum(bits)) % (length + 1)
         if d <= weight:
-            bit, pos = 0, _after_nth(window, 1, weight - d)
+            bit, pos = 0, _after_nth(bits, 1, weight - d)
         else:
-            bit, pos = 1, _after_nth(window, 0, d - weight - 1)
+            bit, pos = 1, _after_nth(bits, 0, d - weight - 1)
         cand = window[:pos] + type(window)((bit,)) + window[pos:]
         if inner_sketch(cand, length) != sketch:
             raise DecodeFailure("no single insertion matches the inner sketch")
         return cand
     if len(window) != length:
         raise DecodeFailure("window length fits neither error type")
-    parity_vt = vt_parity_sums(window)[2]
+    parity_vt = weighted_vt_sum(prefix_scan(np.bitwise_xor, bits))
     diff = signed_residue(parity_target - parity_vt, 2 * length + 1)
     if diff == 0:
         if inner_sketch(window, length) != sketch:
@@ -781,28 +785,31 @@ def inner_correct(window: bytes, sketch: bytes, length: int) -> bytes:
     return cand
 
 
-def _after_nth(bits: bytes, symbol: int, count: int) -> int:
+def _after_nth(bits: np.ndarray, symbol: int, count: int) -> int:
     """Index just past the count-th occurrence of symbol in bits (0 for none)."""
     if not count:
         return 0
-    at = np.flatnonzero(np.frombuffer(bytes(bits), dtype=np.uint8) == symbol)
+    at = np.flatnonzero(bits == symbol)
     return int(at[count - 1]) + 1
 
 
 def _folded_sketch(bits: bytes, length: int) -> bytes:
     """The XOR of `inner_sketch` over consecutive length-`length` intervals
-    of bits (a whole number of them), in one array pass.
+    of bits (bytes or a tuple; a whole number of them), in one array pass.
 
     The rows of the reshaped bits give each interval's VT sum and
     prefix-parity VT sum.  Fields pack big-endian at fixed widths, so the
     XOR of the packed sketches is the packing of the XORed field values.
     """
-    rows = np.frombuffer(bits, dtype=np.uint8).reshape(-1, length)
+    fields = inner_fields(length)  # its size guard refuses before a bit is read
+    # no bits are no rows, which reshape cannot infer at length 0
+    rows = np.frombuffer(bytes(bits), dtype=np.uint8).reshape(len(bits) and -1, length)
     positions = np.arange(1, length + 1, dtype=np.int64)
     total = rows.dot(positions) % (length + 1)
     parity_vt = prefix_scan(np.bitwise_xor, rows).dot(positions) % (2 * length + 1)
-    return inner_fields(length).pack((int(np.bitwise_xor.reduce(total)),
-                                      int(np.bitwise_xor.reduce(parity_vt))))
+    # a Python fold of the few rows costs less than a numpy reduce
+    return fields.pack((functools.reduce(operator.xor, total.tolist(), 0),
+                        functools.reduce(operator.xor, parity_vt.tolist(), 0)))
 
 
 def window_sketches(word: Word, plan: WindowPlan,

@@ -6,7 +6,6 @@ from operator import mul
 
 import numpy as np
 
-from .errors import SizeGuardError
 from .words import Word
 
 
@@ -31,32 +30,13 @@ def prefix_scan(ufunc: np.ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
     contiguous (about 2.7 ns an element, numpy 2.4 on a 2-core x86_64) and
     a fast one when either is strided (about 0.6 ns).  So the scan is
     written into a reversed view of a new array, which is returned reversed
-    back.  The extra calls cost more than they save below about 250
-    elements, so short scans call accumulate themselves.
+    back.  Below about 250 elements the extra calls cost more than they
+    save (up to about 0.6 us a scan); every caller takes this path at every
+    length all the same, so that each scan has one code path.
     """
     out = np.empty(a.shape, dtype or a.dtype)
     ufunc.accumulate(a, axis=-1, dtype=dtype, out=out[..., ::-1])
     return out[..., ::-1]
-
-
-def vt_parity_sums(bits: bytes | tuple[int, ...]) -> tuple[int, int, int]:
-    """VT sum, prefix-parity sum and prefix-parity VT sum of a binary string.
-
-    With p_i = b_1 xor .. xor b_i these are sum(i * b_i), sum(p_i) and
-    sum(i * p_i).  deltrans takes a word's parity sum and its inner
-    sketches from them; `bits` is bytes or a tuple of 0s and 1s.  One numpy
-    pass computes all three at every length.  Each int64 sum is at most
-    n(n+1)/2, which is below 2^63 while n < 2^32, so longer strings are
-    refused.
-    """
-    n = len(bits)
-    if n >= 1 << 32:
-        raise SizeGuardError("prefix-parity sums need fewer than 2^32 bits")
-    b = np.frombuffer(bytes(bits), dtype=np.uint8)
-    parity = prefix_scan(np.bitwise_xor, b)
-    positions = np.arange(1, n + 1, dtype=np.int64)
-    return (int(b.dot(positions)), int(np.count_nonzero(parity)),
-            int(parity.dot(positions)))
 
 
 def vt(word: Word, modulus: int) -> int:

@@ -234,6 +234,8 @@ def test_decode_failure_is_a_json_error(capsys):
     (["verify-code", "--code", "edit4", "--n", "0"], "AlphabetError"),
     (["verify-code", "--code", "vt", "--n", "-1"], "AlphabetError"),
     (["measure", "--code", "vt", "--n", "-1"], "AlphabetError"),
+    # --m measures a codec's tail, and vt has no codec
+    (["measure", "--code", "vt", "--m", "64", "128"], "SyncodecError"),
     (["search-inner", "--model", "single-edit", "--length", "-1"], "AlphabetError"),
     # 4^14 words: the word count, not the length, is past the enumeration cap
     (["search-inner", "--model", "single-edit", "--length", "14", "--q", "4"],

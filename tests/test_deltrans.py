@@ -571,9 +571,11 @@ def test_both_hashes_refuse_a_string_outside_their_domain(make, cap):
 
 
 def _edited_json(edit):
+    """The cap-2 table's JSON with `edit` applied to its data, or the text
+    that `edit` returns in its place."""
     data = json.loads(GreedyHash.build(2).to_json())
-    edit(data)
-    return json.dumps(data)
+    text = edit(data)
+    return json.dumps(data) if text is None else text
 
 
 @pytest.mark.parametrize("edit", [
@@ -586,9 +588,10 @@ def _edited_json(edit):
     lambda d: d["table"].update({"0110": "3"}),
     lambda d: d.pop("range"),
     lambda d: d.update({"cap": GREEDY_HASH_MAX_CAP + 1}),
+    lambda d: json.dumps(d)[:-1],
 ], ids=["non-binary key", "key with an underscore", "key longer than 3 * cap",
         "missing string", "negative value", "value at the range", "string value",
-        "no range", "cap above the largest"])
+        "no range", "cap above the largest", "not JSON"])
 def test_greedy_hash_from_json_refuses_a_malformed_table(edit):
     with pytest.raises(ProfileError):
         GreedyHash.from_json(_edited_json(edit))
@@ -774,6 +777,11 @@ def test_inner_sketch_example():
     # components (6 mod 5, 5 mod 9) packed to 3 + 4 bits
     assert sk == bytes((0, 0, 1) + (0, 1, 0, 1))
     assert inner_sketch(bytes(4), 4) == bytes(7)
+    # length 0 has moduli 1 and 1, so zero-width fields: an empty sketch,
+    # and the empty window repairs to itself, bytes or a tuple
+    assert inner_sketch(b"", 0) == inner_sketch((), 0) == b""
+    assert inner_correct(b"", b"", 0) == b""
+    assert inner_correct((), b"", 0) == ()
 
 
 @pytest.mark.parametrize("length", [4, 6, 8, 10])

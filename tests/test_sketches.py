@@ -5,13 +5,14 @@ import pytest
 
 from conftest import binary_words
 from syncodec import delsub, edit4
+from syncodec.deltrans import _parity_count, inner_correct, inner_fields, inner_sketch
 from syncodec.errors import SizeGuardError
 from syncodec.sketches import (
     prefix_scan,
     signed_residue,
     vt,
-    vt_parity_sums,
     vt_sum,
+    weighted_vt_sum,
 )
 from syncodec.words import (
     DelAndSub,
@@ -100,12 +101,12 @@ def test_rank_sum_difference_bounds():
 
 
 def test_prefix_parity_sum_examples():
-    assert vt_parity_sums((0, 0, 1, 1))[1] % 3 == 1
-    assert vt_parity_sums((0, 0, 0, 0))[1] % 3 == 0
+    assert _parity_count(bytes((0, 0, 1, 1))) % 3 == 1
+    assert _parity_count(bytes((0, 0, 0, 0))) % 3 == 0
 
 
 def test_prefix_parity_vt_example():
-    assert vt_parity_sums((0, 1, 0, 1))[2] % 9 == 5
+    assert inner_fields(4).unpack(inner_sketch((0, 1, 0, 1), 4))[1] == 5
 
 
 def _reference_sums(bits):
@@ -116,9 +117,28 @@ def _reference_sums(bits):
             sum(i * p for i, p in enumerate(parity, start=1)))
 
 
+def _primitive_sums(raw):
+    """The VT sum, the prefix-parity sum and the prefix-parity VT sum as
+    deltrans reads them: `inner_correct` through `weighted_vt_sum` and
+    `prefix_scan`, the parity sum by `_parity_count`."""
+    bits = np.frombuffer(raw, dtype=np.uint8)
+    return (weighted_vt_sum(bits), _parity_count(raw),
+            weighted_vt_sum(prefix_scan(np.bitwise_xor, bits)))
+
+
+def _assert_inner_sketch_holds(bits, sums):
+    """`inner_sketch` of bits packs the VT sum and the prefix-parity VT sum
+    of `sums` reduced by its moduli."""
+    n = len(bits)
+    total, _, parity_vt = sums
+    assert inner_fields(n).unpack(inner_sketch(bits, n)) == (
+        total % (n + 1), parity_vt % (2 * n + 1))
+
+
 def test_sketch_primitives_match_reference():
     """Tuples and bytes of every length to 10 bits and of random lengths to
-    2001 bits."""
+    2001 bits: the exact sums of the primitives, and the inner sketch's
+    fields, which reduce them."""
     cases = [w.symbols for n in range(11) for w in binary_words(n)]
     rng = random.Random(17)
     cases += [tuple(rng.getrandbits(1) for _ in range(n))
@@ -126,9 +146,10 @@ def test_sketch_primitives_match_reference():
               + [99, 100] * 10]
     for bits in cases:
         expected = _reference_sums(bits)
-        assert vt_parity_sums(bits) == expected
-        sums = vt_parity_sums(bytes(bits))
+        sums = _primitive_sums(bytes(bits))
         assert sums == expected and all(type(v) is int for v in sums)
+        _assert_inner_sketch_holds(bits, expected)
+        _assert_inner_sketch_holds(bytes(bits), expected)
         assert vt_sum(bits) == expected[0]
     for _ in range(100):
         symbols = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 300)))
@@ -154,25 +175,31 @@ def test_prefix_scan_is_accumulate():
                               np.bitwise_xor.accumulate(rows, axis=1))
 
 
-def test_vt_parity_sums_are_exact_up_to_their_guard():
-    """Each int64 sum stays at most n(n+1)/2, below 2^63 for every n < 2^32,
-    and a string of 2^32 bits is refused before anything is read.  At 2^21
-    and 2^21 + 1 bits each sum reaches its largest value on one of two
-    strings, with closed forms: all ones (VT sum n(n+1)/2, prefix parities
-    1, 0, 1, ...) and a 1 followed by zeros (every prefix parity 1)."""
+def test_inner_sketch_sums_are_exact_up_to_their_guard():
+    """Each int64 sum of an inner sketch stays at most n(n+1)/2, below 2^63
+    for every n < 2^32, and an interval of 2^32 bits is refused before
+    anything is read.  At 2^21 and 2^21 + 1 bits each sum reaches its
+    largest value on one of two strings, with closed forms: all ones (VT sum
+    n(n+1)/2, prefix parities 1, 0, 1, ...) and a 1 followed by zeros (every
+    prefix parity 1)."""
     longest = 2 ** 32 - 1
     assert longest * (longest + 1) // 2 < 2 ** 63 <= (longest + 1) * (longest + 2) // 2
+    assert inner_fields(longest).moduli == (longest + 1, 2 * longest + 1)
     for n in (2 ** 21, 2 ** 21 + 1):
         top, odd = n * (n + 1) // 2, (n + 1) // 2
-        assert vt_parity_sums(b"\x01" * n) == (top, odd, odd * odd)
-        assert vt_parity_sums(b"\x01" + bytes(n - 1)) == (1, n, top)
+        for raw, sums in ((b"\x01" * n, (top, odd, odd * odd)),
+                          (b"\x01" + bytes(n - 1), (1, n, top))):
+            assert _primitive_sums(raw) == sums
+            _assert_inner_sketch_holds(raw, sums)
 
     class TooLong:
         def __len__(self):
             return longest + 1
 
-    with pytest.raises(SizeGuardError):
-        vt_parity_sums(TooLong())
+    for refused in (inner_fields, lambda n: inner_sketch(TooLong(), n),
+                    lambda n: inner_correct(TooLong(), b"", n)):
+        with pytest.raises(SizeGuardError):
+            refused(longest + 1)
 
 
 def test_signed_residue_range():
