@@ -631,6 +631,8 @@ class DelSubCode:
     list_bound = 2
 
     def __init__(self, m: int):
+        if type(m) is not int:
+            raise AlphabetError(f"message length must be an int, got {m!r}")
         if m < 1:
             raise AlphabetError("message length must be positive")
         _table_class(m)  # the payload's list_decode refuses m past VECTOR_MAX_N

@@ -227,16 +227,19 @@ class GreedyHash:
     @classmethod
     def from_json(cls, text: str) -> "GreedyHash":
         """The hash `to_json` wrote; `ProfileError` unless the table gives
-        every binary string of at most 3 * cap bits one value in [0, range)."""
+        every binary string of at most 3 * cap bits one value in [0, range),
+        and range is at most 2^63, so that every value fits the int64 table,
+        as `ClosedFormHash` bounds its range."""
         try:
             data = json.loads(text)
             cap, hash_range, entries = data["cap"], data["range"], data["table"]
         except (json.JSONDecodeError, KeyError, TypeError):
             raise ProfileError("greedy hash needs JSON with cap, range and table") from None
         if (type(cap) is not int or not 1 <= cap <= GREEDY_HASH_MAX_CAP
-                or type(hash_range) is not int or not isinstance(entries, dict)):
+                or type(hash_range) is not int or hash_range > 1 << 63
+                or not isinstance(entries, dict)):
             raise ProfileError(f"greedy hash JSON needs 1 <= cap <= {GREEDY_HASH_MAX_CAP}, "
-                               "an integer range and a table object")
+                               "an integer range of at most 2^63 and a table object")
         top = 3 * cap
         assigned = np.full(2 << top, -1, dtype=np.int64)
         for digits, value in entries.items():
@@ -268,6 +271,8 @@ class ClosedFormHash:
     """
 
     def __init__(self, cap: int):
+        if cap < 1:
+            raise SizeGuardError("closed-form hash needs cap >= 1")
         self.cap = cap
         self.modulus = 6 * cap + 1
         self.hash_range = (3 * cap + 1) * 5 * self.modulus * self.modulus

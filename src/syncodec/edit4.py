@@ -14,8 +14,9 @@ count parities come from one `np.bincount` of that array.
 `correct_edit`, the one corrector, finds a substitution's position by one
 division and a deleted or inserted symbol's position by one suffix sum and one
 equality search (the offsets stay below the modulus, so matching them mod the
-modulus is exact equality).  Every sum is at most (n+1)(n+2)/2 max(w), which
-fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
+modulus is exact equality), and checks its answer against the target with
+x's sums derived from y's in O(1).  Every sum is at most (n+1)(n+2)/2 max(w),
+which fits in int64 for n up to 2^28; `Edit4Params.for_length` refuses longer
 words.  The runlength code gathers a word's two projections through the slots
 of its even and of its odd symbols (two nonzero passes over the parity mask)
 and scatters a projection back only from the first symbol that packing or
@@ -111,11 +112,11 @@ class Edit4Sketches:
 
 def is_regular(word: Word, params: Edit4Params) -> bool:
     """No run of more than run_cap 0s in the 0/2 projection, nor of 3s in the
-    1/3 projection."""
+    1/3 projection; the projections are those the runlength code reads."""
     _require_quaternary(word)
     long_run = params.run_cap + 1
-    return (b"\x00" * long_run not in word.raw.translate(None, b"\x01\x03")
-            and b"\x03" * long_run not in word.raw.translate(None, b"\x00\x02"))
+    _, (low, high) = _parity_order(word.raw)
+    return b"\x00" * long_run not in low and b"\x03" * long_run not in high
 
 
 def _require_quaternary(word: Word) -> None:
@@ -160,6 +161,12 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
     so one suffix sum of w(y) - w(a) and one equality search against the
     sketch difference less that constant find every matching j, and the
     largest is kept, as a right-to-left scan would.
+
+    The final check does not sketch x again: x's sums follow from y's and the
+    repair in O(1).  A substitution adds i (w(a) - w(b)) to f(y), a
+    reinsertion adds the matched offset and a deletion takes it off, and the
+    count parity of each symbol changed flips (3 has none).  All four fields,
+    reduced mod their moduli, are compared with the target.
     """
     n = params.n
     d = len(y) - n  # -1 after a deletion, 1 after an insertion
@@ -188,6 +195,7 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         if rest or not 1 <= i <= n or raw[i - 1] != b:
             raise NoCandidateError("no position matches the sketch difference")
         x_raw = raw[:i - 1] + SYMBOL_BYTES[a] + raw[i:]
+        f_x, changed = f_y + i * (w[a] - w[b]), (a, b)
     else:
         if len(flipped) > 1:
             raise NoCandidateError(
@@ -210,14 +218,17 @@ def correct_edit(y: Word, target: Edit4Sketches, params: Edit4Params) -> Word:
         if not hits.size:
             raise NoCandidateError("no position matches the VT sketch")
         j = int(hits[-1]) + 1
+        moved = int(offsets[j - 1]) + shift  # |f(x) - f(y)|
         if d < 0:
             x_raw = raw[:j - 1] + SYMBOL_BYTES[a] + raw[j - 1:]
         else:
             x_raw = raw[:j - 1] + raw[j:]
-    x = Word(x_raw, 4)
-    if sketches(x, params) != target:
+        f_x, changed = f_y - d * moved, (a,)
+    # each changed symbol's count parity flips (3 has none)
+    hx = (h ^ (c in changed) for c, h in enumerate(hy))
+    if Edit4Sketches(f_x % params.modulus, *hx) != target:
         raise NoCandidateError("corrected word does not match the sketch target")
-    return x
+    return Word(x_raw, 4)
 
 
 # Runlength replacement: the 0/2 projection is encoded against long 0-runs,
@@ -378,6 +389,8 @@ class Edit4Code:
     list_bound = 1
 
     def __init__(self, m: int):
+        if type(m) is not int:
+            raise AlphabetError(f"message length must be an int, got {m!r}")
         if m < 0:
             raise AlphabetError("message length must not be negative")
         self.m = m

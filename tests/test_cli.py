@@ -10,6 +10,7 @@ import syncodec
 from syncodec.cli import CODES, main
 from syncodec.delsub import DelSubCode
 from syncodec.edit4 import Edit4Code
+from syncodec.errors import AlphabetError
 from syncodec.words import Word
 
 
@@ -256,6 +257,15 @@ def test_malformed_input_is_a_json_error(capsys, argv, error_type):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("m", [1.5, 8.0, "8", True, False, None])
+@pytest.mark.parametrize("codec", [Edit4Code, DelSubCode])
+def test_codec_sizes_must_be_int(codec, m):
+    """A message length whose type is not int, a bool included, is refused
+    with AlphabetError, before any parameter is derived from it."""
+    with pytest.raises(AlphabetError):
+        codec(m)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -589,9 +589,11 @@ def _edited_json(edit):
     lambda d: d.pop("range"),
     lambda d: d.update({"cap": GREEDY_HASH_MAX_CAP + 1}),
     lambda d: json.dumps(d)[:-1],
+    # a range the int64 table cannot hold, with a value it admits
+    lambda d: d.update({"range": 2 ** 70}) or d["table"].update({"0110": 2 ** 65}),
 ], ids=["non-binary key", "key with an underscore", "key longer than 3 * cap",
         "missing string", "negative value", "value at the range", "string value",
-        "no range", "cap above the largest", "not JSON"])
+        "no range", "cap above the largest", "not JSON", "range above 2^63"])
 def test_greedy_hash_from_json_refuses_a_malformed_table(edit):
     with pytest.raises(ProfileError):
         GreedyHash.from_json(_edited_json(edit))
@@ -605,6 +607,14 @@ def test_greedy_build_is_the_desk_table_cut_to_its_domain(cap):
     desk = desk_hash(DESK_DELTA).table
     assert GreedyHash.build(cap).table == \
         {k: v for k, v in desk.items() if len(k) <= 3 * cap}
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_closed_form_hash_refuses_a_cap_below_one(cap):
+    """As GreedyHash.build does: a cap <= 0 gives no hash domain worth
+    building, rather than a hash that refuses every non-empty string."""
+    with pytest.raises(SizeGuardError):
+        ClosedFormHash(cap)
 
 
 def test_closed_form_hash_invariant_exhaustive():

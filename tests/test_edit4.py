@@ -571,6 +571,26 @@ def test_correctors_match_the_reference_loops_exhaustively(n):
                     _outcome(_reference_correct_edit, y, t, params)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_derived_check_matches_the_full_recheck_exhaustively(n):
+    """correct_edit checks its answer against sketch fields derived from y's
+    sums.  Over every 4-ary word x, regular or not, each distinct single-edit
+    image y of x, and two targets, x's own sketches and those of a seeded
+    other word: the same word or the same exception as the loops, which
+    sketch their answer again, and an answer whose full sketches are the
+    target."""
+    params = Edit4Params.for_length(n)
+    words = list(quaternary_words(n))
+    rng = random.Random(59 + n)
+    for x in words:
+        targets = (sketches(x, params), sketches(rng.choice(words), params))
+        for y in forward_images(x, ErrorModel.SINGLE_EDIT):
+            for t in targets:
+                outcome = _outcome(correct_edit, y, t, params)
+                assert outcome == _outcome(_reference_correct_edit, y, t, params)
+                assert isinstance(outcome, type) or sketches(outcome, params) == t
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_corrector_matches_the_reference_loops_on_every_received_word(n):
     """Every 4-ary word of length n - 1, n and n + 1, most of them outside
@@ -827,7 +847,9 @@ def test_decode_matches_the_tail_hit_reference_on_a_two_edit_ball(m):
 def test_deletion_decode_calls_each_traced_layer(monkeypatch):
     """perfbench's tracer times edit4's layers by patching these module
     attributes, so a decode must reach each of them through the module,
-    whether the edit hit the payload or the tail."""
+    whether the edit hit the payload or the tail.  No decode sketches its
+    answer: correct_edit derives the answer's sketch from the received
+    word's sums."""
     calls = Counter()
 
     def counting(name, original):
@@ -836,8 +858,8 @@ def test_deletion_decode_calls_each_traced_layer(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    layers = ("sketches", "correct_edit", "rll_decode", "rep_decode")
-    for name in layers:
+    layers = ("correct_edit", "rll_decode", "rep_decode")
+    for name in ("sketches",) + layers:
         monkeypatch.setattr(edit4, name, counting(name, getattr(edit4, name)))
     codec = Edit4Code(64)
     z = Word(tuple(random.Random(31).choices(range(4), k=64)), 4)
@@ -845,13 +867,14 @@ def test_deletion_decode_calls_each_traced_layer(monkeypatch):
     tail_sub = apply(x, Substitution(len(x), (x.symbols[-1] + 1) % 4))
     # after a tail substitution the payload window holds the target sketches,
     # and correct_edit returns it as it stands, as for a clean word
-    received = [(apply(x, Deletion(20)), layers),
-                (apply(x, Deletion(codec.m + 5)), layers),
-                (tail_sub, tuple(name for name in layers if name != "sketches"))]
-    for y, reached in received:
+    received = (apply(x, Deletion(20)), apply(x, Deletion(codec.m + 5)),
+                apply(x, Insertion(33, (x.symbols[32] + 2) % 4)),
+                apply(x, Substitution(9, (x.symbols[8] + 1) % 4)), tail_sub)
+    for y in received:
         calls.clear()
         assert codec.decode(y) == z
-        assert all(calls[name] >= 1 for name in reached), calls
+        assert calls["sketches"] == 0, calls
+        assert all(calls[name] >= 1 for name in layers), calls
 
 
 def test_decode_checks_symbols_of_a_wider_alphabet():
