@@ -112,11 +112,11 @@ class Edit4Sketches:
 
 def is_regular(word: Word, params: Edit4Params) -> bool:
     """No run of more than run_cap 0s in the 0/2 projection, nor of 3s in the
-    1/3 projection; the projections are those the runlength code reads."""
+    1/3 projection."""
     _require_quaternary(word)
     long_run = params.run_cap + 1
-    _, (low, high) = _parity_order(word.raw)
-    return b"\x00" * long_run not in low and b"\x03" * long_run not in high
+    return (b"\x00" * long_run not in word.raw.translate(None, b"\x01\x03")
+            and b"\x03" * long_run not in word.raw.translate(None, b"\x00\x02"))
 
 
 def _require_quaternary(word: Word) -> None:

@@ -571,26 +571,6 @@ def test_correctors_match_the_reference_loops_exhaustively(n):
                     _outcome(_reference_correct_edit, y, t, params)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_derived_check_matches_the_full_recheck_exhaustively(n):
-    """correct_edit checks its answer against sketch fields derived from y's
-    sums.  Over every 4-ary word x, regular or not, each distinct single-edit
-    image y of x, and two targets, x's own sketches and those of a seeded
-    other word: the same word or the same exception as the loops, which
-    sketch their answer again, and an answer whose full sketches are the
-    target."""
-    params = Edit4Params.for_length(n)
-    words = list(quaternary_words(n))
-    rng = random.Random(59 + n)
-    for x in words:
-        targets = (sketches(x, params), sketches(rng.choice(words), params))
-        for y in forward_images(x, ErrorModel.SINGLE_EDIT):
-            for t in targets:
-                outcome = _outcome(correct_edit, y, t, params)
-                assert outcome == _outcome(_reference_correct_edit, y, t, params)
-                assert isinstance(outcome, type) or sketches(outcome, params) == t
-
-
 @pytest.mark.parametrize("n", range(1, 5))
 def test_corrector_matches_the_reference_loops_on_every_received_word(n):
     """Every 4-ary word of length n - 1, n and n + 1, most of them outside
