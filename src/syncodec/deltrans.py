@@ -991,6 +991,8 @@ class DeltransDeskCode:
                    [kept[i] for i in chosen], [kept_ms[i] for i in chosen])
 
     def encode(self, index: int) -> Word:
+        if type(index) is not int:
+            raise AlphabetError(f"message index must be an int, got {index!r}")
         if not 0 <= index < len(self.codewords):
             raise AlphabetError(
                 f"message index outside [0, {len(self.codewords)})")

@@ -4,6 +4,9 @@ Everything here enumerates: codes are checked by mapping every codeword onto
 its full image set under the error model and counting collisions, which equals
 intersecting every compatible received word's error ball with the code.  The
 agreement of the two formulations is itself covered by tests at tiny sizes.
+`sketch_class_sweep` checks every sketch class of the length-n binary words
+the same way: it groups the words by sketch and counts one class's images at
+a time, so its memory follows the largest class, not 2^n.
 """
 
 from __future__ import annotations
@@ -116,18 +119,22 @@ def sketch_class_sweep(n: int, model: ErrorModel,
                        ) -> tuple[int, bool, dict[int, int]]:
     """Max |B(y) ∩ class| over every sketch class at once, plus a histogram.
 
-    Every length-n binary word is its own class member; collisions are counted
-    per (sketch tuple, received word).  Returns the maximum, whether the
-    maximum is attained at least once at 2, and the histogram of list sizes.
+    The length-n binary words are grouped by their sketch tuple, and each
+    class's received words are counted in a dict of its own, which is folded
+    into the histogram before the next class, so memory grows with the largest
+    class, not with 2^n.  Returns the maximum, whether the maximum is attained
+    at least once at 2, and the histogram of list sizes.
     """
-    counts: dict[tuple, int] = {}
+    classes: dict[tuple, list[Word]] = {}
     for x in all_words(n, 2):
-        key = sketch_fn(x)
-        for y in forward_images(x, model):
-            pair = (key, y.raw)
-            counts[pair] = counts.get(pair, 0) + 1
+        classes.setdefault(sketch_fn(x), []).append(x)
     histogram: dict[int, int] = {}
-    for c in counts.values():
-        histogram[c] = histogram.get(c, 0) + 1
+    for members in classes.values():
+        counts: dict[bytes, int] = {}
+        for x in members:
+            for y in forward_images(x, model):
+                counts[y.raw] = counts.get(y.raw, 0) + 1
+        for c in counts.values():
+            histogram[c] = histogram.get(c, 0) + 1
     max_list = max(histogram)
     return max_list, histogram.get(2, 0) > 0, histogram

@@ -233,12 +233,36 @@ def patterns(word: Word, model: ErrorModel) -> Iterator[ErrorPattern]:
         raise TypeError(f"unknown model {model!r}")
 
 
+def _substitutions(s: bytes, symbols: tuple[bytes, ...]) -> set[bytes]:
+    return {s[:i] + a + s[i + 1:] for i in range(len(s))
+            for a in symbols if a != s[i:i + 1]}
+
+
 def forward_images(word: Word, model: ErrorModel) -> set[Word]:
-    """Every word reachable from `word` under the model, including itself."""
-    out = {word}
-    for p in patterns(word, model):
-        out.add(apply(word, p))
-    return out
+    """Every word reachable from `word` under the model, including itself.
+
+    The images' bytes are sliced from the word's by the model's definitions,
+    the same images `apply` gives for every pattern of `patterns`; only the
+    distinct ones become validated Words.  A deletion plus a substitution
+    at another position is a substitution of a deletion.
+    """
+    s, q = word.raw, word.q
+    symbols = SYMBOL_BYTES[:q]
+    deletions = {s[:i] + s[i + 1:] for i in range(len(s))}
+    if model is ErrorModel.SINGLE_EDIT:
+        images = deletions | _substitutions(s, symbols) | {
+            s[:i] + a + s[i:] for i in range(len(s) + 1) for a in symbols}
+    elif model is ErrorModel.ONE_DEL_ONE_SUB:
+        images = deletions | _substitutions(s, symbols)
+        for d in deletions:
+            images |= _substitutions(d, symbols)
+    elif model is ErrorModel.ONE_DEL_OR_ONE_TRANSPOSITION:
+        images = deletions | {s[:i] + s[i + 1:i + 2] + s[i:i + 1] + s[i + 2:]
+                              for i in range(len(s) - 1)}
+    else:
+        raise TypeError(f"unknown model {model!r}")
+    images.add(s)
+    return {Word(t, q) for t in images}
 
 
 def compatible_lengths(model: ErrorModel, n: int) -> tuple[int, ...]:

@@ -107,7 +107,7 @@ def test_criterion_04_edit4_pipeline():
 def test_criterion_05_delsub_list_bound():
     started = time.perf_counter()
     ok = True
-    for n in (10, 12):
+    for n in (10, 12, 14):
         params = delsub.DelSubParams(n)
         max_list, attained, _ = oracle.sketch_class_sweep(
             n, ErrorModel.ONE_DEL_ONE_SUB,

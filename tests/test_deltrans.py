@@ -1032,6 +1032,15 @@ def test_desk_code_build_and_membership(desk_code):
             assert a == b or multiset_distance(a, b) >= 10
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None, -1, 10 ** 6])
+def test_desk_code_refuses_an_index_that_is_not_an_int_in_range(desk_code, index):
+    """An index whose type is not int, a bool included, or that lies outside
+    the code is refused with AlphabetError, as the codec sizes are."""
+    with pytest.raises(AlphabetError):
+        desk_code.encode(index)
+    assert desk_code.encode(1) == desk_code.codewords[1]
+
+
 def test_desk_code_corrects_everything(desk_code):
     code = desk_code
     n = code.params.n

@@ -1,8 +1,10 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
+from syncodec.delsub import DelSubParams, sketches
 from syncodec.errors import AlphabetError, SizeGuardError
 from syncodec.oracle import (
     all_words,
@@ -13,7 +15,7 @@ from syncodec.oracle import (
     verify_code,
 )
 from syncodec.sketches import vt
-from syncodec.words import ErrorModel, Word, error_ball
+from syncodec.words import ErrorModel, Word, error_ball, forward_images
 
 
 def best_vt_code(n):
@@ -47,7 +49,6 @@ def test_verify_code_agrees_with_error_ball():
     worst = 0
     seen = set()
     for x in code:
-        from syncodec.words import forward_images
         for y in forward_images(x, ErrorModel.SINGLE_EDIT):
             if y.symbols in seen:
                 continue
@@ -117,9 +118,55 @@ def test_report_serializes_to_json():
 
 
 def test_sketch_class_sweep_small():
-    from syncodec.delsub import DelSubParams, sketches
     params = DelSubParams(6)
     max_list, attained, hist = sketch_class_sweep(
         6, ErrorModel.ONE_DEL_ONE_SUB, lambda w: sketches(w, params).astuple())
     assert max_list <= 2
     assert sum(hist.values()) > 0
+
+
+def _all_pairs_sweep(n, model, sketch_fn):
+    """The sweep as one dict over every (sketch tuple, received word) pair of
+    all 2^n words: the reference the class-at-a-time sweep must equal."""
+    counts = {}
+    for x in all_words(n, 2):
+        key = sketch_fn(x)
+        for y in forward_images(x, model):
+            pair = (key, y.raw)
+            counts[pair] = counts.get(pair, 0) + 1
+    histogram = {}
+    for c in counts.values():
+        histogram[c] = histogram.get(c, 0) + 1
+    max_list = max(histogram)
+    return max_list, histogram.get(2, 0) > 0, histogram
+
+
+def _delsub_key(n):
+    params = DelSubParams(n)
+    return lambda w: sketches(w, params).astuple()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sketch_class_sweep_matches_the_all_pairs_sweep(n):
+    """delsub's five sketches and a coarse VT key, whose lists exceed 2, give
+    the reference's maximum, attainment and histogram exactly."""
+    model = ErrorModel.ONE_DEL_ONE_SUB
+    for key in (_delsub_key(n), lambda w: (vt(w, n + 1),)):
+        result = sketch_class_sweep(n, model, key)
+        assert result == _all_pairs_sweep(n, model, key)
+    assert n < 4 or result[0] > 2  # the coarse key's largest list
+
+
+def test_sketch_class_sweep_memory_follows_the_largest_class():
+    """At n = 10 the sweep's allocations peak below 1 MB; the all-pairs dict
+    of 2^10 words' images alone takes several."""
+    key = _delsub_key(10)
+    key(Word(bytes(10), 2))  # lazy set-up outside the measured span
+    tracemalloc.start()
+    try:
+        result = sketch_class_sweep(10, ErrorModel.ONE_DEL_ONE_SUB, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, True, {1: 54_774, 2: 4})
+    assert peak < 1_000_000

@@ -8,6 +8,10 @@ import importlib
 import sys
 from pathlib import Path
 
+from syncodec import oracle
+from syncodec.sketches import vt
+from syncodec.words import ErrorModel, all_words, forward_images
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -51,3 +55,23 @@ def test_every_package_attribute_the_workloads_read_exists():
     missing = sorted(f"{module}.{attr}" for module, attr in read
                      if not hasattr(importlib.import_module(module), attr))
     assert not missing
+
+
+def test_a_traced_sweep_counts_every_image(monkeypatch):
+    """The tracer counts the oracle's forward images through the module
+    global `oracle.forward_images`; a sweep that stopped calling it would
+    read 0 in the benchmark's per-layer image count."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracing
+
+    model = ErrorModel.ONE_DEL_ONE_SUB
+    expected = sum(len(forward_images(w, model)) for w in all_words(6, 2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        oracle.sketch_class_sweep(6, model, lambda w: (vt(w, 7),))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["words.forward_images.images"] == expected > 0
+    assert oracle.forward_images is forward_images

@@ -154,15 +154,26 @@ def _reference_images(word, model):
     return {Word(t, q) for t in images | {s}}
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
-def test_forward_images_match_the_definitions_exhaustively(q, n):
-    """Every word of length n over q symbols and every model: the trusted
-    images forward_images builds are the validated images of the
-    definitions, over the same alphabet."""
-    for symbols in itertools.product(range(q), repeat=n):
-        word = Word(symbols, q)
-        for model in ErrorModel:
-            assert forward_images(word, model) == _reference_images(word, model)
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 4), (4, 3)])
+def test_forward_images_match_the_definitions_exhaustively(q, top):
+    """Every word of length 0 to top over q symbols and every model: the
+    trusted images forward_images slices are the validated images of the
+    definitions, over the same alphabet, and the images of applying every
+    pattern the model has."""
+    for n in range(top + 1):
+        for symbols in itertools.product(range(q), repeat=n):
+            word = Word(symbols, q)
+            for model in ErrorModel:
+                images = forward_images(word, model)
+                assert images == _reference_images(word, model)
+                assert images == {word} | {apply(word, p) for p in patterns(word, model)}
+
+
+@pytest.mark.parametrize("word", [Word.parse(""), Word.parse("0110")])
+@pytest.mark.parametrize("model", ["del-sub", None, 1])
+def test_forward_images_refuses_an_unknown_model(word, model):
+    with pytest.raises(TypeError):
+        forward_images(word, model)
 
 
 def test_error_ball_examples():
